@@ -3,43 +3,38 @@
 For a fixed parameter value and boundary ray, g(t) is defined by matching
 the family mass on [0, g] against the reference mass on [0, t]:
 
-    int_0^g rho(x, a, s) JQ ds = int_0^t f(s) JQ ds.
+    M(g) = int_0^g rho(x, a, s) ds = int_0^t f(s) ds = I_f(t)
+
+(the model collar charts are flat, so the Jacobian JQ is 1).  g is the
+monotone rearrangement M^{-1}(I_f(t)); it is computed in array passes over
+a batch of t: M is tabulated once per ray on log-spaced nodes down to
+1e-300, I_f is evaluated for the whole batch, and a bracketed Newton
+iteration with the exact derivative M' = rho inverts the table.
 
 Domination rho > f gives g(t) <= t.  The cutoff interpolation
 gbar = eta * g + (1 - eta) * t turns the ray maps into a map of the whole
 domain that is the identity past 2/3 of the collar, with
 
     d/dt gbar = eta'(t) (g - t) + eta(t) g'(t) + 1 - eta(t) > 0,
-    g'(t) = f(t) JQ(t) / (rho(x, a, g(t)) JQ(g(t)))        (exact),
+    g'(t) = f(t) / rho(x, a, g(t))        (exact),
 
-and the pushed density nu(t) JQ(t) = rho(x, a, gbar) JQ(gbar) * d/dt gbar,
-which equals f on [0, 1/3] where the cutoff is 1.
+and the pushed density nu(t) = rho(x, a, gbar) * d/dt gbar, which equals f
+on [0, 1/3] where the cutoff is 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
 
+from .density import gauss_segments
 from .errors import DegeneracyError, InfeasibilityError, ResolutionError
-from .geometry import collar_chart, collar_jacobian
+from .geometry import collar_chart
 
-_LEGGAUSS = {}
-
-
-def _gauss_nodes(n=24):
-    if n not in _LEGGAUSS:
-        _LEGGAUSS[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS[n]
-
-
-def _gauss_integral(fn, a, b, n=24):
-    if b <= a:
-        return 0.0
-    xg, wg = _gauss_nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.sum(wg * fn(mid + half * xg)))
+_EPS = np.finfo(float).eps
+_TABLE_FLOOR = 1e-300    # smallest positive node of the ray mass table
+_TABLE_SEGMENTS = 996    # node ratio about 2 (even, for the half-refinement check)
+_MAX_NEWTON = 100        # bisection alone reaches 4 eps from a ratio-2 bracket in ~51
 
 
 @dataclass(frozen=True)
@@ -84,111 +79,140 @@ class Cutoff:
 def _ray_density(fam, x, a, side):
     """Density along one collar ray as a function of the collar coordinate."""
     dom = fam.domain
+    collar_chart(dom, a if dom.dim == 2 else float(side), 0.0, side=side)  # validates the ray
+    flip = side == 1
     if dom.dim == 1:
         def fn(s):
-            m = collar_chart(dom, float(side), np.asarray(s, dtype=float), side=side)
-            return np.asarray(fam.fn(x, m), dtype=float) * collar_jacobian(dom, float(side), s, side=side)
+            return np.asarray(fam.fn(x, 1.0 - s if flip else s), dtype=float)
     else:
+        a = float(a) % dom.circumference
+
         def fn(s):
-            s = np.asarray(s, dtype=float)
-            _, t = collar_chart(dom, a, s, side=side)
-            return np.asarray(fam.fn(x, np.full_like(s, a), t), dtype=float)
+            return np.asarray(fam.fn(x, np.full_like(s, a), 1.0 - s if flip else s), dtype=float)
     return fn
 
 
-def solve_collar_g(fam, ref, x, a, t, tol=1e-10, side=0):
-    """Solve the mass-matching equation for g(t) on one ray.
+class RayMass:
+    """Cumulative mass M(s) = int_0^s rho ds of one ray, tabulated and inverted.
 
-    Bisection-type bracketing on [0, t] (the domination rho > f guarantees
-    the root lies there) refined by brentq, then one Newton polish using
-    the exact derivative rho(x, a, g) of the mass integral.  Residual above
-    tol raises; non-bracketing raises InfeasibilityError (mass deficiency).
+    The nodes are 0 and a geometric sequence from 1e-300 to 1 (ratio about
+    2), so every scale of g down to the underflow range has its own
+    segments.  Each segment is integrated with the 24-node Gauss rule; the
+    sum over pairs is compared with one Gauss rule over the pair's union,
+    and a total disagreement above max(100 tol, 1e-9) raises
+    ResolutionError (the ray is too rough for the table).
     """
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    if not 0.0 < t <= 1.0:
-        raise InfeasibilityError(f"collar coordinate t={t} outside (0, 1]")
-    ray = _ray_density(fam, x, a, side)
-    target = float(ref.integral(t))
 
-    def mass_to(g):
-        try:
-            val, _ = integrate.quad(lambda s: float(ray(s)), 0.0, g, limit=200,
-                                    epsabs=min(tol * 0.1, 1e-12), epsrel=1e-12)
-        except Exception as exc:
-            raise DegeneracyError(f"quadrature failed on [0, {g:g}]: {exc}") from exc
-        return val
+    def __init__(self, ray, tol=1e-10):
+        self.ray = ray
+        self.tol = tol
+        geo = np.geomspace(_TABLE_FLOOR, 1.0, _TABLE_SEGMENTS + 1)
+        geo[-1] = 1.0
+        self.nodes = np.concatenate([[0.0], geo])
+        with np.errstate(under="ignore"):
+            seg = gauss_segments(ray, self.nodes[:-1], self.nodes[1:])
+            coarse = gauss_segments(ray, geo[:-2:2], geo[2::2])
+        if not np.all(np.isfinite(seg)) or np.any(seg < 0.0):
+            raise DegeneracyError("ray density is not finite and nonnegative on the collar")
+        drift = float(np.sum(np.abs(coarse - (seg[1::2] + seg[2::2]))))
+        if drift > max(100 * tol, 1e-9):
+            raise ResolutionError(f"ray mass table unresolved (pair drift {drift:.3e})")
+        self.cum = np.cumsum(np.concatenate([[0.0], seg]))
 
-    upper = t
-    h_upper = mass_to(upper) - target
-    while h_upper < 0.0 and upper < 1.0:
-        upper = min(1.0, 2.0 * upper)
-        h_upper = mass_to(upper) - target
-    if h_upper < 0.0:
-        raise InfeasibilityError(
-            f"mass deficiency: family ray mass {h_upper + target:.6g} below target {target:.6g}"
-        )
-    g = optimize.brentq(lambda gg: mass_to(gg) - target, 0.0, upper,
-                        xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
-    rho_g = float(ray(g))
-    if rho_g > 0:
-        g = min(max(g - (mass_to(g) - target) / rho_g, 0.0), upper)
-    residual = abs(mass_to(g) - target)
-    if residual > tol:
-        raise ResolutionError(f"collar solve residual {residual:.3e} above tol {tol:g}")
+    def invert(self, targets):
+        """g with M(g) = target, elementwise: a bracketed Newton iteration on M' = rho.
+
+        Each target is bracketed by the two table nodes around it and
+        started from the local power law through them.  A Newton step that
+        leaves the bracket is replaced by bisection.  A point stops when
+        its step is below 4 eps relative, its mass residual below 4 eps
+        relative, or its bracket below 4 eps relative; it keeps the iterate
+        whose residual was evaluated.  Targets above the ray mass by more
+        than tol raise InfeasibilityError; residuals above tol raise
+        ResolutionError.
+        """
+        targets = np.asarray(targets, dtype=float)
+        g = np.zeros_like(targets)
+        total = self.cum[-1]
+        excess = float(np.max(targets, initial=0.0)) - total
+        if excess > self.tol:
+            raise InfeasibilityError(
+                f"mass deficiency: ray mass {total:.6g} below target {total + excess:.6g}"
+            )
+        g[(targets > 0.0) & (targets >= total)] = 1.0
+        act = np.flatnonzero((targets > 0.0) & (targets < total))
+        if act.size == 0:
+            return g
+        T = targets[act]
+        i = np.searchsorted(self.cum, T, side="right") - 1    # cum[i] <= T < cum[i + 1]
+        s0, s1, m0, m1 = self.nodes[i], self.nodes[i + 1], self.cum[i], self.cum[i + 1]
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            power = s0 * (T / m0) ** (np.log(s1 / s0) / np.log(m1 / m0))
+        linear = s0 + (T - m0) / (m1 - m0) * (s1 - s0)
+        gi = np.where((m0 > 0.0) & (power > s0) & (power < s1), power, linear)
+        lo, hi = s0.copy(), s1.copy()
+        rows = np.arange(act.size)
+        resid_max = 0.0
+        for _ in range(_MAX_NEWTON):
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                resid = m0[rows] + gauss_segments(self.ray, s0[rows], gi) - T[rows]
+                step = resid / self.ray(gi)
+            above = resid > 0.0
+            hi[rows[above]] = gi[above]
+            lo[rows[~above]] = gi[~above]
+            lo_r, hi_r = lo[rows], hi[rows]
+            done = ((np.abs(step) <= 4 * _EPS * gi) | (np.abs(resid) <= 4 * _EPS * T[rows])
+                    | (hi_r - lo_r <= 4 * _EPS * hi_r))
+            g[act[rows[done]]] = gi[done]
+            if np.any(done):
+                resid_max = max(resid_max, float(np.max(np.abs(resid[done]))))
+            keep = ~done
+            if not np.any(keep):
+                break
+            rows, gi, step, lo_r, hi_r = rows[keep], gi[keep], step[keep], lo_r[keep], hi_r[keep]
+            gi = gi - step
+            out = ~((gi >= lo_r) & (gi <= hi_r))
+            gi[out] = 0.5 * (lo_r[out] + hi_r[out])
+        else:
+            raise ResolutionError(f"collar Newton iteration did not converge at {rows.size} points")
+        if resid_max > self.tol:
+            raise ResolutionError(f"collar solve residual {resid_max:.3e} above tol {self.tol:g}")
+        return g
+
+
+def _rearrange(mass, ref, t):
+    """g(t) = M^{-1}(I_f(t)) for an array t in [0, 1], in any order.
+
+    g is nondecreasing in t.  Near-equal targets can come out inverted by
+    rounding; the running maximum over the sorted t removes that, and an
+    inversion above 1e-12 relative raises ResolutionError.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any((t < 0.0) | (t > 1.0)):
+        raise InfeasibilityError("collar coordinate t outside [0, 1]")
+    g = mass.invert(ref.integral(t))
+    order = np.argsort(t, kind="stable")
+    g_sorted = g[order]
+    lifted = np.maximum.accumulate(g_sorted)
+    if np.any(lifted - g_sorted > 1e-12 * lifted):
+        raise ResolutionError("collar g not monotone in t; the reference integral is not monotone")
+    g[order] = lifted
     return g
 
 
-def _sweep_g(ray, ref, ts, tol=1e-10):
-    """Exact g values over a sorted t-array by incremental mass matching."""
-    gs = np.empty_like(ts)
-    g_prev = 0.0
-    mass_prev = 0.0
-    for i, t in enumerate(ts):
-        target = float(ref.integral(t))
-        need = target - mass_prev
-
-        def h(g):
-            return mass_prev + _gauss_integral(ray, g_prev, g) - target
-
-        upper = max(t, g_prev)
-        h_up = h(upper)
-        while h_up < 0.0 and upper < 1.0:
-            upper = min(1.0, upper + max(0.1, upper))
-            h_up = h(upper)
-        if h_up < 0.0:
-            raise InfeasibilityError(f"mass deficiency at t={t:g}")
-        if need <= 0.0:
-            g = g_prev
-        else:
-            g = optimize.brentq(h, g_prev, upper, xtol=1e-15,
-                                rtol=4 * np.finfo(float).eps, maxiter=200)
-        rho_g = float(ray(np.asarray(g)))
-        if rho_g > 0:
-            g = min(max(g - h(g) / rho_g, g_prev), upper)
-        gs[i] = g
-        g_prev = g
-        mass_prev = target
-        if (i + 1) % 64 == 0:
-            # recalibrate the running mass against an adaptive quadrature
-            mass_prev = integrate.quad(lambda s: float(ray(s)), 0.0, g_prev,
-                                       limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-            mass_prev = max(mass_prev, 0.0)
-            drift = abs(mass_prev - target)
-            if drift > max(100 * tol, 1e-9):
-                raise ResolutionError(f"mass sweep drift {drift:.3e}; refine the t grid")
-            mass_prev = target if drift <= 1e-12 else mass_prev
-    return gs
+def solve_collar_g(fam, ref, x, a, t, tol=1e-10, side=0):
+    """g(t) on one ray for a scalar t: one point through the collar solver."""
+    mass = RayMass(_ray_density(fam, x, a, side), tol)
+    return float(_rearrange(mass, ref, float(t))[0])
 
 
 @dataclass
 class CollarMap:
-    """Rearrangement data for one parameter value on one boundary ray family.
+    """Rearrangement data for one parameter value on one boundary ray.
 
-    Evaluation of g uses the exact incremental solver on sorted batches and
-    a cached monotone spline for scalar/random access; gbar, its exact
-    t-derivative and the pushed density follow by formula.
+    Holds the ray mass table, so any batch of t is solved exactly by
+    ``g_batch``; gbar, its exact t-derivative and the pushed density follow
+    by formula.  ``ts``/``gs`` is the tabulation made at build time.
     """
 
     fam: object
@@ -200,43 +224,15 @@ class CollarMap:
     tol: float
     ts: np.ndarray
     gs: np.ndarray
-    extrapolated_below: float
-    _spline: object
-    _p_hat: float
-    _g_cache: dict = field(default_factory=dict)
+    mass: RayMass
 
     # -- g -----------------------------------------------------------------
-    def g_exact(self, t):
-        t = float(t)
-        key = round(t, 17)
-        if key not in self._g_cache:
-            self._g_cache[key] = solve_collar_g(
-                self.fam, self.ref, self.x, self.a, t, tol=self.tol, side=self.side
-            )
-        return self._g_cache[key]
-
-    def g_batch(self, ts_sorted):
-        ray = _ray_density(self.fam, self.x, self.a, self.side)
-        return _sweep_g(ray, self.ref, np.asarray(ts_sorted, dtype=float), tol=self.tol)
+    def g_batch(self, ts):
+        return _rearrange(self.mass, self.ref, ts)
 
     def g(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.empty_like(t_arr)
-        low = t_arr < self.extrapolated_below
-        mid = ~low
-        out[mid] = self._spline(np.clip(t_arr[mid], self.ts[0], 1.0))
-        if np.any(low):
-            out[low] = self._extrapolate(t_arr[low])
-        return float(out[0]) if scalar else out
-
-    def _extrapolate(self, t):
-        # leading-order balance of the two mass integrals below the table floor
-        g0 = self.gs[0]
-        base = float(self.ref.integral(self.ts[0]))
-        frac = np.asarray(self.ref.integral(t), dtype=float) / base
-        return g0 * np.maximum(frac, 0.0) ** (1.0 / (self._p_hat + 1.0))
+        out = self.g_batch(t)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     # -- gbar and derived quantities ----------------------------------------
     def gbar(self, t, g_values=None):
@@ -249,8 +245,7 @@ class CollarMap:
         """Exact derivative: eta'(g - t) + eta g' + 1 - eta with g' by formula."""
         t = np.asarray(t, dtype=float)
         g_values = self.g(t) if g_values is None else g_values
-        ray = _ray_density(self.fam, self.x, self.a, self.side)
-        rho_g = np.asarray(ray(np.asarray(g_values)), dtype=float)
+        rho_g = self.mass.ray(np.asarray(g_values, dtype=float))
         f_t = np.asarray(self.ref.profile(t), dtype=float)
         gprime = np.where(rho_g > 0, f_t / np.where(rho_g > 0, rho_g, 1.0), np.inf)
         eta = self.cutoff.eta(t)
@@ -258,25 +253,16 @@ class CollarMap:
         return etap * (g_values - t) + eta * gprime + 1.0 - eta
 
     def nu(self, t, g_values=None):
-        """Density of the inverse-map pushforward: rho(gbar) * d/dt gbar (flat JQ)."""
+        """Density of the inverse-map pushforward: rho(gbar) * d/dt gbar."""
         t = np.asarray(t, dtype=float)
         g_values = self.g(t) if g_values is None else g_values
         gb = self.gbar(t, g_values)
-        ray = _ray_density(self.fam, self.x, self.a, self.side)
-        return np.asarray(ray(np.asarray(gb)), dtype=float) * self.dgbar_dt(t, g_values)
+        return self.mass.ray(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
 
     def nu_exact(self, t):
-        g_val = self.g_exact(float(t))
-        return float(self.nu(np.asarray(float(t)), g_values=np.asarray(g_val)))
+        return float(self.nu(np.asarray(float(t))))
 
-    # -- full map -----------------------------------------------------------
-    def map_point(self, m):
-        """G(m) in domain coordinates: (a, gbar(t)) on the collar, identity past it."""
-        m = np.asarray(m, dtype=float)
-        t = m if self.side == 0 else 1.0 - m
-        gb = self.gbar(t)
-        return gb if self.side == 0 else 1.0 - gb
-
+    # -- build-time diagnostics ---------------------------------------------
     def t_star_sample(self):
         return float(self.gbar(np.asarray(1.0 / 6.0)))
 
@@ -295,9 +281,9 @@ class CollarMap:
 
 
 def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None):
-    """Tabulate g on a log-refined grid and wrap it as a CollarMap.
+    """Tabulate the ray mass and g on a log-refined t grid; wrap them as a CollarMap.
 
-    Verifies strict monotonicity of the interpolated gbar and raises
+    Verifies strict monotonicity of gbar on the grid and raises
     ResolutionError asking for a finer grid if violated.
     """
     k = k or fam.k
@@ -307,25 +293,14 @@ def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None)
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0) or ts[0] <= 0:
         raise ResolutionError("t grid must be strictly increasing and positive")
-    ray = _ray_density(fam, x, a, side)
-    gs = _sweep_g(ray, ref, ts, tol=tol)
-    if np.any(np.diff(gs) < 0):
-        raise ResolutionError("tabulated g not monotone; refine the t grid")
-    spline = interpolate.PchipInterpolator(ts, gs, extrapolate=False)
-
-    r0, r1 = float(ray(np.asarray(gs[0]))), float(ray(np.asarray(gs[1])))
-    p_hat = 0.0
-    if r1 > 0 and r0 > 0 and gs[1] > gs[0] > 0:
-        p_hat = min(max(np.log(r1 / r0) / np.log(gs[1] / gs[0]), 0.0), 80.0)
-
+    mass = RayMass(_ray_density(fam, x, a, side), tol)
     cm = CollarMap(
         fam=fam, ref=ref, x=float(x), a=float(a), side=side,
-        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=gs,
-        extrapolated_below=float(ts[0]), _spline=spline, _p_hat=p_hat,
+        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts), mass=mass,
     )
-    gb = cm.gbar(ts, gs)
+    gb = cm.gbar(ts, cm.gs)
     if np.any(np.diff(gb) <= 0):
-        raise ResolutionError("interpolated gbar not strictly monotone; refine the t grid")
+        raise ResolutionError("gbar not strictly monotone on the t grid; refine the t grid")
     return cm
 
 
@@ -335,7 +310,7 @@ def build_collar_rays(fam, ref, x, a_nodes, **kwargs):
 
 
 def pushed_density(cm, t):
-    """nu(x, a, t) through the exact per-point solve (scalar t)."""
+    """nu(x, a, t) at a scalar t of the open collar, from the exact g."""
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ResolutionError("pushed density is evaluated on the open collar (0, 1)")
@@ -364,16 +339,6 @@ class BoundReport:
         }
 
 
-def _fd_g(fam, ref, x, t, order, h, tol, side):
-    """Central finite difference of order `order` of x -> g_x(t)."""
-    offsets = [order / 2.0 - i for i in range(order + 1)]
-    weights = [(-1) ** i * math.comb(order, i) for i in range(order + 1)]
-    total = 0.0
-    for wgt, off in zip(weights, offsets):
-        total += wgt * solve_collar_g(fam, ref, x + off * h, 0.0, t, tol=tol, side=side)
-    return total / h ** order
-
-
 def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4),
                       fd_fraction=0.25, tol=1e-10, side=0, probes_per_floor=5):
     """Empirical uniform-derivative constants for x -> g_x(t).
@@ -393,6 +358,22 @@ def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4)
     witness = {}
     richardson_ok = True
 
+    maps = {}
+
+    def g_at(xv, ts):
+        # one collar map per shifted x, shared by all probes, orders and floors
+        key = float(xv)
+        if key not in maps:
+            maps[key] = build_collar_map(fam, ref, key, tol=tol, side=side, k=k)
+        return maps[key].g_batch(ts)
+
+    def fd_g(x, ts, order, h):
+        """Central finite difference of order `order` of x -> g_x(ts)."""
+        total = 0.0
+        for i in range(order + 1):
+            total = total + (-1) ** i * math.comb(order, i) * g_at(x + (order / 2.0 - i) * h, ts)
+        return total / h ** order
+
     for floor in t_floors:
         t_probes = np.geomspace(floor, 0.3, probes_per_floor)
         xs = list(np.asarray(x_grid, dtype=float))
@@ -409,13 +390,12 @@ def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4)
                 h = fd_fraction * min(abs(x) if abs(x) > 0 else span, 2 * margin / (b + 1))
                 if h <= 0:
                     continue
-                for t in t_probes:
-                    dh = _fd_g(fam, ref, x, t, b, h, tol, side)
-                    dh2 = _fd_g(fam, ref, x, t, b, h / 2, tol, side)
+                dhs = fd_g(x, t_probes, b, h)
+                dh2s = fd_g(x, t_probes, b, h / 2)
+                for t, dh, dh2, g_here in zip(t_probes, dhs, dh2s, g_at(x, t_probes)):
                     scale = max(abs(dh), abs(dh2))
                     if scale > 1e-10 and not 0.5 <= abs(dh2) / max(abs(dh), 1e-300) <= 2.0:
                         richardson_ok = False
-                    g_here = solve_collar_g(fam, ref, x, 0.0, t, tol=tol, side=side)
                     weight = float(env.B(0.0, max(g_here, 1e-300))) / float(
                         env.E(0.0, max(g_here, 1e-300))) ** b
                     c_val = abs(dh2) * weight

@@ -11,6 +11,7 @@ checker for the three decay inequalities.  A PASS is evidence at probe
 resolution, not a proof, and the report says so.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +24,30 @@ from .expressions import parse_density_expression
 from .geometry import CYLINDER, INTERVAL, TORUS, Domain, collar_chart, make_domain
 
 _X_EPS = 1e-9
+
+_GAUSS_ROWS = 512  # segments per evaluation block, which bounds the node arrays
+
+
+@functools.cache
+def _gauss_rule():
+    # computed on first use: leggauss starts LAPACK, which costs memory at import
+    return np.polynomial.legendre.leggauss(24)
+
+
+def gauss_segments(fn, a, b):
+    """24-node Gauss-Legendre integrals of fn over [a[i], b[i]] for 1D arrays a, b.
+
+    fn is evaluated on (rows, 24) node arrays, one block of rows at a time.
+    """
+    xg, wg = _gauss_rule()
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    out = np.empty_like(mid)
+    for lo in range(0, mid.size, _GAUSS_ROWS):
+        blk = slice(lo, lo + _GAUSS_ROWS)
+        vals = np.asarray(fn(mid[blk, None] + half[blk, None] * xg), dtype=float)
+        out[blk] = half[blk] * np.sum(wg * vals, axis=1)
+    return out
 
 
 @dataclass
@@ -752,12 +777,8 @@ def make_reference(fam, margin=0.5, side=0, x_samples=41, n_nodes=500, t_floor=1
         return out if out.ndim else float(out)
 
     # cumulative mass by per-interval Gauss quadrature of the interpolant
-    xg, wg = np.polynomial.legendre.leggauss(24)
-    seg = np.zeros(len(ts))
-    for i in range(1, len(ts)):
-        mid_pt, half = 0.5 * (ts[i] + ts[i - 1]), 0.5 * (ts[i] - ts[i - 1])
-        seg[i] = half * float(np.sum(wg * profile_fn(mid_pt + half * xg)))
-    cum = tail_mass + np.cumsum(seg)
+    seg = gauss_segments(profile_fn, ts[:-1], ts[1:])
+    cum = tail_mass + np.cumsum(np.concatenate([[0.0], seg]))
 
     def integral_fn(t):
         t = np.asarray(t, dtype=float)
@@ -770,12 +791,7 @@ def make_reference(fam, margin=0.5, side=0, x_samples=41, n_nodes=500, t_floor=1
         if np.any(hi):
             tc = np.clip(t_arr[hi], t0, 1.0)
             idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
-            base = cum[idx]
-            partial = np.empty_like(tc)
-            for j, (i0, tv) in enumerate(zip(idx, tc)):
-                mid_pt, half = 0.5 * (tv + ts[i0]), 0.5 * (tv - ts[i0])
-                partial[j] = half * float(np.sum(wg * profile_fn(mid_pt + half * xg)))
-            out[hi] = base + partial
+            out[hi] = cum[idx] + gauss_segments(profile_fn, ts[idx], tc)
         return float(out[0]) if scalar else out
 
     def deriv_fn(t, j):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
+from scipy.optimize import brentq
 
 from moser_transport import (
     InfeasibilityError,
@@ -163,13 +164,54 @@ def test_extrapolation_below_table_floor():
 
 
 def test_g_batch_matches_exact():
+    # oracle: the closed-form h_power CDF (the ray mass from 0) inverted by brentq
     fam = builtin_family("h_power", alpha=2.0)
     ref = make_reference(fam, margin=0.5)
     cm = build_collar_map(fam, ref, 0.4)
     ts = np.geomspace(1e-5, 1.0, 23)
     batch = cm.g_batch(ts)
     for t, g in zip(ts[::4], batch[::4]):
-        assert g == pytest.approx(cm.g_exact(float(t)), abs=1e-9)
+        target = float(ref.integral(t))
+        exact = brentq(lambda m: float(fam.cdf(0.4, m)) - target, 0.0, 1.0, xtol=1e-15)
+        assert g == pytest.approx(exact, abs=1e-9)
+
+
+def test_g_relative_accuracy_small_t_example1():
+    # oracle: F_x(m) = x^2 m^2 + (1 - x^2) m^5 = I_f(t) solved for u = log m,
+    # with log F evaluated without underflow
+    fam = builtin_family("example1")
+    ref = make_reference(fam, margin=0.5)
+    ts = np.geomspace(1e-7, 1.0, 200)
+    for x in (0.0, 1e-7, 1e-3, 0.5):
+        log_x2 = 2 * np.log(x) if x > 0 else -np.inf
+        g = build_collar_map(fam, ref, x).g_batch(ts)
+        for t, gv in zip(ts, g):
+            log_target = np.log(float(ref.integral(t)))
+            u = brentq(lambda u: np.logaddexp(log_x2 + 2 * u, np.log1p(-x * x) + 5 * u)
+                       - log_target, -800.0, 0.0, xtol=1e-15)
+            assert abs(gv - np.exp(u)) <= 1e-10 * np.exp(u), (x, t, gv, np.exp(u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.5, 4.0), x=st.floats(0.0, 1.0),
+       ts=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=40))
+def test_g_batch_properties_h_power(alpha, x, ts):
+    # closed-form reference f = s^alpha / (2 N(1)) <= rho_x / 2 for every x in [0, 1]
+    fam = builtin_family("h_power", alpha=alpha)
+    n1 = 1.0 / (alpha + 1) + 0.5 / (alpha + 2)
+    ref = reference_from_profile(
+        lambda s: np.asarray(s, dtype=float) ** alpha / (2 * n1),
+        lambda t: np.asarray(t, dtype=float) ** (alpha + 1) / (2 * n1 * (alpha + 1)),
+    )
+    ts = np.sort(np.asarray(ts))
+    g = build_collar_map(fam, ref, x).g_batch(ts)
+    assert np.all(np.diff(g) >= 0.0)
+    targets = ref.integral(ts)
+    for gv, target in zip(g, targets):
+        exact = brentq(lambda m: float(fam.cdf(x, m)) - target, 0.0, 1.0,
+                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert abs(gv - exact) <= 1e-10 * exact
+        assert abs(float(fam.cdf(x, gv)) - target) <= 1e-10 * target
 
 
 def test_lemma_bound_x_independent_family():
@@ -216,4 +258,4 @@ def test_collar_rays_cylinder():
     for a, cm in rays.items():
         c = 1 + 0.5 * np.cos(2 * np.pi * a)
         # rho constant in t along the ray: g = 0.4 t / c
-        assert cm.g_exact(0.25) == pytest.approx(0.4 * 0.25 / c, rel=1e-9)
+        assert cm.g(0.25) == pytest.approx(0.4 * 0.25 / c, rel=1e-9)
