@@ -76,7 +76,6 @@ from .moser import (
     moser_map,
     moser_map_from_values,
     solve_neumann_poisson,
-    velocity_field,
 )
 from .transport import (
     CkReport,

@@ -37,11 +37,7 @@ class MassMismatchError(MoserTransportError):
 
 
 class SolverError(MoserTransportError):
-    """Iterative solver stagnated or failed to reach the requested residual."""
-
-    def __init__(self, message, residual_history=None):
-        self.residual_history = list(residual_history or [])
-        super().__init__(message)
+    """Linear solve failed to reach the requested residual."""
 
 
 class DegeneracyError(MoserTransportError):

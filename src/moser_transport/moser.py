@@ -8,15 +8,18 @@ from t=0 to t=1 with classical fixed-step RK4.  The time-one map pushes
 the reference density to the target density.
 
 Discretisation is second-order: P1 stiffness matrices (mirror-reflection
-Neumann closure on bounded axes, periodic wrap on circles), trapezoid /
-uniform lumped quadrature, conjugate gradients with Jacobi preconditioning
-and mean projection each iteration.
+Neumann closure on bounded axes, periodic wrap on circles) and trapezoid /
+uniform lumped quadrature.  M^-1 K is diagonalised exactly by DCT-I on
+bounded axes and FFT on periodic ones, so the Poisson solve is one direct
+transform pair.  RK4 runs once per build, over the grid nodes; map queries
+interpolate the node images (PCHIP in 1D, bilinear displacement in 2D).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import fft as sp_fft, sparse
+from scipy.interpolate import PchipInterpolator
 
 from .errors import DegeneracyError, IntegrationError, MassMismatchError, SolverError
 from .geometry import Grid
@@ -53,22 +56,11 @@ class PotentialField:
     values: np.ndarray
     residual: float
     iterations: int
-    residual_history: list = field(default_factory=list)
 
     @property
     def mean_abs(self):
         """|integral of u| with the grid quadrature; ~0 by construction."""
         return abs(self.grid.integrate(self.values))
-
-    @property
-    def bc_residual(self):
-        """Residual of the discrete Neumann closure.
-
-        The mirror-ghost closure imposes the centred boundary difference
-        (u_ghost - u_inner) / 2h = 0 identically, so this is exactly zero;
-        it is kept as a field so reports carry the enforced condition.
-        """
-        return 0.0
 
 
 def assemble_rhs(rho_x_values, rho0_values, grid, tol_mass=1e-4):
@@ -91,74 +83,78 @@ def assemble_rhs(rho_x_values, rho0_values, grid, tol_mass=1e-4):
     return rhs - grid.integrate(rhs) / volume
 
 
-def solve_neumann_poisson(rhs_values, grid, tol=1e-10, max_iter=None):
-    """CG solve of K u = M rhs in the subspace orthogonal to constants.
+def _eigenvalues(grid):
+    """Eigenvalues of M^-1 K in the DCT-I (bounded) / FFT (periodic) basis.
 
-    Jacobi-preconditioned conjugate gradients with the mean projected out
-    of the iterate every iteration; the returned field is shifted to zero
-    quadrature mean.  Stagnation (no progress over 250 iterations) and
-    iteration exhaustion raise SolverError carrying the residual history.
+    The constant mode's eigenvalue 0 is replaced by inf, so dividing by
+    these sets that mode to zero.
     """
-    rhs = np.asarray(rhs_values, dtype=float).reshape(-1)
-    n = rhs.size
-    K = stiffness(grid)
-    w = grid.weight_field().reshape(-1)
+    lam = 0.0
+    for i, ax in enumerate(grid.axes):
+        n, h = ax.n, ax.spacing
+        k = np.arange(n)
+        angle = 2 * np.pi * k / n if ax.periodic else np.pi * k / (n - 1)
+        shape = [1] * grid.dim
+        shape[i] = n
+        lam = lam + ((2.0 - 2.0 * np.cos(angle)) / h ** 2).reshape(shape)
+    lam[(0,) * grid.dim] = np.inf
+    return lam
+
+
+def _spectral_solve(grid, lam, f):
+    """u with M^-1 K u = f, f's constant mode dropped."""
+    bounded = [i for i, ax in enumerate(grid.axes) if not ax.periodic]
+    periodic = [i for i, ax in enumerate(grid.axes) if ax.periodic]
+    c = f
+    for i in bounded:
+        c = sp_fft.dct(c, type=1, axis=i)
+    if periodic:
+        c = sp_fft.fftn(c, axes=periodic)
+    c = c / lam
+    if periodic:
+        c = sp_fft.ifftn(c, axes=periodic).real
+    for i in bounded:
+        c = sp_fft.idct(c, type=1, axis=i)
+    return c
+
+
+def solve_neumann_poisson(rhs_values, grid, tol=1e-10):
+    """Direct spectral solve of K u = M rhs orthogonal to the constants.
+
+    M^-1 K is the mirror-closed (bounded axes) or periodic second
+    difference on each axis, diagonalised by DCT-I and FFT respectively,
+    so one transform pair solves the system.  The returned field has zero
+    quadrature mean; ``residual`` is the true relative residual
+    ||b - K u|| / ||b||.  One refinement solve on the residual is applied
+    when it exceeds tol; SolverError is raised if that does not suffice.
+    """
+    rhs = np.asarray(rhs_values, dtype=float).reshape(grid.shape)
+    w = grid.weight_field()
     b = w * rhs
     b = b - b.mean()
-
-    history = []
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        u = np.zeros(n)
-        return PotentialField(grid=grid, values=u.reshape(grid.shape), residual=0.0,
-                              iterations=0, residual_history=[0.0])
+        return PotentialField(grid=grid, values=np.zeros(grid.shape), residual=0.0,
+                              iterations=0)
 
-    d_inv = 1.0 / K.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    z = d_inv * r
-    z -= z.mean()
-    p = z.copy()
-    rz = float(r @ z)
-    max_iter = max_iter or max(30000, 20 * n)
-    # CG terminates in at most n steps in exact arithmetic; the residual can
-    # plateau long before the terminal drop, so stagnation means no new best
-    # residual over a window comparable to the system size.
-    window = max(1000, 2 * n)
-    best_res, best_it = np.inf, 0
-
-    for it in range(1, max_iter + 1):
-        Kp = K @ p
-        alpha = rz / float(p @ Kp)
-        x += alpha * p
-        x -= x.mean()  # mean projection each iteration
-        r -= alpha * Kp
-        res = float(np.linalg.norm(r)) / bnorm
-        history.append(res)
-        if res <= tol:
+    K = stiffness(grid)
+    lam = _eigenvalues(grid)
+    volume = grid.integrate(np.ones(grid.shape))
+    u = np.zeros(grid.shape)
+    r = b
+    for iterations in (1, 2):
+        u = u + _spectral_solve(grid, lam, r / w)
+        u = u - grid.integrate(u) / volume
+        r = b - (K @ u.reshape(-1)).reshape(grid.shape)
+        residual = float(np.linalg.norm(r)) / bnorm
+        if residual <= tol:
             break
-        if res < 0.5 * best_res:
-            best_res, best_it = res, it
-        elif it - best_it > window:
-            raise SolverError(
-                f"CG stagnated at relative residual {res:.3e}", residual_history=history[-50:]
-            )
-        z = d_inv * r
-        z -= z.mean()
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     else:
         raise SolverError(
-            f"CG did not reach tol={tol:g} in {max_iter} iterations "
-            f"(residual {history[-1]:.3e})",
-            residual_history=history[-50:],
+            f"spectral Neumann-Poisson solve left relative residual {residual:.3e} "
+            f"above tol={tol:g} after one refinement"
         )
-
-    u = x.reshape(grid.shape)
-    u = u - grid.integrate(u) / grid.integrate(np.ones_like(u))
-    return PotentialField(grid=grid, values=u, residual=history[-1],
-                          iterations=len(history), residual_history=history)
+    return PotentialField(grid=grid, values=u, residual=residual, iterations=iterations)
 
 
 def gradient(grid, values):
@@ -174,25 +170,35 @@ def gradient(grid, values):
         if ax.periodic:
             comp = (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2 * h)
         else:
-            comp = np.empty_like(values)
-            sl = [slice(None)] * values.ndim
-
-            def at(idx):
-                s = list(sl)
-                s[i] = idx
-                return tuple(s)
-
-            comp[at(slice(1, -1))] = (
-                values[at(slice(2, None))] - values[at(slice(0, -2))]
-            ) / (2 * h)
-            comp[at(0)] = 0.0
-            comp[at(-1)] = 0.0
+            comp = np.gradient(values, h, axis=i)
+            ends = [slice(None)] * values.ndim
+            ends[i] = [0, -1]
+            comp[tuple(ends)] = 0.0
         comps.append(comp)
     return tuple(comps)
 
 
-def _interp1(axis, f, pts):
-    return np.interp(pts, axis.nodes, f)
+def _cell(ax, c):
+    """Neighbouring node indices and fraction of coordinates c on one axis."""
+    rel = (c - ax.lo) / ax.spacing
+    if ax.periodic:
+        i = np.floor(rel).astype(np.intp)
+        return i % ax.n, (i + 1) % ax.n, rel - i
+    i = np.clip(np.floor(rel).astype(np.intp), 0, ax.n - 2)
+    return i, i + 1, np.clip(rel - i, 0.0, 1.0)
+
+
+def _bilinear(grid, F, points):
+    """Bilinear interpolation at (..., 2) points of node data F[ia, it, k]."""
+    ia0, ia1, fa = _cell(grid.axes[0], points[..., 0])
+    it0, it1, ft = _cell(grid.axes[1], points[..., 1])
+    fa, ft = fa[..., None], ft[..., None]
+    return (
+        F[ia0, it0] * (1 - fa) * (1 - ft)
+        + F[ia0, it1] * (1 - fa) * ft
+        + F[ia1, it0] * fa * (1 - ft)
+        + F[ia1, it1] * fa * ft
+    )
 
 
 @dataclass
@@ -202,21 +208,6 @@ class VelocityField:
     grid: Grid
     time: float
     components: tuple
-
-    @property
-    def bc_normal_max(self):
-        """Largest normal component magnitude at boundary nodes (0 by construction)."""
-        worst = 0.0
-        for i, ax in enumerate(self.grid.axes):
-            if ax.periodic:
-                continue
-            comp = self.components[i]
-            sl = [slice(None)] * comp.ndim
-            for idx in (0, -1):
-                s = list(sl)
-                s[i] = idx
-                worst = max(worst, float(np.max(np.abs(comp[tuple(s)]))))
-        return worst
 
 
 class VelocityProvider:
@@ -247,30 +238,11 @@ class VelocityProvider:
 
     def __call__(self, t, points):
         if self.grid.dim == 1:
-            pts = np.asarray(points, dtype=float)
-            ax = self.grid.axes[0]
-            g = _interp1(ax, self.grad[0], pts)
-            r0 = _interp1(ax, self.rho0, pts)
-            rx = _interp1(ax, self.rhox, pts)
-            eta = r0 + t * (rx - r0)
-            return g / eta
-        ax_a, ax_t = self.grid.axes
-        a_pts, t_pts = points[..., 0], points[..., 1]
-        rel_a = (a_pts - ax_a.lo) / ax_a.spacing
-        ia = np.floor(rel_a).astype(np.intp)
-        fa = (rel_a - ia)[..., None]
-        ia0 = ia % ax_a.n
-        ia1 = (ia + 1) % ax_a.n
-        rel_t = (t_pts - ax_t.lo) / ax_t.spacing
-        it = np.clip(np.floor(rel_t).astype(np.intp), 0, ax_t.n - 2)
-        ft = np.clip(rel_t - it, 0.0, 1.0)[..., None]
-        F = self._fields
-        vals = (
-            F[ia0, it] * (1 - fa) * (1 - ft)
-            + F[ia0, it + 1] * (1 - fa) * ft
-            + F[ia1, it] * fa * (1 - ft)
-            + F[ia1, it + 1] * fa * ft
-        )
+            nodes = self.grid.nodes(0)
+            g, r0, rx = (np.interp(points, nodes, f)
+                         for f in (self.grad[0], self.rho0, self.rhox))
+            return g / (r0 + t * (rx - r0))
+        vals = _bilinear(self.grid, self._fields, points)
         eta = vals[..., 2] + t * (vals[..., 3] - vals[..., 2])
         return vals[..., :2] / eta[..., None]
 
@@ -280,50 +252,39 @@ class VelocityProvider:
         return VelocityField(grid=self.grid, time=float(t), components=comps)
 
 
-def velocity_field(potential, rho0_values, rhox_values, t, c_min=1e-12):
-    """Velocity snapshot at time t (spec surface over VelocityProvider)."""
-    provider = VelocityProvider(potential.grid, potential, rho0_values, rhox_values, c_min)
-    return provider.snapshot(t)
+def _clamp_points(grid, pts, slack=None, counter=None):
+    """Wrap periodic coordinates and clamp bounded ones onto the grid.
 
-
-def _clamp_points(grid, pts, counter):
-    if grid.dim == 1:
-        ax = grid.axes[0]
+    A bounded coordinate more than ``slack`` outside the grid (default one
+    cell) raises IntegrationError; clamps of more than 1e-12 are counted
+    in ``counter[0]`` when a counter is given.
+    """
+    pts = np.array(pts, dtype=float)
+    cols = pts.reshape(-1, grid.dim)
+    for i, ax in enumerate(grid.axes):
+        c = cols[:, i]
+        if ax.periodic:
+            cols[:, i] = ax.lo + (c - ax.lo) % ax.length
+            continue
         lo, hi = ax.lo, ax.lo + ax.length
-        out = np.clip(pts, lo, hi)
-        counter[0] += int(np.sum((pts < lo - 1e-12) | (pts > hi + 1e-12)))
-        over = np.maximum(lo - pts, pts - hi)
-        if np.any(over > ax.spacing):
+        over = np.maximum(lo - c, c - hi)
+        allowed = ax.spacing if slack is None else slack
+        if np.any(over > allowed):
             raise IntegrationError(
-                f"trajectory escaped the domain by {float(np.max(over)):.3e} "
-                f"(> one grid cell {ax.spacing:.3e})"
+                f"point {float(c[np.argmax(over)]):.6g} lies {float(np.max(over)):.3e} "
+                f"outside [{lo:g}, {hi:g}] on axis {i} (allowed {allowed:.3e})"
             )
-        return out
-    ax_a, ax_t = grid.axes
-    a = pts[..., 0]
-    a = ax_a.lo + (a - ax_a.lo) % ax_a.length
-    t_lo, t_hi = ax_t.lo, ax_t.lo + ax_t.length
-    t = pts[..., 1]
-    if ax_t.periodic:
-        t = t_lo + (t - t_lo) % ax_t.length
-    else:
-        counter[0] += int(np.sum((t < t_lo - 1e-12) | (t > t_hi + 1e-12)))
-        over = np.maximum(t_lo - t, t - t_hi)
-        if np.any(over > ax_t.spacing):
-            raise IntegrationError(
-                f"trajectory escaped the domain by {float(np.max(over)):.3e} "
-                f"(> one grid cell {ax_t.spacing:.3e})"
-            )
-        t = np.clip(t, t_lo, t_hi)
-    return np.stack([a, t], axis=-1)
+        if counter is not None:
+            counter[0] += int(np.sum(over > 1e-12))
+        cols[:, i] = np.clip(c, lo, hi)
+    return pts
 
 
-def integrate_flow(provider, points, steps=256, reverse=False, keep_path=False):
+def integrate_flow(provider, points, steps=256):
     """Classical RK4 over deformation time with fixed step 1/steps.
 
-    ``reverse`` integrates the backward equation from t=1 to t=0 (used by
-    round-trip self-checks).  Returns (end points, clamp event count) or,
-    with keep_path, (end points, clamp count, path list).
+    Returns (end points, clamp event count).  Builds run it over the grid
+    nodes; it also serves as the oracle for MoserMap.evaluate.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -331,31 +292,29 @@ def integrate_flow(provider, points, steps=256, reverse=False, keep_path=False):
     pts = np.array(points, dtype=float)
     dt = 1.0 / steps
     counter = [0]
-    path = [pts.copy()] if keep_path else None
 
-    def vel(t, p):
-        if reverse:
-            return -provider(1.0 - t, p)
-        return provider(t, p)
+    def clamp(p):
+        return _clamp_points(grid, p, counter=counter)
 
     for k in range(steps):
         t = k * dt
         p0 = pts
-        k1 = vel(t, p0)
-        k2 = vel(t + dt / 2, _clamp_points(grid, p0 + dt / 2 * k1, counter))
-        k3 = vel(t + dt / 2, _clamp_points(grid, p0 + dt / 2 * k2, counter))
-        k4 = vel(t + dt, _clamp_points(grid, p0 + dt * k3, counter))
-        pts = _clamp_points(grid, p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), counter)
-        if keep_path:
-            path.append(pts.copy())
-    if keep_path:
-        return pts, counter[0], path
+        k1 = provider(t, p0)
+        k2 = provider(t + dt / 2, clamp(p0 + dt / 2 * k1))
+        k3 = provider(t + dt / 2, clamp(p0 + dt / 2 * k2))
+        k4 = provider(t + dt, clamp(p0 + dt * k3))
+        pts = clamp(p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
     return pts, counter[0]
 
 
 @dataclass
 class MoserMap:
-    """Time-one flow map for one parameter value."""
+    """Time-one flow map for one parameter value.
+
+    Queries interpolate the RK4 images of the grid nodes: PCHIP in 1D,
+    which keeps the map strictly monotone and inside the interval, and
+    the bilinear node displacement in 2D.
+    """
 
     x: float
     grid: Grid
@@ -363,10 +322,17 @@ class MoserMap:
     steps: int
     node_images: np.ndarray
     clamp_events: int
+    interpolant: object = field(repr=False)  # PchipInterpolator (1D) or displacement (2D)
 
     def evaluate(self, points):
-        out, _ = integrate_flow(self.provider, points, steps=self.steps)
-        return out
+        """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
+        pts = _clamp_points(self.grid, points, slack=1e-12)
+        if self.grid.dim == 1:
+            # PCHIP through monotone data stays within it; the clip only removes rounding
+            return np.clip(self.interpolant(pts), self.node_images[0], self.node_images[-1])
+        # bounded coordinates are convex combinations of node images; the clamp is rounding
+        return _clamp_points(self.grid, pts + _bilinear(self.grid, self.interpolant, pts),
+                             slack=1e-12)
 
     def __call__(self, points):
         return self.evaluate(points)
@@ -376,6 +342,27 @@ class MoserMap:
         if self.grid.dim != 1:
             raise ValueError("monotonicity check is a 1D property")
         return bool(np.all(np.diff(self.node_images) > 0))
+
+
+def _node_displacement(grid, seeds, images):
+    """Node displacement with circle components unwrapped to (-L/2, L/2].
+
+    A component beyond L/4 cannot be told apart from its wrap-around
+    partner reliably, so it raises IntegrationError.
+    """
+    disp = (images - seeds).reshape(*grid.shape, grid.dim)
+    for i, ax in enumerate(grid.axes):
+        if not ax.periodic:
+            continue
+        d = disp[..., i]
+        d -= ax.length * np.ceil(d / ax.length - 0.5)
+        worst = float(np.max(np.abs(d)))
+        if worst > ax.length / 4:
+            raise IntegrationError(
+                f"node displacement {worst:.3e} on periodic axis {i} exceeds a quarter "
+                f"period ({ax.length / 4:.3e}); the interpolated map would be ambiguous"
+            )
+    return disp
 
 
 def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
@@ -396,8 +383,13 @@ def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
         aa, tt = grid.meshes()
         seeds = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
     images, clamps = integrate_flow(provider, seeds, steps=steps)
+    if grid.dim == 1:
+        interpolant = PchipInterpolator(seeds, images, extrapolate=False)
+    else:
+        interpolant = _node_displacement(grid, seeds, images)
     return MoserMap(x=float(x), grid=grid, provider=provider, steps=steps,
-                    node_images=images, clamp_events=clamps), potential
+                    node_images=images, clamp_events=clamps,
+                    interpolant=interpolant), potential
 
 
 def moser_map(fam, rho0, x, grid, steps=256, tol=1e-10, tol_mass=1e-4):

@@ -27,7 +27,7 @@ from scipy.stats import qmc
 
 from .collar import build_collar_map
 from .density import make_reference
-from .errors import ConfigurationError, DegeneracyError, MoserTransportError
+from .errors import ConfigurationError, DegeneracyError, IntegrationError, MoserTransportError
 from .geometry import INTERVAL, default_grid, interval_grid
 from .moser import moser_map_from_values
 
@@ -140,8 +140,7 @@ class TransportFamily:
                 gs = cm.g_batch(ms[low])
                 out_sorted[low] = cm.gbar(ms[low], g_values=gs)
             if np.any(~low):
-                imgs = mm.evaluate(ms[~low])
-                imgs = np.clip(imgs, self.v, 1.0)
+                imgs = self._interior_images(x, mm, ms[~low])
                 idx = np.argsort(imgs, kind="stable")
                 gs = cm.g_batch(imgs[idx])
                 vals = cm.gbar(imgs[idx], g_values=gs)
@@ -177,9 +176,19 @@ class TransportFamily:
         cm = self.collar_at(x)
         mm, _ = self.moser_at(x)
         v_side = cm.gbar(np.asarray(self.v))
-        phi_v = float(mm.evaluate(np.asarray([self.v]))[0])
-        complement_side = cm.gbar(np.asarray(np.clip(phi_v, self.v, 1.0)))
-        return abs(float(v_side) - float(complement_side))
+        phi_v = self._interior_images(x, mm, np.asarray([self.v]))
+        complement_side = cm.gbar(phi_v)
+        return abs(float(v_side) - float(complement_side[0]))
+
+    def _interior_images(self, x, mm, points):
+        """Interior map images, which must stay in [v, 1] for the collar stage."""
+        imgs = mm.evaluate(points)
+        over = float(np.max(np.maximum(self.v - imgs, imgs - 1.0)))
+        if over > 1e-12:
+            raise IntegrationError(
+                f"interior map image leaves [{self.v:g}, 1] by {over:.3e} at x={float(x)!r}"
+            )
+        return imgs
 
     def pushforward_check(self, x, n_fine=2 ** 13):
         if self.domain.dim == 2:

@@ -5,18 +5,21 @@ from scipy import integrate as si
 
 from moser_transport import (
     DegeneracyError,
+    IntegrationError,
     MassMismatchError,
     assemble_rhs,
+    build_representation,
     builtin_family,
     cylinder_grid,
+    family_from_expression,
     integrate_flow,
     interval_grid,
+    make_domain,
     moser_map,
     pushforward_density_1d,
     solve_neumann_poisson,
-    velocity_field,
 )
-from moser_transport.moser import VelocityProvider, moser_map_from_values
+from moser_transport.moser import VelocityProvider, moser_map_from_values, stiffness
 
 
 def _uniform(m):
@@ -61,7 +64,10 @@ def test_solve_affine_closed_form():
     assert np.abs(pot.values - exact).max() <= 5e-7
     assert pot.residual <= 1e-10
     assert pot.mean_abs <= 1e-12
-    assert pot.bc_residual == 0.0
+    # mirror Neumann closure: the end differences are O(h), not O(1)
+    h = nodes[1] - nodes[0]
+    assert abs(pot.values[1] - pot.values[0]) / h <= h
+    assert abs(pot.values[-1] - pot.values[-2]) / h <= h
 
 
 def test_solve_matches_double_integration_oracle():
@@ -99,7 +105,7 @@ def test_solve_cylinder_manufactured_eigenexpansion():
 def test_velocity_zero_potential():
     grid = interval_grid(64)
     pot = solve_neumann_poisson(np.zeros(64), grid)
-    vf = velocity_field(pot, np.ones(64), np.ones(64), 0.0)
+    vf = VelocityProvider(grid, pot, np.ones(64), np.ones(64), 1e-12).snapshot(0.0)
     assert np.abs(vf.components[0]).max() == 0.0
 
 
@@ -110,11 +116,11 @@ def test_velocity_affine_formula():
     x = 0.5
     rhox = 1.0 + x * (2 * nodes - 1)
     pot = solve_neumann_poisson(assemble_rhs(rhox, np.ones_like(nodes), grid), grid)
-    vf = velocity_field(pot, np.ones_like(nodes), rhox, 0.0)
+    vf = VelocityProvider(grid, pot, np.ones_like(nodes), rhox, 1e-12).snapshot(0.0)
     interior = slice(8, -8)
     expect = x * (nodes - nodes ** 2)
     assert np.abs(vf.components[0][interior] - expect[interior]).max() <= 1e-5
-    assert vf.bc_normal_max == 0.0
+    assert vf.components[0][0] == 0.0 and vf.components[0][-1] == 0.0
 
 
 def test_velocity_denominator_guard():
@@ -137,6 +143,12 @@ def test_flow_zero_field_identity():
     assert clamps == 0
 
 
+def _on_grid(fn, grid):
+    """Velocity ``fn(t, p)`` as a provider for integrate_flow on ``grid``."""
+    fn.grid = grid
+    return fn
+
+
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -153,8 +165,9 @@ def test_flow_reverse_round_trip():
     grid = interval_grid(512)
     nodes = grid.nodes(0)
     mm = moser_map(fam, _uniform, 0.5, grid, steps=128)
+    reverse = _on_grid(lambda t, p: -mm.provider(1.0 - t, p), grid)
     fwd, _ = integrate_flow(mm.provider, nodes, steps=128)
-    back, _ = integrate_flow(mm.provider, fwd, steps=128, reverse=True)
+    back, _ = integrate_flow(reverse, fwd, steps=128)
     # 10x the interpolation tolerance of this grid
     assert np.abs(back - nodes).max() <= 10 * (1.0 / 511) ** 2
 
@@ -200,12 +213,11 @@ def test_intermediate_deformation_consistency():
     grid = interval_grid(1024)
     x = 0.5
     mm = moser_map(fam, _uniform, x, grid, steps=128)
+    # s -> Phi_{s/2}: the velocity 0.5 V_{t/2} over unit time ends at time 1/2
+    half = _on_grid(lambda t, p: 0.5 * mm.provider(0.5 * t, p), grid)
 
     def half_map(pts):
-        _, _, path = integrate_flow(
-            mm.provider, np.asarray(pts, dtype=float), steps=64, keep_path=True
-        )
-        return path[32]  # flow state at deformation time 1/2
+        return integrate_flow(half, np.asarray(pts, dtype=float), steps=64)[0]
 
     y, nu = pushforward_density_1d(half_map, _uniform, n_fine=2 ** 12)
     eta_half = 1.0 + 0.5 * x * (2 * y - 1)
@@ -227,3 +239,126 @@ def test_moser_map_from_values_positivity_guard():
     grid = interval_grid(64)
     with pytest.raises(DegeneracyError):
         moser_map_from_values(np.zeros(64), np.ones(64), grid)
+
+
+def _generic_rhs(grid):
+    if grid.dim == 1:
+        m = grid.nodes(0)
+        rhs = np.cos(3 * m) + m ** 2 + 0.3 * np.sin(7 * m)
+    else:
+        aa, tt = grid.meshes()
+        rhs = (0.3 * np.cos(2 * np.pi * aa) * np.cos(np.pi * tt)
+               + 0.2 * np.sin(2 * np.pi * aa) * (tt ** 2 - 1 / 3))
+    return rhs - grid.integrate(rhs) / grid.integrate(np.ones_like(rhs))
+
+
+@pytest.mark.parametrize("grid", [interval_grid(1024), cylinder_grid(128, 128)],
+                         ids=["interval1024", "cylinder128"])
+def test_solve_reports_true_residual(grid):
+    # the reported residual is ||b - K u|| / ||b|| of the returned u
+    tol = 1e-10
+    rhs = _generic_rhs(grid)
+    pot = solve_neumann_poisson(rhs, grid, tol=tol)
+    b = grid.weight_field().reshape(-1) * rhs.reshape(-1)
+    b -= b.mean()
+    true = np.linalg.norm(b - stiffness(grid) @ pot.values.reshape(-1)) / np.linalg.norm(b)
+    assert pot.residual == pytest.approx(true, rel=1e-3)
+    assert true <= tol
+    assert pot.iterations in (1, 2)
+
+
+def _flow_oracle_gap(mm, queries):
+    # RK4 re-integration of the queries through the same velocity provider
+    reintegrated, _ = integrate_flow(mm.provider, queries, steps=mm.steps)
+    diff = mm.evaluate(queries) - reintegrated
+    if mm.grid.dim == 2:
+        L = mm.grid.axes[0].length
+        diff[:, 0] -= L * np.round(diff[:, 0] / L)
+    return float(np.abs(diff).max())
+
+
+def test_evaluate_matches_reintegration_1d():
+    rng = np.random.default_rng(7)
+    fam = builtin_family("affine")
+    grid = interval_grid(1024)
+    for x in (0.5, -0.5):
+        mm = moser_map(fam, _uniform, x, grid, steps=256)
+        assert _flow_oracle_gap(mm, rng.uniform(0.0, 1.0, 2000)) <= 2e-6
+    tf = build_representation(builtin_family("h_power", k=2, alpha=2.0), mode="full",
+                              grid_n=1024, steps=256)
+    for x in (0.2, 0.8):
+        mm, _ = tf.moser_at(x)
+        assert _flow_oracle_gap(mm, rng.uniform(tf.v, 1.0, 2000)) <= 2e-6
+
+
+def test_evaluate_matches_reintegration_cylinder():
+    dom = make_domain("cylinder", circumference=1.0)
+    fam = family_from_expression(
+        "1 + 0.3*x*cos(2*pi*a)*cos(pi*t) + 0.2*x*sin(2*pi*a)*(t^2 - 1/3)",
+        domain=dom, x_range=(-1.0, 1.0), k=2, normalize=False,
+    )
+    tf = build_representation(fam, mode="moser_only", grid_n=48, steps=24, floor=0.5)
+    mm, _ = tf.moser_at(1.0)
+    rng = np.random.default_rng(11)
+    queries = rng.uniform(0.0, 1.0, (4096, 2))
+    assert _flow_oracle_gap(mm, queries) <= 2e-4
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=st.floats(-0.5, 0.5),
+       ticks=st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=200, unique=True))
+def test_evaluate_monotone_bounded_and_nodal_for_affine(x, ticks):
+    grid = interval_grid(128)
+    mm = moser_map(builtin_family("affine"), _uniform, x, grid, steps=32)
+    vals = mm.evaluate(np.sort(np.asarray(ticks, dtype=float)) / 10 ** 6)
+    assert np.all(np.diff(vals) > 0)
+    assert vals.min() >= 0.0 and vals.max() <= 1.0
+    assert np.abs(mm.evaluate(grid.nodes(0)) - mm.node_images).max() <= 1e-14
+
+
+def test_evaluate_rejects_points_outside_grid():
+    mm = moser_map(builtin_family("affine"), _uniform, 0.5, interval_grid(64), steps=16)
+    assert mm.evaluate(np.array([-1e-13, 1.0 + 1e-13])).tolist() == [0.0, 1.0]
+    for bad in (-1e-9, 1.0 + 1e-9):
+        with pytest.raises(IntegrationError):
+            mm.evaluate(np.array([0.5, bad]))
+    tf = build_representation(
+        family_from_expression("1 + 0.2*x*cos(pi*t)", domain=make_domain("cylinder"),
+                               x_range=(0.0, 1.0), normalize=False),
+        mode="moser_only", grid_n=16, steps=8, floor=0.5,
+    )
+    mm2, _ = tf.moser_at(1.0)
+    # the circle coordinate wraps; the bounded one must stay in [0, 1]
+    wrapped = mm2.evaluate(np.array([[1.25, 0.5], [-0.75, 0.5]]))
+    assert np.abs(wrapped[0] - wrapped[1]).max() <= 1e-15
+    with pytest.raises(IntegrationError):
+        mm2.evaluate(np.array([[0.5, 1.0 + 1e-9]]))
+
+
+def test_node_displacement_unwraps_circle_and_rejects_ambiguous():
+    from moser_transport.moser import _node_displacement
+
+    grid = cylinder_grid(8, 8, circumference=2.0)
+    aa, tt = grid.meshes()
+    seeds = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
+    images = seeds.copy()
+    images[:, 0] = (seeds[:, 0] + 1.8) % 2.0  # a shift of -0.2 across the seam
+    disp = _node_displacement(grid, seeds, images)
+    assert np.abs(disp[..., 0] + 0.2).max() <= 1e-12
+    images[:, 0] = (seeds[:, 0] + 0.6) % 2.0  # beyond a quarter period
+    with pytest.raises(IntegrationError):
+        _node_displacement(grid, seeds, images)
+
+
+def test_velocity_interpolates_across_torus_seam():
+    from moser_transport import torus_grid
+
+    grid = torus_grid(16, 16)
+    aa, tt = grid.meshes()
+    pot = solve_neumann_poisson(np.sin(2 * np.pi * tt) * np.cos(2 * np.pi * aa), grid)
+    provider = VelocityProvider(grid, pot, np.ones(grid.shape), np.ones(grid.shape), 0.5)
+    h = grid.axes[1].spacing
+    on_seam = provider(0.0, np.array([[0.25, 1.0 - h / 2]]))[0]
+    snap = provider.snapshot(0.0).components
+    expect = [0.5 * (c[4, -1] + c[4, 0]) for c in snap]
+    assert np.abs(on_seam - expect).max() <= 1e-14

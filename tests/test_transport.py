@@ -4,6 +4,7 @@ from scipy import integrate as si
 
 from moser_transport import (
     ConfigurationError,
+    IntegrationError,
     ParamDiffeo,
     QuantileTransport,
     build_representation,
@@ -237,3 +238,16 @@ def test_reference_mass_is_probability(affine_tf):
         affine_tf.rho0_fn(np.linspace(0, 0.39, 50))
         - affine_tf.ref.value_at(np.linspace(0, 0.39, 50))
     ).max() == 0.0
+
+
+def test_interior_image_outside_collar_complement_raises(monkeypatch):
+    # an interior image outside [v, 1] is a fault, reported with x, never clipped
+    fam = builtin_family("affine", k=2)
+    tf = build_representation(fam, mode="full", grid_n=64, steps=16)
+    mm, _ = tf.moser_at(0.5)
+    monkeypatch.setattr(mm, "evaluate", lambda pts: np.asarray(pts, dtype=float) + 0.01)
+    with pytest.raises(IntegrationError, match="x=0.5"):
+        tf.map_values(0.5, np.array([0.3, 0.995]))
+    monkeypatch.setattr(mm, "evaluate", lambda pts: np.asarray(pts, dtype=float) - 0.01)
+    with pytest.raises(IntegrationError, match="x=0.5"):
+        tf.interface_gap(0.5)
