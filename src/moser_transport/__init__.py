@@ -25,7 +25,6 @@ from .density import (
     ReferenceDensity,
     builtin_family,
     check_decay_assumptions,
-    eval_density,
     family_from_expression,
     library_envelopes,
     make_envelope,
@@ -59,7 +58,6 @@ from .geometry import (
     Domain,
     Grid,
     collar_chart,
-    collar_jacobian,
     cylinder_grid,
     default_grid,
     interval_grid,

@@ -203,11 +203,6 @@ def _dense_unit_grid():
     return _DENSE_GRID
 
 
-def eval_density(fam, x, m):
-    """rho(x, m) with argument validation; thin wrapper over fam.rho."""
-    return fam.rho(x, m)
-
-
 # ---------------------------------------------------------------------------
 # builtin families
 

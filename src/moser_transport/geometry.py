@@ -108,18 +108,6 @@ def collar_chart(domain, a, t, side=None):
     return (a, t) if side == 0 else (a, 1.0 - t)
 
 
-def collar_jacobian(domain, a, t, side=None):
-    """Jacobian of the collar chart.  Identically 1 on the flat model domains.
-
-    The interface is kept so curved collars can be added without touching
-    callers; every consumer multiplies by this value.
-    """
-    t = _check_collar_args(domain, t)
-    if domain.kind == INTERVAL:
-        _interval_side(a, side)
-    return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-
-
 @dataclass(frozen=True)
 class Axis:
     """One grid axis: n nodes starting at lo, periodic axes wrap at lo+length."""

@@ -7,45 +7,46 @@ V_t = grad(u) / (rho_0 + t (rho_x - rho_0)), and integrate the flow ODE
 from t=0 to t=1 with classical fixed-step RK4.  The time-one map pushes
 the reference density to the target density.
 
-Discretisation is second-order: P1 stiffness matrices (mirror-reflection
+Discretisation is second-order: a P1 stiffness flux stencil (mirror-reflection
 Neumann closure on bounded axes, periodic wrap on circles) and trapezoid /
 uniform lumped quadrature.  M^-1 K is diagonalised exactly by DCT-I on
 bounded axes and FFT on periodic ones, so the Poisson solve is one direct
-transform pair.  RK4 runs once per build, over the grid nodes; map queries
-interpolate the node images (PCHIP in 1D, bilinear displacement in 2D).
+transform pair.  RK4 runs once per build, over the grid nodes, through one
+multilinear interpolator; map queries interpolate the node images (PCHIP in
+1D, the multilinear node displacement in 2D).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft, sparse
+from scipy import fft as sp_fft
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DegeneracyError, IntegrationError, MassMismatchError, SolverError
 from .geometry import Grid
 
 
-def _stiffness_1d(axis):
-    n, h = axis.n, axis.spacing
-    main = np.full(n, 2.0 / h)
-    off = np.full(n - 1, -1.0 / h)
-    K = sparse.diags([off, main, off], offsets=(-1, 0, 1), format="lil")
-    if axis.periodic:
-        K[0, -1] = K[-1, 0] = -1.0 / h
-    else:
-        K[0, 0] = K[-1, -1] = 1.0 / h
-    return K.tocsr()
+def apply_stiffness(grid, u):
+    """K u for the P1 stiffness K, as the flux stencil (u[i+1] - u[i]) / h.
 
-
-def stiffness(grid):
-    """Symmetric PSD stiffness operator; nullspace is the constants."""
-    if grid.dim == 1:
-        return _stiffness_1d(grid.axes[0])
-    Ka = _stiffness_1d(grid.axes[0])
-    Kt = _stiffness_1d(grid.axes[1])
-    Ma = sparse.diags(grid.axes[0].weights)
-    Mt = sparse.diags(grid.axes[1].weights)
-    return (sparse.kron(Ka, Mt) + sparse.kron(Ma, Kt)).tocsr()
+    Bounded axes close with zero flux across their ends (the mirror
+    Neumann closure), periodic axes wrap; in 2D each axis's term carries
+    the other axis's quadrature weights.  K is symmetric PSD and its
+    nullspace is the constants.
+    """
+    out = np.zeros(grid.shape)
+    for i, ax in enumerate(grid.axes):
+        if ax.periodic:
+            flux = (np.roll(u, -1, axis=i) - u) / ax.spacing
+            term = np.roll(flux, 1, axis=i) - flux
+        else:  # repeating the end values makes the end fluxes zero
+            du = np.diff(u, axis=i, prepend=u.take([0], axis=i), append=u.take([-1], axis=i))
+            term = -np.diff(du / ax.spacing, axis=i)
+        if grid.dim == 2:
+            other = grid.axes[1 - i].weights
+            term = term * (other if i == 0 else other[:, None])
+        out += term
+    return out
 
 
 @dataclass
@@ -56,11 +57,6 @@ class PotentialField:
     values: np.ndarray
     residual: float
     iterations: int
-
-    @property
-    def mean_abs(self):
-        """|integral of u| with the grid quadrature; ~0 by construction."""
-        return abs(self.grid.integrate(self.values))
 
 
 def assemble_rhs(rho_x_values, rho0_values, grid, tol_mass=1e-4):
@@ -137,7 +133,6 @@ def solve_neumann_poisson(rhs_values, grid, tol=1e-10):
         return PotentialField(grid=grid, values=np.zeros(grid.shape), residual=0.0,
                               iterations=0)
 
-    K = stiffness(grid)
     lam = _eigenvalues(grid)
     volume = grid.integrate(np.ones(grid.shape))
     u = np.zeros(grid.shape)
@@ -145,7 +140,7 @@ def solve_neumann_poisson(rhs_values, grid, tol=1e-10):
     for iterations in (1, 2):
         u = u + _spectral_solve(grid, lam, r / w)
         u = u - grid.integrate(u) / volume
-        r = b - (K @ u.reshape(-1)).reshape(grid.shape)
+        r = b - apply_stiffness(grid, u)
         residual = float(np.linalg.norm(r)) / bnorm
         if residual <= tol:
             break
@@ -178,27 +173,42 @@ def gradient(grid, values):
     return tuple(comps)
 
 
-def _cell(ax, c):
-    """Neighbouring node indices and fraction of coordinates c on one axis."""
-    rel = (c - ax.lo) / ax.spacing
-    if ax.periodic:
-        i = np.floor(rel).astype(np.intp)
-        return i % ax.n, (i + 1) % ax.n, rel - i
-    i = np.clip(np.floor(rel).astype(np.intp), 0, ax.n - 2)
-    return i, i + 1, np.clip(rel - i, 0.0, 1.0)
+_CORNERS = np.array([[0], [1]], dtype=np.intp)
 
 
-def _bilinear(grid, F, points):
-    """Bilinear interpolation at (..., 2) points of node data F[ia, it, k]."""
-    ia0, ia1, fa = _cell(grid.axes[0], points[..., 0])
-    it0, it1, ft = _cell(grid.axes[1], points[..., 1])
-    fa, ft = fa[..., None], ft[..., None]
-    return (
-        F[ia0, it0] * (1 - fa) * (1 - ft)
-        + F[ia0, it1] * (1 - fa) * ft
-        + F[ia1, it0] * fa * (1 - ft)
-        + F[ia1, it1] * fa * ft
-    )
+def _multilinear(grid, F, points):
+    """Interpolate fields-major node data F (nf, n_nodes) at (N,) or (N, 2) points.
+
+    Returns (nf, N).  Cell and fraction follow from the uniform spacing;
+    periodic axes wrap, bounded axes hold their end values outside the grid.
+    """
+    pts = points.reshape(-1, grid.dim)
+    flat, fracs, stride = None, [], 1
+    for i in reversed(range(grid.dim)):
+        ax = grid.axes[i]
+        rel = (pts[:, i] - ax.lo) / ax.spacing
+        if ax.periodic:
+            cell = np.floor(rel)
+            corner = cell.astype(np.intp) + _CORNERS
+            if i > 0:  # take(mode="wrap") below wraps the leading axis
+                corner %= ax.n
+        else:
+            np.minimum(np.maximum(rel, 0.0, out=rel), ax.n - 1, out=rel)
+            cell = np.minimum(rel.astype(np.intp), ax.n - 2)
+            corner = cell + _CORNERS
+        fracs.append(rel - cell)
+        # the corner pair of axis i on its own axis of a (2,) * dim + (N,) index
+        corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
+        flat = corner if flat is None else flat + corner * stride
+        stride *= ax.n
+    vals = F.take(flat, axis=1, mode="wrap")
+    for frac in reversed(fracs):
+        # in place: fresh temporaries of this size cost more than the arithmetic
+        lerp = vals[:, 1] - vals[:, 0]
+        lerp *= frac
+        lerp += vals[:, 0]
+        vals = lerp
+    return vals
 
 
 @dataclass
@@ -215,17 +225,17 @@ class VelocityProvider:
 
     Gradient and densities are interpolated multilinearly from their grid
     samples; the time dependence enters only through the denominator, so a
-    single potential solve serves all deformation times.
+    single potential solve serves all deformation times.  ``grad``, ``rho0``
+    and ``drho`` = rho_x - rho0 are views into one fields-major ``node_data``.
     """
 
     def __init__(self, grid, potential, rho0_values, rhox_values, c_min):
         self.grid = grid
-        self.grad = gradient(grid, potential.values)
-        self.rho0 = np.asarray(rho0_values, dtype=float)
-        self.rhox = np.asarray(rhox_values, dtype=float)
+        rho0 = np.asarray(rho0_values, dtype=float)
+        drho = np.asarray(rhox_values, dtype=float) - rho0
         self.c_min = float(c_min)
         for t_end in (0.0, 1.0):
-            eta = self.rho0 + t_end * (self.rhox - self.rho0)
+            eta = rho0 + t_end * drho
             if np.min(eta) < self.c_min:
                 idx = np.unravel_index(int(np.argmin(eta)), eta.shape)
                 coords = tuple(float(grid.axes[i].nodes[idx[i]]) for i in range(grid.dim))
@@ -233,40 +243,35 @@ class VelocityProvider:
                     f"interpolated density {np.min(eta):.3e} below floor {self.c_min:.3e} "
                     f"at node {coords} (t={t_end:g})"
                 )
-        # all fields gathered together per interpolation query
-        self._fields = np.stack([*self.grad, self.rho0, self.rhox], axis=-1)
+        fields = np.stack([*gradient(grid, potential.values), rho0, drho])
+        self.node_data = fields.reshape(grid.dim + 2, -1)
+        self.grad = tuple(fields[:grid.dim])
+        self.rho0, self.drho = fields[grid.dim], fields[grid.dim + 1]
 
     def __call__(self, t, points):
-        if self.grid.dim == 1:
-            nodes = self.grid.nodes(0)
-            g, r0, rx = (np.interp(points, nodes, f)
-                         for f in (self.grad[0], self.rho0, self.rhox))
-            return g / (r0 + t * (rx - r0))
-        vals = _bilinear(self.grid, self._fields, points)
-        eta = vals[..., 2] + t * (vals[..., 3] - vals[..., 2])
-        return vals[..., :2] / eta[..., None]
+        dim = self.grid.dim
+        vals = _multilinear(self.grid, self.node_data, points)
+        v = vals[:dim] / (vals[dim] + t * vals[dim + 1])
+        return (v[0] if dim == 1 else v.T).reshape(np.shape(points))
 
     def snapshot(self, t):
-        eta = self.rho0 + t * (self.rhox - self.rho0)
+        eta = self.rho0 + t * self.drho
         comps = tuple(g / eta for g in self.grad)
         return VelocityField(grid=self.grid, time=float(t), components=comps)
 
 
-def _clamp_points(grid, pts, slack=None, counter=None):
-    """Wrap periodic coordinates and clamp bounded ones onto the grid.
+def _clamp_bounded(grid, pts, slack=None, counter=None):
+    """Clamp bounded coordinates onto the grid; no copy when all lie on it.
 
-    A bounded coordinate more than ``slack`` outside the grid (default one
-    cell) raises IntegrationError; clamps of more than 1e-12 are counted
-    in ``counter[0]`` when a counter is given.
+    One more than ``slack`` (default one cell) outside raises IntegrationError;
+    clamps of more than 1e-12 are counted in ``counter[0]`` if given.
     """
-    pts = np.array(pts, dtype=float)
     cols = pts.reshape(-1, grid.dim)
     for i, ax in enumerate(grid.axes):
         c = cols[:, i]
-        if ax.periodic:
-            cols[:, i] = ax.lo + (c - ax.lo) % ax.length
-            continue
         lo, hi = ax.lo, ax.lo + ax.length
+        if ax.periodic or (lo <= c.min(initial=lo) and c.max(initial=hi) <= hi):
+            continue
         over = np.maximum(lo - c, c - hi)
         allowed = ax.spacing if slack is None else slack
         if np.any(over > allowed):
@@ -276,15 +281,27 @@ def _clamp_points(grid, pts, slack=None, counter=None):
             )
         if counter is not None:
             counter[0] += int(np.sum(over > 1e-12))
+        pts = pts.copy()
+        cols = pts.reshape(-1, grid.dim)
         cols[:, i] = np.clip(c, lo, hi)
     return pts
+
+
+def _wrap_periodic(grid, pts):
+    """Periodic coordinates wrapped into [lo, lo + length)."""
+    cols = np.array(pts, dtype=float).reshape(-1, grid.dim)
+    for i, ax in enumerate(grid.axes):
+        if ax.periodic:
+            cols[:, i] = ax.lo + (cols[:, i] - ax.lo) % ax.length
+    return cols.reshape(np.shape(pts))
 
 
 def integrate_flow(provider, points, steps=256):
     """Classical RK4 over deformation time with fixed step 1/steps.
 
-    Returns (end points, clamp event count).  Builds run it over the grid
-    nodes; it also serves as the oracle for MoserMap.evaluate.
+    Returns (end points, clamp event count); periodic coordinates are
+    wrapped once at the end.  Builds run it over the grid nodes; it also
+    serves as the oracle for MoserMap.evaluate.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -294,7 +311,7 @@ def integrate_flow(provider, points, steps=256):
     counter = [0]
 
     def clamp(p):
-        return _clamp_points(grid, p, counter=counter)
+        return _clamp_bounded(grid, p, counter=counter)
 
     for k in range(steps):
         t = k * dt
@@ -304,7 +321,7 @@ def integrate_flow(provider, points, steps=256):
         k3 = provider(t + dt / 2, clamp(p0 + dt / 2 * k2))
         k4 = provider(t + dt, clamp(p0 + dt * k3))
         pts = clamp(p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    return pts, counter[0]
+    return _wrap_periodic(grid, pts), counter[0]
 
 
 @dataclass
@@ -313,7 +330,7 @@ class MoserMap:
 
     Queries interpolate the RK4 images of the grid nodes: PCHIP in 1D,
     which keeps the map strictly monotone and inside the interval, and
-    the bilinear node displacement in 2D.
+    the multilinear node displacement in 2D.
     """
 
     x: float
@@ -322,17 +339,17 @@ class MoserMap:
     steps: int
     node_images: np.ndarray
     clamp_events: int
-    interpolant: object = field(repr=False)  # PchipInterpolator (1D) or displacement (2D)
+    interpolant: object = field(repr=False)  # PCHIP (1D) or fields-major displacement (2D)
 
     def evaluate(self, points):
         """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
-        pts = _clamp_points(self.grid, points, slack=1e-12)
+        pts = _clamp_bounded(self.grid, np.asarray(points, dtype=float), slack=1e-12)
         if self.grid.dim == 1:
             # PCHIP through monotone data stays within it; the clip only removes rounding
             return np.clip(self.interpolant(pts), self.node_images[0], self.node_images[-1])
         # bounded coordinates are convex combinations of node images; the clamp is rounding
-        return _clamp_points(self.grid, pts + _bilinear(self.grid, self.interpolant, pts),
-                             slack=1e-12)
+        moved = pts + _multilinear(self.grid, self.interpolant, pts).T.reshape(pts.shape)
+        return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
     def __call__(self, points):
         return self.evaluate(points)
@@ -345,16 +362,16 @@ class MoserMap:
 
 
 def _node_displacement(grid, seeds, images):
-    """Node displacement with circle components unwrapped to (-L/2, L/2].
+    """Fields-major node displacement (dim, n_nodes), circles unwrapped to (-L/2, L/2].
 
     A component beyond L/4 cannot be told apart from its wrap-around
     partner reliably, so it raises IntegrationError.
     """
-    disp = (images - seeds).reshape(*grid.shape, grid.dim)
+    disp = (images - seeds).T.copy()
     for i, ax in enumerate(grid.axes):
         if not ax.periodic:
             continue
-        d = disp[..., i]
+        d = disp[i]
         d -= ax.length * np.ceil(d / ax.length - 0.5)
         worst = float(np.max(np.abs(d)))
         if worst > ax.length / 4:
@@ -372,21 +389,23 @@ def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
     rhox_values = np.asarray(rhox_values, dtype=float)
     measured = min(float(rho0_values.min()), float(rhox_values.min()))
     if measured <= 0:
-        raise DegeneracyError(f"densities must be positive on the grid (min {measured:.3e})")
+        raise DegeneracyError(f"densities must be positive on the grid at x={float(x)!r} "
+                              f"(min {measured:.3e})")
     c_min = 0.9 * measured if c_floor is None else c_floor
     rhs = assemble_rhs(rhox_values, rho0_values, grid, tol_mass=tol_mass)
     potential = solve_neumann_poisson(rhs, grid, tol=tol)
-    provider = VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
-    if grid.dim == 1:
-        seeds = grid.nodes(0)
-    else:
-        aa, tt = grid.meshes()
-        seeds = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
-    images, clamps = integrate_flow(provider, seeds, steps=steps)
-    if grid.dim == 1:
-        interpolant = PchipInterpolator(seeds, images, extrapolate=False)
-    else:
-        interpolant = _node_displacement(grid, seeds, images)
+    seeds = (grid.nodes(0) if grid.dim == 1
+             else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
+    stage = "velocity floor"
+    try:
+        provider = VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
+        stage = "RK4 sweep"
+        images, clamps = integrate_flow(provider, seeds, steps=steps)
+        stage = "node displacement"
+        interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
+                       else _node_displacement(grid, seeds, images))
+    except (IntegrationError, DegeneracyError) as exc:
+        raise type(exc)(f"{stage} at x={float(x)!r}: {exc}") from exc
     return MoserMap(x=float(x), grid=grid, provider=provider, steps=steps,
                     node_images=images, clamp_events=clamps,
                     interpolant=interpolant), potential

@@ -152,9 +152,6 @@ class TransportFamily:
         return float(out[0]) if scalar else out
 
     # -- reference handling ------------------------------------------------------
-    def reference_values(self, *coords):
-        return self.rho0_fn(*coords)
-
     def reference_quantile(self, u):
         """Inverse CDF of the reference density (1D), from a dense cached table."""
         if self._ref_quantile is None:

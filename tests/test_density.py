@@ -7,7 +7,6 @@ from moser_transport import (
     DegeneracyError,
     builtin_family,
     check_decay_assumptions,
-    eval_density,
     family_from_expression,
     library_envelopes,
     make_domain,
@@ -18,13 +17,13 @@ from moser_transport import (
 
 def test_example1_point_values():
     fam = builtin_family("example1")
-    assert eval_density(fam, 1.0, 0.5) == pytest.approx(1.0)
-    assert eval_density(fam, 0.0, 1.0) == pytest.approx(5.0)
+    assert fam.rho(1.0, 0.5) == pytest.approx(1.0)
+    assert fam.rho(0.0, 1.0) == pytest.approx(5.0)
 
 
 def test_constant_family():
     fam = builtin_family("constant")
-    assert eval_density(fam, 0.3, 0.7) == 1.0
+    assert fam.rho(0.3, 0.7) == 1.0
 
 
 def test_out_of_domain_arguments():

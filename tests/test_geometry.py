@@ -6,7 +6,6 @@ from moser_transport import (
     ConfigurationError,
     NoCollarError,
     collar_chart,
-    collar_jacobian,
     cylinder_grid,
     interval_grid,
     make_domain,
@@ -44,14 +43,6 @@ def test_collar_chart_torus_errors():
     dom = make_domain("torus")
     with pytest.raises(NoCollarError):
         collar_chart(dom, 0.0, 0.1)
-    with pytest.raises(NoCollarError):
-        collar_jacobian(dom, 0.0, 0.1)
-
-
-def test_collar_jacobian_flat():
-    assert collar_jacobian(make_domain("interval"), 0, 0.3) == 1.0
-    a = collar_jacobian(make_domain("cylinder"), 0.2, 0.9)
-    assert a == 1.0 and a > 0
 
 
 @given(t=st.floats(min_value=0.0, max_value=1.0))
