@@ -22,6 +22,7 @@ from .density import (
     AssumptionReport,
     DecayEnvelope,
     DensityFamily,
+    MassTable,
     ReferenceDensity,
     builtin_family,
     check_decay_assumptions,
@@ -34,8 +35,6 @@ from .density import (
 from .diagnostics import (
     ExpectationReport,
     ObstructionReport,
-    QuantileFunction,
-    build_quantile,
     expectation_curve,
     lipschitz_obstruction,
     w_infinity_1d,

@@ -7,9 +7,10 @@ the family mass on [0, g] against the reference mass on [0, t]:
 
 (the model collar charts are flat, so the Jacobian JQ is 1).  g is the
 monotone rearrangement M^{-1}(I_f(t)); it is computed in array passes over
-a batch of t: M is tabulated once per ray on log-spaced nodes down to
-1e-300, I_f is evaluated for the whole batch, and a bracketed Newton
-iteration with the exact derivative M' = rho inverts the table.
+a batch of t: M is tabulated once per ray as a density.MassTable, I_f is
+evaluated for the whole batch, and the table's bracketed Newton iteration
+with the exact derivative M' = rho inverts it.  Errors name the stage
+("collar ray mass" or "collar solve") and x.
 
 Domination rho > f gives g(t) <= t.  The cutoff interpolation
 gbar = eta * g + (1 - eta) * t turns the ray maps into a map of the whole
@@ -27,14 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import gauss_segments
+from .density import MassTable
 from .errors import DegeneracyError, InfeasibilityError, ResolutionError
 from .geometry import collar_chart
-
-_EPS = np.finfo(float).eps
-_TABLE_FLOOR = 1e-300    # smallest positive node of the ray mass table
-_TABLE_SEGMENTS = 996    # node ratio about 2 (even, for the half-refinement check)
-_MAX_NEWTON = 100        # bisection alone reaches 4 eps from a ratio-2 bracket in ~51
 
 
 @dataclass(frozen=True)
@@ -92,95 +88,17 @@ def _ray_density(fam, x, a, side):
     return fn
 
 
-class RayMass:
-    """Cumulative mass M(s) = int_0^s rho ds of one ray, tabulated and inverted.
-
-    The nodes are 0 and a geometric sequence from 1e-300 to 1 (ratio about
-    2), so every scale of g down to the underflow range has its own
-    segments.  Each segment is integrated with the 24-node Gauss rule; the
-    sum over pairs is compared with one Gauss rule over the pair's union,
-    and a total disagreement above max(100 tol, 1e-9) raises
-    ResolutionError (the ray is too rough for the table).
-    """
-
-    def __init__(self, ray, tol=1e-10):
-        self.ray = ray
-        self.tol = tol
-        geo = np.geomspace(_TABLE_FLOOR, 1.0, _TABLE_SEGMENTS + 1)
-        geo[-1] = 1.0
-        self.nodes = np.concatenate([[0.0], geo])
-        with np.errstate(under="ignore"):
-            seg = gauss_segments(ray, self.nodes[:-1], self.nodes[1:])
-            coarse = gauss_segments(ray, geo[:-2:2], geo[2::2])
-        if not np.all(np.isfinite(seg)) or np.any(seg < 0.0):
-            raise DegeneracyError("ray density is not finite and nonnegative on the collar")
-        drift = float(np.sum(np.abs(coarse - (seg[1::2] + seg[2::2]))))
-        if drift > max(100 * tol, 1e-9):
-            raise ResolutionError(f"ray mass table unresolved (pair drift {drift:.3e})")
-        self.cum = np.cumsum(np.concatenate([[0.0], seg]))
-
-    def invert(self, targets):
-        """g with M(g) = target, elementwise: a bracketed Newton iteration on M' = rho.
-
-        Each target is bracketed by the two table nodes around it and
-        started from the local power law through them.  A Newton step that
-        leaves the bracket is replaced by bisection.  A point stops when
-        its step is below 4 eps relative, its mass residual below 4 eps
-        relative, or its bracket below 4 eps relative; it keeps the iterate
-        whose residual was evaluated.  Targets above the ray mass by more
-        than tol raise InfeasibilityError; residuals above tol raise
-        ResolutionError.
-        """
-        targets = np.asarray(targets, dtype=float)
-        g = np.zeros_like(targets)
-        total = self.cum[-1]
-        excess = float(np.max(targets, initial=0.0)) - total
-        if excess > self.tol:
-            raise InfeasibilityError(
-                f"mass deficiency: ray mass {total:.6g} below target {total + excess:.6g}"
-            )
-        g[(targets > 0.0) & (targets >= total)] = 1.0
-        act = np.flatnonzero((targets > 0.0) & (targets < total))
-        if act.size == 0:
-            return g
-        T = targets[act]
-        i = np.searchsorted(self.cum, T, side="right") - 1    # cum[i] <= T < cum[i + 1]
-        s0, s1, m0, m1 = self.nodes[i], self.nodes[i + 1], self.cum[i], self.cum[i + 1]
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            power = s0 * (T / m0) ** (np.log(s1 / s0) / np.log(m1 / m0))
-        linear = s0 + (T - m0) / (m1 - m0) * (s1 - s0)
-        gi = np.where((m0 > 0.0) & (power > s0) & (power < s1), power, linear)
-        lo, hi = s0.copy(), s1.copy()
-        rows = np.arange(act.size)
-        resid_max = 0.0
-        for _ in range(_MAX_NEWTON):
-            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                resid = m0[rows] + gauss_segments(self.ray, s0[rows], gi) - T[rows]
-                step = resid / self.ray(gi)
-            above = resid > 0.0
-            hi[rows[above]] = gi[above]
-            lo[rows[~above]] = gi[~above]
-            lo_r, hi_r = lo[rows], hi[rows]
-            done = ((np.abs(step) <= 4 * _EPS * gi) | (np.abs(resid) <= 4 * _EPS * T[rows])
-                    | (hi_r - lo_r <= 4 * _EPS * hi_r))
-            g[act[rows[done]]] = gi[done]
-            if np.any(done):
-                resid_max = max(resid_max, float(np.max(np.abs(resid[done]))))
-            keep = ~done
-            if not np.any(keep):
-                break
-            rows, gi, step, lo_r, hi_r = rows[keep], gi[keep], step[keep], lo_r[keep], hi_r[keep]
-            gi = gi - step
-            out = ~((gi >= lo_r) & (gi <= hi_r))
-            gi[out] = 0.5 * (lo_r[out] + hi_r[out])
-        else:
-            raise ResolutionError(f"collar Newton iteration did not converge at {rows.size} points")
-        if resid_max > self.tol:
-            raise ResolutionError(f"collar solve residual {resid_max:.3e} above tol {self.tol:g}")
-        return g
+_MASS_ERRORS = (DegeneracyError, InfeasibilityError, ResolutionError)
 
 
-def _rearrange(mass, ref, t):
+def _ray_mass(fam, x, a, side, tol):
+    try:
+        return MassTable(_ray_density(fam, x, a, side), tol)
+    except _MASS_ERRORS as exc:
+        raise type(exc)(f"collar ray mass at x={float(x)!r}: {exc}") from exc
+
+
+def _rearrange(mass, ref, t, x):
     """g(t) = M^{-1}(I_f(t)) for an array t in [0, 1], in any order.
 
     g is nondecreasing in t.  Near-equal targets can come out inverted by
@@ -188,22 +106,25 @@ def _rearrange(mass, ref, t):
     inversion above 1e-12 relative raises ResolutionError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any((t < 0.0) | (t > 1.0)):
-        raise InfeasibilityError("collar coordinate t outside [0, 1]")
-    g = mass.invert(ref.integral(t))
-    order = np.argsort(t, kind="stable")
-    g_sorted = g[order]
-    lifted = np.maximum.accumulate(g_sorted)
-    if np.any(lifted - g_sorted > 1e-12 * lifted):
-        raise ResolutionError("collar g not monotone in t; the reference integral is not monotone")
+    try:
+        if np.any((t < 0.0) | (t > 1.0)):
+            raise InfeasibilityError("collar coordinate t outside [0, 1]")
+        g = mass.invert(ref.integral(t))
+        order = np.argsort(t, kind="stable")
+        g_sorted = g[order]
+        lifted = np.maximum.accumulate(g_sorted)
+        if np.any(lifted - g_sorted > 1e-12 * lifted):
+            raise ResolutionError(
+                "collar g not monotone in t; the reference integral is not monotone")
+    except _MASS_ERRORS as exc:
+        raise type(exc)(f"collar solve at x={float(x)!r}: {exc}") from exc
     g[order] = lifted
     return g
 
 
 def solve_collar_g(fam, ref, x, a, t, tol=1e-10, side=0):
     """g(t) on one ray for a scalar t: one point through the collar solver."""
-    mass = RayMass(_ray_density(fam, x, a, side), tol)
-    return float(_rearrange(mass, ref, float(t))[0])
+    return float(_rearrange(_ray_mass(fam, x, a, side, tol), ref, float(t), x)[0])
 
 
 @dataclass
@@ -224,11 +145,11 @@ class CollarMap:
     tol: float
     ts: np.ndarray
     gs: np.ndarray
-    mass: RayMass
+    mass: MassTable
 
     # -- g -----------------------------------------------------------------
     def g_batch(self, ts):
-        return _rearrange(self.mass, self.ref, ts)
+        return _rearrange(self.mass, self.ref, ts, self.x)
 
     def g(self, t):
         out = self.g_batch(t)
@@ -245,7 +166,7 @@ class CollarMap:
         """Exact derivative: eta'(g - t) + eta g' + 1 - eta with g' by formula."""
         t = np.asarray(t, dtype=float)
         g_values = self.g(t) if g_values is None else g_values
-        rho_g = self.mass.ray(np.asarray(g_values, dtype=float))
+        rho_g = self.mass.fn(np.asarray(g_values, dtype=float))
         f_t = np.asarray(self.ref.profile(t), dtype=float)
         gprime = np.where(rho_g > 0, f_t / np.where(rho_g > 0, rho_g, 1.0), np.inf)
         eta = self.cutoff.eta(t)
@@ -257,7 +178,7 @@ class CollarMap:
         t = np.asarray(t, dtype=float)
         g_values = self.g(t) if g_values is None else g_values
         gb = self.gbar(t, g_values)
-        return self.mass.ray(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
+        return self.mass.fn(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
 
     def nu_exact(self, t):
         return float(self.nu(np.asarray(float(t))))
@@ -293,10 +214,10 @@ def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None)
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0) or ts[0] <= 0:
         raise ResolutionError("t grid must be strictly increasing and positive")
-    mass = RayMass(_ray_density(fam, x, a, side), tol)
+    mass = _ray_mass(fam, x, a, side, tol)
     cm = CollarMap(
         fam=fam, ref=ref, x=float(x), a=float(a), side=side,
-        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts), mass=mass,
+        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts, x), mass=mass,
     )
     gb = cm.gbar(ts, cm.gs)
     if np.any(np.diff(gb) <= 0):

@@ -3,7 +3,9 @@
 A family is an evaluator rho(x, .) over a model domain together with partial
 derivative evaluators D_x^beta D_t^j rho for |beta| + j <= k (closed-form
 where tractable, central finite differences otherwise), an optional closed
-CDF for 1D domains, and a provenance tag.
+CDF for 1D domains (kept as a test oracle: the library integrates rho through
+MassTable), and a provenance tag.  MassTable is the one cumulative mass on
+[0, 1] and its inverse, used by the collar, the CDFs and the quantiles.
 
 The decay machinery consists of envelope pairs (E, B) with a closure
 constant A, a small library of candidate envelopes, and a sampling-based
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, interpolate, special
 
-from .errors import ConfigurationError, DegeneracyError
+from .errors import ConfigurationError, DegeneracyError, InfeasibilityError, ResolutionError
 from .expressions import parse_density_expression
 from .geometry import CYLINDER, INTERVAL, TORUS, Domain, collar_chart, make_domain
 
@@ -48,6 +50,147 @@ def gauss_segments(fn, a, b):
         vals = np.asarray(fn(mid[blk, None] + half[blk, None] * xg), dtype=float)
         out[blk] = half[blk] * np.sum(wg * vals, axis=1)
     return out
+
+
+_EPS = np.finfo(float).eps
+_MAX_SPLITS = 40   # halvings of one segment pair before the drift check
+_MAX_PAIRS = 2048  # live segment pairs per halving, about 4x the initial layout
+_MAX_NEWTON = 100  # bisection alone reaches 4 eps from a ratio-2 bracket in ~51
+
+
+class MassTable:
+    """Cumulative mass M(s) = int_0^s fn on [0, 1], tabulated and inverted.
+
+    The nodes are 0, a geometric sequence from 1e-300 to 1/64 (ratio about
+    2) and 64 uniform segments up to 1, so every scale down to the
+    underflow range has its own segments and so does the core.  Each pair
+    of adjacent segments is integrated with the 24-node Gauss rule and
+    compared with one rule over the pair's union.  A pair whose drift
+    exceeds its width's share of max(100 tol, 1e-9) is halved, to a depth
+    of 40, which resolves steps and kinks.  Halving stops early when it
+    would leave more than 2048 pairs to integrate, as an oscillation that
+    no depth resolves does; a total drift above the bound then raises
+    ResolutionError.
+    """
+
+    def __init__(self, fn, tol=1e-10):
+        self.fn = fn
+        self.tol = tol
+        bound = max(100 * tol, 1e-9)
+        geo = np.geomspace(1e-300, 1.0 / 64.0, 991)
+        core = np.linspace(1.0 / 64.0, 1.0, 65)
+        lo = np.concatenate([geo[:-2:2], core[:-2:2]])
+        mid = np.concatenate([geo[1::2], core[1::2]])
+        hi = np.concatenate([geo[2::2], core[2::2]])
+        pieces = []
+        with np.errstate(under="ignore"):
+            first = gauss_segments(fn, [0.0], [1e-300])
+            for depth in range(_MAX_SPLITS + 1):
+                n = lo.size
+                vals = gauss_segments(fn, np.concatenate([lo, mid, lo]),
+                                      np.concatenate([mid, hi, hi]))
+                left, right = vals[:n], vals[n:2 * n]
+                drift = np.abs(vals[2 * n:] - (left + right))
+                split = drift > bound * (hi - lo) + 4 * _EPS * np.abs(left + right)
+                if depth == _MAX_SPLITS or 2 * np.count_nonzero(split) > _MAX_PAIRS:
+                    split[:] = False
+                keep = ~split
+                pieces.append((lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
+                if not np.any(split):
+                    break
+                lo, hi = (np.concatenate([lo[split], mid[split]]),
+                          np.concatenate([mid[split], hi[split]]))
+                mid = 0.5 * (lo + hi)
+        lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
+        order = np.argsort(lo)
+        seg = np.concatenate([first, np.column_stack([left, right])[order].ravel()])
+        if not np.all(np.isfinite(seg)) or np.any(seg < 0.0):
+            raise DegeneracyError("density is not finite and nonnegative on [0, 1]")
+        total_drift = float(np.sum(drift))
+        if total_drift > bound:
+            raise ResolutionError(f"mass table unresolved (pair drift {total_drift:.3e})")
+        self.nodes = np.concatenate([[0.0], np.column_stack([lo, mid])[order].ravel(), [1.0]])
+        self.cum = np.cumsum(np.concatenate([[0.0], seg]))
+
+    @property
+    def total(self):
+        return float(self.cum[-1])
+
+    def cdf(self, m):
+        """M(m): the table value at the node below m plus one Gauss segment."""
+        m_arr = np.clip(np.atleast_1d(np.asarray(m, dtype=float)), 0.0, 1.0)
+        i = np.clip(np.searchsorted(self.nodes, m_arr, side="right") - 1,
+                    0, self.nodes.size - 2)
+        with np.errstate(under="ignore"):
+            out = self.cum[i] + gauss_segments(self.fn, self.nodes[i], m_arr)
+        return float(out[0]) if np.ndim(m) == 0 else out
+
+    def invert(self, targets):
+        """inf{s : M(s) > T} for each target T: a bracketed Newton iteration on M' = fn.
+
+        Each target is bracketed by the two table nodes around it and
+        started from the local power law through them.  A Newton step that
+        lands on or outside the bracket, or is longer than half the point's
+        previous move (Newton crawling on a rough residual), is replaced by
+        bisection, so the bracket keeps shrinking.  A point stops when its
+        step is below 4 eps relative, its mass residual below 4 eps
+        relative where fn > 0 (inside a flat run a zero residual does not
+        stop it), or its bracket below 4 eps relative; it keeps the iterate
+        whose residual was evaluated.  Targets at or below 0 give 0 and
+        targets at or above the total give 1.  Targets above the total by
+        more than tol raise InfeasibilityError; residuals above tol raise
+        ResolutionError.
+        """
+        T_all = np.atleast_1d(np.asarray(targets, dtype=float))
+        g = np.zeros_like(T_all)
+        total = self.total
+        excess = float(np.max(T_all, initial=0.0)) - total
+        if excess > self.tol:
+            raise InfeasibilityError(
+                f"mass deficiency: total mass {total:.6g} below target {total + excess:.6g}"
+            )
+        g[(T_all > 0.0) & (T_all >= total)] = 1.0
+        act = np.flatnonzero((T_all > 0.0) & (T_all < total))
+        T = T_all[act]
+        i = np.searchsorted(self.cum, T, side="right") - 1    # cum[i] <= T < cum[i + 1]
+        s0, s1, m0, m1 = self.nodes[i], self.nodes[i + 1], self.cum[i], self.cum[i + 1]
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            power = s0 * (T / m0) ** (np.log(s1 / s0) / np.log(m1 / m0))
+        linear = s0 + (T - m0) / (m1 - m0) * (s1 - s0)
+        gi = np.where((m0 > 0.0) & (power > s0) & (power < s1), power, linear)
+        lo, hi = s0.copy(), s1.copy()
+        moved = np.full(act.size, np.inf)    # length of each point's last move
+        rows = np.arange(act.size)
+        resid_max = 0.0
+        for _ in range(_MAX_NEWTON):
+            if rows.size == 0:
+                break
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                resid = m0[rows] + gauss_segments(self.fn, s0[rows], gi) - T[rows]
+                slope = np.asarray(self.fn(gi), dtype=float)
+                step = resid / slope
+            above = resid > 0.0
+            hi[rows[above]] = gi[above]
+            lo[rows[~above]] = gi[~above]
+            lo_r, hi_r = lo[rows], hi[rows]
+            done = ((np.abs(step) <= 4 * _EPS * gi)
+                    | ((np.abs(resid) <= 4 * _EPS * T[rows]) & (slope > 0.0))
+                    | (hi_r - lo_r <= 4 * _EPS * hi_r))
+            g[act[rows[done]]] = gi[done]
+            if np.any(done):
+                resid_max = max(resid_max, float(np.max(np.abs(resid[done]))))
+            keep = ~done
+            rows, gi, step, lo_r, hi_r = rows[keep], gi[keep], step[keep], lo_r[keep], hi_r[keep]
+            new = gi - step
+            out = ~((new > lo_r) & (new < hi_r)) | (np.abs(step) > 0.5 * moved[rows])
+            new[out] = 0.5 * (lo_r[out] + hi_r[out])
+            moved[rows] = np.abs(new - gi)
+            gi = new
+        if rows.size:
+            raise ResolutionError(f"Newton iteration did not converge at {rows.size} points")
+        if resid_max > self.tol:
+            raise ResolutionError(f"mass residual {resid_max:.3e} above tol {self.tol:g}")
+        return float(g[0]) if np.ndim(targets) == 0 else g
 
 
 @dataclass
@@ -121,21 +264,12 @@ class DensityFamily:
         dn = self.derivative(x, (*rest, t - h), bx, jt - 1)
         return (up - dn) / (2 * h)
 
-    def cdf(self, x, m):
-        """CDF along the 1D domain; closed-form when the family carries one."""
+    def mass_table(self, x):
+        """MassTable of rho(x, .) along the 1D domain."""
         if self.domain.dim != 1:
-            raise ConfigurationError("cdf is defined for 1D families only")
+            raise ConfigurationError("mass tables are defined for 1D families only")
         self._check_x(x)
-        if self.cdf_fn is not None:
-            return self.cdf_fn(x, np.asarray(m, dtype=float))
-        return self._numeric_cdf(x, m)
-
-    def _numeric_cdf(self, x, m):
-        nodes = _dense_unit_grid()
-        vals = self.fn(x, nodes)
-        cum = integrate.cumulative_trapezoid(vals, nodes, initial=0.0)
-        cum /= cum[-1]
-        return np.interp(np.asarray(m, dtype=float), nodes, cum)
+        return MassTable(lambda m: self.fn(x, m))
 
     def mass(self, x):
         self._check_x(x)
@@ -189,18 +323,6 @@ class DensityFamily:
                 vals = self.fn(x, aa, tt)
             worst = min(worst, float(np.min(vals)))
         return worst
-
-
-_DENSE_GRID = None
-
-
-def _dense_unit_grid():
-    global _DENSE_GRID
-    if _DENSE_GRID is None:
-        core = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-        tail = np.geomspace(1e-10, 1e-3, 400)
-        _DENSE_GRID = np.unique(np.concatenate([core, tail, 1.0 - tail]))
-    return _DENSE_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +483,14 @@ def _h_power_family(k, alpha=2.0):
     return _modulated_family("h_power", k, base, d1, d2, n0, ns, cdf_base)
 
 
-def _tabulated_cdf_base(base, s_fn, t_floor=1e-9, n=8001):
-    """Partial-integral tables (int base, int s*base) for a positive base.
-
-    Table values back the CDF; the totals that normalise the family come
-    from adaptive quadrature so masses are exact to quadrature tolerance.
-    """
-    ts = np.concatenate([[0.0], np.geomspace(t_floor, 1.0, n)])
-    vals = np.concatenate([[0.0], base(ts[1:])])
-    b0 = integrate.cumulative_trapezoid(vals, ts, initial=0.0)
-    bs = integrate.cumulative_trapezoid(vals * s_fn(ts), ts, initial=0.0)
+def _base_integrals(base, s_fn):
+    """The normalisers n0 = int_0^1 base and ns = int_0^1 s * base, by quad."""
     n0, _ = integrate.quad(lambda s: float(base(np.asarray(s))), 0.0, 1.0, limit=200)
     ns, _ = integrate.quad(
         lambda s: float(s_fn(np.asarray(s))) * float(base(np.asarray(s))),
         0.0, 1.0, limit=200,
     )
-    b0 *= n0 / b0[-1]
-    bs *= ns / bs[-1]
-
-    def cdf_base(m):
-        m = np.asarray(m, dtype=float)
-        return np.interp(m, ts, b0), np.interp(m, ts, bs)
-
-    return cdf_base, float(n0), float(ns)
+    return float(n0), float(ns)
 
 
 def _h_stretched_family(k, alpha=1.0):
@@ -407,8 +514,8 @@ def _h_stretched_family(k, alpha=1.0):
         t = np.asarray(t, dtype=float)
         return (a * a * t ** (-2 * a - 2) - a * (a + 1) * t ** (-a - 2)) * base(t)
 
-    cdf_base, n0, ns = _tabulated_cdf_base(base, _HALF_T[0])
-    return _modulated_family("h_stretched", k, base, d1, d2, n0, ns, cdf_base)
+    n0, ns = _base_integrals(base, _HALF_T[0])
+    return _modulated_family("h_stretched", k, base, d1, d2, n0, ns)
 
 
 # modulation for the log-log family: vanishes to second order at t = 1, so
@@ -440,40 +547,25 @@ def _h_loglog_family(k):
         t = np.asarray(t, dtype=float)
         return -1.0 / (t * t * L(t) ** 2) + 2.0 / (t * t * L(t) ** 3)
 
-    cdf_base, n0, ns = _tabulated_cdf_base(base, _LOGLOG_MOD[0])
-    return _modulated_family("h_loglog", k, base, d1, d2, n0, ns, cdf_base,
-                             mod=_LOGLOG_MOD)
+    n0, ns = _base_integrals(base, _LOGLOG_MOD[0])
+    return _modulated_family("h_loglog", k, base, d1, d2, n0, ns, mod=_LOGLOG_MOD)
 
 
-# Example 2 support: I(m) = int_0^m s^5 sin^2(1/s) ds, tabulated once.
-_EX2_TABLE = None
+@functools.cache
+def _ex2_oscillatory_mass():
+    """I(1) = int_0^1 s^5 sin^2(1/s) ds, by a 300,001-node trapezoid rule.
 
-
-def _ex2_oscillatory_integral():
-    global _EX2_TABLE
-    if _EX2_TABLE is None:
-        s = np.geomspace(1e-4, 1.0, 300001)
-        vals = s ** 5 * np.sin(1.0 / s) ** 2
-        cum = integrate.cumulative_trapezoid(vals, s, initial=0.0)
-        cum += s[0] ** 6 / 12.0  # tail below the table: oscillation negligible there
-        _EX2_TABLE = (s, cum)
-    return _EX2_TABLE
-
-
-def _ex2_I(m):
-    s, cum = _ex2_oscillatory_integral()
-    m = np.asarray(m, dtype=float)
-    out = np.interp(m, s, cum)
-    small = m < s[0]
-    if np.any(small):
-        out = np.where(small, m ** 6 / 12.0, out)
-    return out
+    Below the first node the oscillation is negligible and s^6/12 stands in.
+    """
+    s = np.geomspace(1e-4, 1.0, 300001)
+    vals = s ** 5 * np.sin(1.0 / s) ** 2
+    return float(integrate.cumulative_trapezoid(vals, s)[-1] + s[0] ** 6 / 12.0)
 
 
 def _example2_family(k):
     q = k + 1  # bump degree 2q >= 2k + 2
     sigma_mass = 0.5 * special.beta(q + 1, q + 1)
-    I1 = float(_ex2_I(1.0))
+    I1 = _ex2_oscillatory_mass()
 
     def c_of_x(x):
         return (1.0 - (2.0 + x) * I1 - 1.0 / 31.0) / sigma_mass
@@ -500,11 +592,6 @@ def _example2_family(k):
         inside = (m > 0.5) & (m < 1.0)
         term = q * (q - 1) * np.maximum(u, 0.0) ** (q - 2) * du * du - 8.0 * q * np.maximum(u, 0.0) ** (q - 1)
         return np.where(inside, term, 0.0)
-
-    def sigma_int(m):
-        m = np.asarray(m, dtype=float)
-        u = np.clip(2.0 * m - 1.0, 0.0, 1.0)
-        return 0.5 * special.beta(q + 1, q + 1) * special.betainc(q + 1, q + 1, u)
 
     def fn(x, m):
         m = np.asarray(m, dtype=float)
@@ -561,13 +648,9 @@ def _example2_family(k):
         (2, 1): lambda x, m: np.zeros_like(np.asarray(m, float)),
     }
 
-    def cdf(x, m):
-        m = np.asarray(m, dtype=float)
-        return (2.0 + x) * _ex2_I(m) + m ** 31 / 31.0 + c_of_x(x) * sigma_int(m)
-
     return DensityFamily(
         domain=_interval(), x_range=(-1.0, 1.0), k=k, name="example2",
-        provenance="builtin", fn=fn, exact_derivs=derivs, cdf_fn=cdf,
+        provenance="builtin", fn=fn, exact_derivs=derivs,
     )
 
 

@@ -1,11 +1,12 @@
-"""Obstruction diagnostics: quantile functions, sup-Wasserstein, blow-up tests.
+"""Obstruction diagnostics: sup-Wasserstein ratios and blow-up tests.
 
 In one dimension the sup-Wasserstein distance between two measures is the
-supremum over levels of the quantile difference, attained by monotone
-rearrangement.  Both diagnostics here are necessary-condition tests: a
-family whose W_inf/d_X ratios blow up along a parameter schedule cannot be
-boundedly Lipschitz representable, and a family whose observable averages
-E_h(x) = int h d(mu_x) lose smoothness cannot be boundedly C^k
+supremum over levels p of the quantile difference |F_x^{-1}(p) - F_y^{-1}(p)|,
+attained by monotone rearrangement; the quantiles come from the mass tables
+of density.MassTable.  Both diagnostics here are necessary-condition tests:
+a family whose W_inf/d_X ratios blow up along a parameter schedule cannot
+be boundedly Lipschitz representable, and a family whose observable
+averages E_h(x) = int h d(mu_x) lose smoothness cannot be boundedly C^k
 representable.  Neither verdict asserts the converse, and the blow-up
 thresholds are finite-sample heuristics, labelled as such in reports.
 """
@@ -14,123 +15,77 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegeneracyError
 
-
-def _default_m_grid():
-    core = np.linspace(0.0, 1.0, 2 ** 16 + 1)
-    tail = np.geomspace(1e-12, 2e-2, 1200)
-    return np.unique(np.concatenate([core, tail, 1.0 - tail]))
+_TINY = np.finfo(float).tiny
+_CHUNK = 64  # levels inverted per pass, largest upper bound first
 
 
-@dataclass
-class QuantileFunction:
-    """Monotone CDF table with the generalized right-continuous inverse.
+def _levels(own, other):
+    """The node levels p = M(s)/M(1) of one table, normal and below 1, seen from the other.
 
-    The inverse convention is inf{m : F(m) > p}: over a flat CDF segment
-    the inverse sits at the segment's right end.
+    Returns p, the quantile in the own table (the last node of each run of
+    equal masses: the inverse is right-continuous), the lower and upper
+    bounds on the quantile difference that the other table's bracketing
+    nodes give, and the mass target in the other table.
     """
-
-    m_nodes: np.ndarray
-    F_values: np.ndarray
-    cdf_fn: object = None  # retained when built from a callable; enables refinement
-
-    def cdf(self, m):
-        return np.interp(np.asarray(m, dtype=float), self.m_nodes, self.F_values)
-
-    def inverse(self, p):
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p_arr = np.atleast_1d(p).astype(float)
-        idx = np.searchsorted(self.F_values, p_arr, side="right")
-        idx = np.clip(idx, 1, len(self.F_values) - 1)
-        f_lo = self.F_values[idx - 1]
-        f_hi = self.F_values[idx]
-        m_lo = self.m_nodes[idx - 1]
-        m_hi = self.m_nodes[idx]
-        denom = f_hi - f_lo
-        frac = np.where(denom > 0, (p_arr - f_lo) / np.where(denom > 0, denom, 1.0), 1.0)
-        out = m_lo + np.clip(frac, 0.0, 1.0) * (m_hi - m_lo)
-        out = np.where(p_arr <= self.F_values[0], self.m_nodes[0], out)
-        out = np.where(p_arr >= self.F_values[-1], self.m_nodes[-1], out)
-        return float(out[0]) if scalar else out
-
-    def refined(self, windows, nodes_per_window=4097):
-        """New table with extra nodes inside the given (lo, hi) m-windows."""
-        if self.cdf_fn is None:
-            return self
-        extra = [self.m_nodes]
-        for lo, hi in windows:
-            lo = max(lo, float(self.m_nodes[0]))
-            hi = min(hi, float(self.m_nodes[-1]))
-            if hi > lo:
-                extra.append(np.linspace(lo, hi, nodes_per_window))
-        nodes = np.unique(np.concatenate(extra))
-        return QuantileFunction.from_cdf_fn(self.cdf_fn, nodes)
-
-    @staticmethod
-    def from_cdf_fn(cdf_fn, m_nodes=None):
-        nodes = _default_m_grid() if m_nodes is None else np.asarray(m_nodes, dtype=float)
-        vals = np.asarray(cdf_fn(nodes), dtype=float)
-        vals = np.maximum.accumulate(vals)
-        if vals[-1] <= 0:
-            raise ConfigurationError("CDF has no mass")
-        vals = vals / vals[-1]
-        return QuantileFunction(m_nodes=nodes, F_values=vals, cdf_fn=cdf_fn)
-
-    @staticmethod
-    def from_density(density, m_nodes=None, tol_negative=1e-10):
-        """Cumulative-trapezoid CDF, renormalised to end exactly at 1."""
-        nodes = _default_m_grid() if m_nodes is None else np.asarray(m_nodes, dtype=float)
-        vals = np.asarray(density(nodes) if callable(density) else density, dtype=float)
-        if np.any(vals < -tol_negative):
-            raise ConfigurationError(
-                f"density has negative values beyond -{tol_negative:g}"
-            )
-        vals = np.maximum(vals, 0.0)
-        cdf = integrate.cumulative_trapezoid(vals, nodes, initial=0.0)
-        if cdf[-1] <= 0:
-            raise ConfigurationError("density integrates to zero")
-        cdf /= cdf[-1]
-        return QuantileFunction(m_nodes=nodes, F_values=cdf)
+    sel = own.cum[(own.cum > _TINY * own.total) & (own.cum < own.total)]
+    m = own.nodes[np.searchsorted(own.cum, sel, side="right") - 1]
+    target = sel * (other.total / own.total)
+    i = np.clip(np.searchsorted(other.cum, target, side="right") - 1,
+                0, other.nodes.size - 2)
+    lo, hi = other.nodes[i], other.nodes[i + 1]
+    lower = np.maximum(np.maximum(lo - m, m - hi), 0.0)
+    upper = np.maximum(m - lo, hi - m)
+    return sel / own.total, m, lower, upper, target
 
 
-def build_quantile(density, grid=None):
-    """Quantile function of a 1D density (callable or node values)."""
-    return QuantileFunction.from_density(density, m_nodes=grid)
+def w_infinity_1d(q1, q2):
+    """sup_p |q1^{-1}(p) - q2^{-1}(p)| for two MassTables, and the level p.
 
-
-def w_infinity_1d(q1, q2, p_grid=None, refine_passes=2):
-    """sup_p |q1^{-1}(p) - q2^{-1}(p)| with local refinement around the argmax.
-
-    The level set is the union of both tables' CDF breakpoints (where the
-    sup of a difference of piecewise-linear monotone functions lives) plus
-    any caller-provided levels; tables built from CDF callables are locally
-    re-tabulated around the running argmax.  Symmetric in its arguments.
+    The levels are the union of both tables' node masses.  A level is
+    exact in its own table; in the other table its quantile lies between
+    two nodes, which bounds the difference from above and below.  Levels
+    are inverted in the other table (Newton) in passes of 64, largest upper
+    bound first, until no upper bound beats the best difference found; the
+    best level is then refined by a bounded search in log p between its
+    neighbours.  Symmetric in its arguments.
     """
-    best = 0.0
-    best_p = 0.0
-    for _ in range(max(refine_passes, 0) + 1):
-        levels = np.concatenate([q1.F_values, q2.F_values])
-        if p_grid is not None:
-            levels = np.concatenate([levels, np.asarray(p_grid, dtype=float)])
-        levels = np.unique(np.clip(levels, 0.0, 1.0))
-        diff = np.abs(q1.inverse(levels) - q2.inverse(levels))
-        i = int(np.argmax(diff))
-        best = float(diff[i])
-        best_p = float(levels[i])
-        m1 = q1.inverse(best_p)
-        m2 = q2.inverse(best_p)
-        lo, hi = min(m1, m2), max(m1, m2)
-        pad = 0.05 * (hi - lo) + 1e-9
-        windows = [(lo - pad, hi + pad)]
-        q1n = q1.refined(windows)
-        q2n = q2.refined(windows)
-        if q1n is q1 and q2n is q2:
+    if not (q1.total > 0.0 and q2.total > 0.0):
+        raise DegeneracyError("density has no mass on [0, 1]")
+    parts = [_levels(a, b) for a, b in ((q1, q2), (q2, q1))]
+    p, m, lower, upper, target = (np.concatenate(col) for col in zip(*parts))
+    other = np.repeat([1, 0], [parts[0][0].size, parts[1][0].size])  # table to invert in
+    gap = lower.copy()
+    best = float(np.max(lower))
+    order = np.argsort(-upper, kind="stable")
+    for start in range(0, order.size, _CHUNK):
+        rows = order[start:start + _CHUNK]
+        rows = rows[upper[rows] > best]
+        if rows.size == 0:
             break
-        q1, q2 = q1n, q2n
+        for k, table in enumerate((q1, q2)):
+            sel = rows[other[rows] == k]
+            gap[sel] = np.abs(m[sel] - table.invert(target[sel]))
+        best = max(best, float(np.max(gap[rows])))
+    i = int(np.argmax(gap))
+    best, best_p = float(gap[i]), float(p[i])
+    grid = np.unique(p)
+    k = int(np.searchsorted(grid, best_p))
+    lo_p = grid[k - 1] if k > 0 else 0.5 * best_p
+    hi_p = grid[k + 1] if k + 1 < grid.size else 1.0
+
+    def gap_at(log_p):
+        level = math.exp(log_p)
+        return abs(q1.invert(level * q1.total) - q2.invert(level * q2.total))
+
+    res = optimize.minimize_scalar(lambda s: -gap_at(s), method="bounded",
+                                   bounds=(math.log(lo_p), math.log(hi_p)),
+                                   options={"xatol": 1e-10})
+    if -res.fun > best:
+        best, best_p = float(-res.fun), math.exp(res.x)
     return best, best_p
 
 
@@ -156,14 +111,7 @@ class ObstructionReport:
         }
 
 
-def _family_quantile(fam, x, m_nodes=None):
-    if fam.cdf_fn is not None:
-        return QuantileFunction.from_cdf_fn(lambda m: fam.cdf(x, m), m_nodes)
-    return QuantileFunction.from_density(lambda m: fam.fn(x, m), m_nodes)
-
-
-def lipschitz_obstruction(fam, pair_schedule, slope_threshold=-0.05, r2_threshold=0.9,
-                          m_nodes=None, refine_passes=2):
+def lipschitz_obstruction(fam, pair_schedule, slope_threshold=-0.05, r2_threshold=0.9):
     """W_inf(mu_x, mu_y) / |x - y| ratios over a pair schedule, with a
     log-log slope fit against the pair distances.
 
@@ -180,14 +128,14 @@ def lipschitz_obstruction(fam, pair_schedule, slope_threshold=-0.05, r2_threshol
     def quant(x):
         key = round(float(x), 17)
         if key not in cache:
-            cache[key] = _family_quantile(fam, x, m_nodes)
+            cache[key] = fam.mass_table(x)
         return cache[key]
 
     for x, y in pairs:
         d = abs(float(x) - float(y))
         if d <= 0:
             raise ConfigurationError(f"degenerate pair ({x}, {y})")
-        w, _ = w_infinity_1d(quant(x), quant(y), refine_passes=refine_passes)
+        w, _ = w_infinity_1d(quant(x), quant(y))
         records.append({"x": float(x), "y": float(y), "w_inf": w, "ratio": w / d,
                         "distance": d})
 

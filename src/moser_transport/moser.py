@@ -392,19 +392,21 @@ def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
         raise DegeneracyError(f"densities must be positive on the grid at x={float(x)!r} "
                               f"(min {measured:.3e})")
     c_min = 0.9 * measured if c_floor is None else c_floor
-    rhs = assemble_rhs(rhox_values, rho0_values, grid, tol_mass=tol_mass)
-    potential = solve_neumann_poisson(rhs, grid, tol=tol)
     seeds = (grid.nodes(0) if grid.dim == 1
              else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
-    stage = "velocity floor"
+    stage = "mass balance"
     try:
+        rhs = assemble_rhs(rhox_values, rho0_values, grid, tol_mass=tol_mass)
+        stage = "Poisson solve"
+        potential = solve_neumann_poisson(rhs, grid, tol=tol)
+        stage = "velocity floor"
         provider = VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
         stage = "RK4 sweep"
         images, clamps = integrate_flow(provider, seeds, steps=steps)
         stage = "node displacement"
         interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
                        else _node_displacement(grid, seeds, images))
-    except (IntegrationError, DegeneracyError) as exc:
+    except (MassMismatchError, SolverError, IntegrationError, DegeneracyError) as exc:
         raise type(exc)(f"{stage} at x={float(x)!r}: {exc}") from exc
     return MoserMap(x=float(x), grid=grid, provider=provider, steps=steps,
                     node_images=images, clamp_events=clamps,

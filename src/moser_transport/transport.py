@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
+from scipy import integrate, interpolate, special
 from scipy.stats import qmc
 
 from .collar import build_collar_map
-from .density import make_reference
+from .density import MassTable, make_reference
 from .errors import ConfigurationError, DegeneracyError, IntegrationError, MoserTransportError
 from .geometry import INTERVAL, default_grid, interval_grid
 from .moser import moser_map_from_values
@@ -73,7 +73,7 @@ class TransportFamily:
     construction_log: dict = field(default_factory=dict)
     _collars: dict = field(default_factory=dict)
     _mosers: dict = field(default_factory=dict)
-    _ref_quantile: object = None
+    _ref_mass: object = None
 
     @property
     def x_range(self):
@@ -153,17 +153,10 @@ class TransportFamily:
 
     # -- reference handling ------------------------------------------------------
     def reference_quantile(self, u):
-        """Inverse CDF of the reference density (1D), from a dense cached table."""
-        if self._ref_quantile is None:
-            nodes = np.unique(np.concatenate([
-                np.linspace(0.0, 1.0, 2 ** 14 + 1), np.geomspace(1e-9, 1e-2, 300)
-            ]))
-            vals = self.rho0_fn(nodes)
-            cdf = integrate.cumulative_trapezoid(vals, nodes, initial=0.0)
-            cdf /= cdf[-1]
-            self._ref_quantile = (nodes, cdf)
-        nodes, cdf = self._ref_quantile
-        return np.interp(np.asarray(u, dtype=float), cdf, nodes)
+        """Inverse CDF of the reference density (1D), from its cached mass table."""
+        if self._ref_mass is None:
+            self._ref_mass = MassTable(self.rho0_fn)
+        return self._ref_mass.invert(np.asarray(u, dtype=float) * self._ref_mass.total)
 
     # -- verification ------------------------------------------------------------
     def interface_gap(self, x):
@@ -626,20 +619,19 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
 class QuantileTransport:
     """Monotone rearrangement transport from a fixed family member.
 
-    T_x = F_x^{-1} o F_ref with both CDFs evaluated in closed form, inverted
-    by bracketed root-finding.  Used where the interior-flow pipeline needs
-    a positive floor the family does not have.
+    T_x = F_x^{-1} o F_ref, with F_ref either given or the CDF of the
+    family member at ref_x, and F_x^{-1} from the mass table of rho(x, .).
+    Used where the interior-flow pipeline needs a positive floor the family
+    does not have.
     """
 
     def __init__(self, fam, ref_x=None, ref_cdf=None):
-        if fam.cdf_fn is None:
-            raise ConfigurationError("quantile transport needs a family with a CDF")
         self.fam = fam
         if ref_cdf is None:
             if ref_x is None:
                 raise ConfigurationError("provide ref_x or ref_cdf")
-            ref_x = float(ref_x)
-            ref_cdf = lambda m: fam.cdf(ref_x, m)
+            ref = fam.mass_table(float(ref_x))
+            ref_cdf = lambda m: ref.cdf(m) / ref.total
         self.ref_cdf = ref_cdf
 
     @property
@@ -648,18 +640,9 @@ class QuantileTransport:
 
     def map_values(self, x, points):
         m = np.atleast_1d(np.asarray(points, dtype=float))
-        ps = np.asarray(self.ref_cdf(m), dtype=float)
-        out = np.empty_like(ps)
-        for i, p in enumerate(ps):
-            if p <= 0.0:
-                out[i] = 0.0
-            elif p >= 1.0:
-                out[i] = 1.0
-            else:
-                out[i] = optimize.brentq(
-                    lambda q: float(self.fam.cdf(x, q)) - p, 0.0, 1.0,
-                    xtol=1e-300, rtol=1e-15, maxiter=300,
-                )
+        ps = np.clip(np.asarray(self.ref_cdf(m), dtype=float), 0.0, 1.0)
+        table = self.fam.mass_table(x)
+        out = table.invert(ps * table.total)
         return out if np.ndim(points) else float(out[0])
 
 

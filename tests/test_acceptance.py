@@ -12,7 +12,6 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from moser_transport import (
-    QuantileFunction,
     QuantileTransport,
     build_collar_map,
     build_representation,
@@ -30,7 +29,6 @@ from moser_transport import (
     pushforward_histogram_2d,
     reference_from_profile,
     solve_collar_g,
-    w_infinity_1d,
 )
 from moser_transport.cli import main as cli_main
 

@@ -5,6 +5,7 @@ from scipy import integrate as si
 from scipy.optimize import brentq
 
 from moser_transport import (
+    DegeneracyError,
     InfeasibilityError,
     build_collar_map,
     build_collar_rays,
@@ -101,6 +102,24 @@ def test_collar_infeasibility():
         solve_collar_g(fam, ref, 0.0, 0.0, 0.9)
 
 
+def test_collar_errors_name_stage_and_x():
+    ref = reference_from_profile(
+        lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
+        lambda t: 0.9 * np.asarray(t, dtype=float),
+    )
+    short = family_from_expression("m", x_range=(0.0, 1.0), normalize=False)
+    with pytest.raises(InfeasibilityError,
+                       match=r"^collar solve at x=0\.25: mass deficiency"):
+        build_collar_map(short, ref, 0.25)
+    negative = family_from_expression("m - 0.5", x_range=(0.0, 1.0), normalize=False)
+    with pytest.raises(DegeneracyError,
+                       match=r"^collar ray mass at x=0\.5: density is not finite"):
+        build_collar_map(negative, ref, 0.5)
+    cm = build_collar_map(_fam_2s(), _ref_s(), 0.0)
+    with pytest.raises(InfeasibilityError, match=r"^collar solve at x=0\.0: collar coordinate"):
+        cm.g_batch(np.array([0.5, 1.5]))
+
+
 def test_build_collar_map_fixtures():
     cm = build_collar_map(_fam_2s(), _ref_s(), 0.0)
     # below the cutoff knee eta = 1, so gbar = g
@@ -172,7 +191,7 @@ def test_g_batch_matches_exact():
     batch = cm.g_batch(ts)
     for t, g in zip(ts[::4], batch[::4]):
         target = float(ref.integral(t))
-        exact = brentq(lambda m: float(fam.cdf(0.4, m)) - target, 0.0, 1.0, xtol=1e-15)
+        exact = brentq(lambda m: float(fam.cdf_fn(0.4, m)) - target, 0.0, 1.0, xtol=1e-15)
         assert g == pytest.approx(exact, abs=1e-9)
 
 
@@ -208,10 +227,10 @@ def test_g_batch_properties_h_power(alpha, x, ts):
     assert np.all(np.diff(g) >= 0.0)
     targets = ref.integral(ts)
     for gv, target in zip(g, targets):
-        exact = brentq(lambda m: float(fam.cdf(x, m)) - target, 0.0, 1.0,
+        exact = brentq(lambda m: float(fam.cdf_fn(x, m)) - target, 0.0, 1.0,
                        xtol=1e-300, rtol=4 * np.finfo(float).eps)
         assert abs(gv - exact) <= 1e-10 * exact
-        assert abs(float(fam.cdf(x, gv)) - target) <= 1e-10 * target
+        assert abs(float(fam.cdf_fn(x, gv)) - target) <= 1e-10 * target
 
 
 def test_lemma_bound_x_independent_family():

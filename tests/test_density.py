@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from moser_transport import (
     ConfigurationError,
     DegeneracyError,
+    MassTable,
+    ResolutionError,
     builtin_family,
     check_decay_assumptions,
     family_from_expression,
@@ -216,3 +219,59 @@ def test_reference_integral_consistency():
         dt = 1e-5
         num = (ref.integral(t + dt) - ref.integral(t - dt)) / (2 * dt)
         assert num == pytest.approx(float(ref.profile(t)), rel=1e-4, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["h_power", "example1"]), x=st.floats(0.0, 1.0),
+       alpha=st.floats(0.5, 4.0),
+       log_q=st.lists(st.floats(-30.0, 0.0), min_size=1, max_size=16))
+def test_mass_table_matches_closed_form_cdf(name, x, alpha, log_q):
+    # the closed-form CDFs, root-solved in log m, are the oracle for the
+    # Gauss table and its Newton inverse, with targets down to 1e-30 of the mass
+    fam = (builtin_family("h_power", alpha=alpha) if name == "h_power"
+           else builtin_family("example1"))
+    table = fam.mass_table(x)
+    q = 10.0 ** np.asarray(log_q)
+    assert table.total == pytest.approx(float(fam.cdf_fn(x, 1.0)), rel=1e-12)
+    m = table.invert(q * table.total)
+    for qi, mi in zip(q, m):
+        target = qi * float(fam.cdf_fn(x, 1.0))
+        exact = np.exp(brentq(lambda s: np.log(fam.cdf_fn(x, np.exp(s))) - np.log(target),
+                              np.log(1e-40), 0.0, xtol=1e-15, rtol=4 * np.finfo(float).eps))
+        assert abs(mi - exact) <= 1e-10 * exact
+        assert abs(table.cdf(exact) - target) <= 1e-10 * target
+
+
+def test_mass_table_newton_cannot_cycle():
+    # Levels of example2 at x = 1e-4 where the partial-segment Gauss residual
+    # is rough (sin(1/m) oscillates inside the segment): Newton steps landed
+    # exactly on a bracket end and alternated between two floats (the first
+    # three), or crawled across the bracket by a factor of 0.94-0.98 per
+    # step (the last two), until the iteration cap raised.
+    table = builtin_family("example2").mass_table(1e-4)
+    levels = np.array([5.894818520077629e-13, 1.973746813938972e-13,
+                       1.6262803935460493e-13, 1.5815148457607712e-12,
+                       5.604927712907345e-19])
+    targets = levels * table.total
+    batch = table.invert(targets)
+    for target, m in zip(targets, batch):
+        assert table.invert(target) == pytest.approx(m, rel=1e-14)
+        assert table.cdf(m * (1 - 1e-12)) <= target <= table.cdf(m * (1 + 1e-12))
+
+
+def test_mass_table_unresolvable_oscillation_fails_fast():
+    # sin(1/m)^2 does not vanish at 0, so every segment pair below about 1e-2
+    # drifts by a few percent of its width at any depth.  Halving all of them
+    # down to the depth cap would need about 2^40 pairs; the table must give
+    # up after a bounded number of density evaluations instead.
+    limit = 41 * 3 * 2048 * 24
+    evaluated = 0
+
+    def dens(m):
+        nonlocal evaluated
+        evaluated += np.size(m)
+        assert evaluated <= limit, "mass table kept halving an unresolvable oscillation"
+        return 1.0 + np.sin(1.0 / np.asarray(m)) ** 2
+
+    with pytest.raises(ResolutionError, match="unresolved"):
+        MassTable(dens)

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from moser_transport import (
     ConfigurationError,
-    QuantileFunction,
-    build_quantile,
+    DegeneracyError,
+    MassTable,
     builtin_family,
     expectation_curve,
     lipschitz_obstruction,
@@ -18,28 +18,30 @@ from moser_transport import (
 W_EX1_01 = 0.07042507562
 
 
+def _quantile(table, p):
+    return table.invert(p * table.total)
+
+
 def test_quantile_uniform():
-    q = build_quantile(lambda m: np.ones_like(np.asarray(m)))
+    q = MassTable(lambda m: np.ones_like(np.asarray(m)))
     for p in (0.0, 0.25, 0.7, 1.0):
-        assert q.inverse(p) == pytest.approx(p, abs=1e-9)
+        assert _quantile(q, p) == pytest.approx(p, abs=1e-9)
     assert q.cdf(0.3) == pytest.approx(0.3, abs=1e-9)
 
 
 def test_quantile_example1_at_zero():
-    fam = builtin_family("example1")
-    q = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.0, m))
-    assert q.inverse(1.0 / 32.0) == pytest.approx(0.5, abs=1e-9)
+    q = builtin_family("example1").mass_table(0.0)
+    assert _quantile(q, 1.0 / 32.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_quantile_affine_cdf_value():
     fam = builtin_family("affine")
-    q = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.5, m))
-    assert q.cdf(0.5) == pytest.approx(3.0 / 8.0, abs=1e-9)
+    assert fam.mass_table(0.5).cdf(0.5) == pytest.approx(3.0 / 8.0, abs=1e-9)
 
 
 def test_quantile_negative_density_rejected():
-    with pytest.raises(ConfigurationError):
-        build_quantile(lambda m: np.asarray(m) - 0.5)
+    with pytest.raises(DegeneracyError):
+        MassTable(lambda m: np.asarray(m) - 0.5)
 
 
 def test_generalized_inverse_flat_segment():
@@ -49,34 +51,29 @@ def test_generalized_inverse_flat_segment():
         m = np.asarray(m, dtype=float)
         return np.where((m <= 0.4) | (m >= 0.6), 1.25, 0.0)
 
-    q = build_quantile(dens, grid=np.linspace(0, 1, 2 ** 14 + 1))
-    assert q.inverse(0.5) == pytest.approx(0.6, abs=1e-3)
+    q = MassTable(dens)
+    assert _quantile(q, 0.5) == pytest.approx(0.6, abs=1e-3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(m=st.floats(0.05, 0.95))
 def test_quantile_round_trip_strictly_increasing(m):
-    fam = builtin_family("affine")
     q = _AFFINE_Q
-    assert q.inverse(q.cdf(m)) == pytest.approx(m, abs=1e-6)
+    assert q.invert(q.cdf(m)) == pytest.approx(m, abs=1e-6)
 
 
-_AFFINE_Q = QuantileFunction.from_cdf_fn(
-    lambda m: builtin_family("affine").cdf(0.25, m)
-)
+_AFFINE_Q = builtin_family("affine").mass_table(0.25)
 
 
 def test_w_infinity_identical_zero():
-    fam = builtin_family("example1")
-    q = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.3, m))
+    q = builtin_family("example1").mass_table(0.3)
     w, _ = w_infinity_1d(q, q)
     assert w == 0.0
 
 
 def test_w_infinity_symmetric():
     fam = builtin_family("example1")
-    qa = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.3, m))
-    qb = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.0, m))
+    qa, qb = fam.mass_table(0.3), fam.mass_table(0.0)
     w1, _ = w_infinity_1d(qa, qb)
     w2, _ = w_infinity_1d(qb, qa)
     assert w1 == pytest.approx(w2, rel=1e-12)
@@ -84,8 +81,7 @@ def test_w_infinity_symmetric():
 
 def test_w_infinity_triangle_inequality_sampled():
     fam = builtin_family("example1")
-    qs = [QuantileFunction.from_cdf_fn(lambda m, xx=x: fam.cdf(xx, m))
-          for x in (0.0, 0.2, 0.5)]
+    qs = [fam.mass_table(x) for x in (0.0, 0.2, 0.5)]
     w01, _ = w_infinity_1d(qs[0], qs[1])
     w12, _ = w_infinity_1d(qs[1], qs[2])
     w02, _ = w_infinity_1d(qs[0], qs[2])
@@ -100,23 +96,16 @@ def test_w_infinity_spike_fixture():
             m = np.asarray(m, dtype=float)
             return np.where(m >= 1 - w, 1.0 / w, 0.0)
 
-        qu = build_quantile(lambda m: np.ones_like(np.asarray(m)))
-        qs = build_quantile(spike)
+        qu = MassTable(lambda m: np.ones_like(np.asarray(m)))
+        qs = MassTable(spike)
         w_val, _ = w_infinity_1d(qu, qs)
         assert w_val == pytest.approx(1 - width, abs=2e-3)
 
 
 def test_w_infinity_example1_oracle_reproducible():
     fam = builtin_family("example1")
-    qa = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.1, m))
-    qb = QuantileFunction.from_cdf_fn(lambda m: fam.cdf(0.0, m))
-    w, _ = w_infinity_1d(qa, qb)
+    w, _ = w_infinity_1d(fam.mass_table(0.1), fam.mass_table(0.0))
     assert w == pytest.approx(W_EX1_01, abs=1e-3)
-    # numeric-density path reproduces the oracle as well
-    qa_n = build_quantile(lambda m: fam.fn(0.1, m))
-    qb_n = build_quantile(lambda m: fam.fn(0.0, m))
-    w_n, _ = w_infinity_1d(qa_n, qb_n)
-    assert w_n == pytest.approx(W_EX1_01, abs=1e-3)
 
 
 def test_lipschitz_constant_family_bounded():
@@ -183,3 +172,90 @@ def test_expectation_linearity():
     rc = expectation_curve(fam, combo, xs, k=1)
     for a, b, c in zip(r1.values, r2.values, rc.values):
         assert c == pytest.approx(2 * a + 3 * b, abs=1e-9)
+
+
+# W_inf(mu_x, mu_0) for example2 on the pairs of scripts/configs/example2_obstruct.cfg,
+# frozen from _example2_w_inf_oracle below (about three minutes per pair at 40
+# digits on a 2-core VM, too slow to recompute in the suite).
+EX2_W_INF = {
+    1e-2: 0.020871785995531335,
+    3e-3: 0.013961721525241652,
+    1e-3: 0.009676610754282118,
+    3e-4: 0.006476323548479941,
+    1e-4: 0.004489951183446021,
+}
+
+
+def test_w_infinity_example2_matches_mpmath_oracle():
+    rep = lipschitz_obstruction(builtin_family("example2"), [(x, 0.0) for x in EX2_W_INF])
+    assert rep.verdict == "BLOWUP-DETECTED"
+    for rec in rep.pairs:
+        oracle = EX2_W_INF[rec["x"]]
+        assert abs(rec["w_inf"] - oracle) <= 1e-6 * oracle
+
+
+def _example2_w_inf_oracle(x, dps=40):
+    """W_inf(mu_x, mu_0) for example2 in mpmath, without the library's mass tables.
+
+    The oscillatory part of the CDF is I(m) = int_0^m s^5 sin^2(1/s) ds
+    = m^6/12 - Re[m^6 E_7(-2i/m)]/2, the bump integral is a regularised
+    incomplete beta function, and c(x) is the family's own float constant,
+    so F_x is the exact CDF of the density the library integrates.  Each
+    F_x is normalised by F_x(1) and inverted by bisection.  The coarse
+    search takes the levels p = F_0(m) on a grid of m in [0.02, 1]; the
+    best one is refined by a golden-section search in log p between its
+    neighbours.
+    """
+    import mpmath as mp
+    from scipy import special
+
+    from moser_transport.density import _ex2_oscillatory_mass
+
+    q = 3  # bump degree parameter k + 1 for k = 2
+    c = (1.0 - (2.0 + x) * _ex2_oscillatory_mass() - 1.0 / 31.0) / (
+        0.5 * special.beta(q + 1, q + 1))
+    with mp.workdps(dps):
+        def cdf(xv, cv, m):
+            m = mp.mpf(m)
+            osc = m ** 6 / 12 - mp.re(m ** 6 * mp.expint(7, -2j / m)) / 2
+            u = min(max(2 * m - 1, mp.mpf(0)), mp.mpf(1))
+            bump = mp.betainc(q + 1, q + 1, 0, u) / 2 if u > 0 else mp.mpf(0)
+            return (2 + mp.mpf(xv)) * osc + m ** 31 / 31 + mp.mpf(cv) * bump
+
+        c0 = (1.0 - 2.0 * _ex2_oscillatory_mass() - 1.0 / 31.0) / (
+            0.5 * special.beta(q + 1, q + 1))
+        total_x, total_0 = cdf(x, c, 1), cdf(0.0, c0, 1)
+
+        def quantile(xv, cv, total, p):
+            lo, hi = mp.mpf(0), mp.mpf(1)
+            while hi - lo > mp.mpf(10) ** -17:
+                mid = (lo + hi) / 2
+                if cdf(xv, cv, mid) > p * total:
+                    hi = mid
+                else:
+                    lo = mid
+            return (lo + hi) / 2
+
+        def gap(log_p):
+            p = mp.exp(log_p)
+            return abs(quantile(x, c, total_x, p) - quantile(0.0, c0, total_0, p))
+
+        ms = [mp.mpf(v) for v in np.linspace(0.02, 1.0, 99)[:-1]]
+        log_ps = [mp.log(cdf(0.0, c0, m) / total_0) for m in ms]
+        gaps = [abs(quantile(x, c, total_x, mp.exp(lp)) - m) for lp, m in zip(log_ps, ms)]
+        i = max(range(len(gaps)), key=gaps.__getitem__)
+        assert 0 < i < len(gaps) - 1, "oracle maximiser on the edge of the m grid"
+        a, b = log_ps[i - 1], log_ps[i + 1]
+        ratio = (mp.sqrt(5) - 1) / 2
+        u, v = b - ratio * (b - a), a + ratio * (b - a)
+        gu, gv = gap(u), gap(v)
+        while b - a > mp.mpf(10) ** -10:
+            if gu > gv:
+                b, v, gv = v, u, gu
+                u = b - ratio * (b - a)
+                gu = gap(u)
+            else:
+                a, u, gu = u, v, gv
+                v = a + ratio * (b - a)
+                gv = gap(v)
+        return float(max(gaps[i], gu, gv))

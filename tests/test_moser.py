@@ -7,6 +7,7 @@ from moser_transport import (
     DegeneracyError,
     IntegrationError,
     MassMismatchError,
+    SolverError,
     assemble_rhs,
     build_representation,
     builtin_family,
@@ -504,3 +505,15 @@ def test_velocity_floor_error_names_stage_and_x():
     with pytest.raises(DegeneracyError, match=r"velocity floor at x=-0\.25: interpolated"):
         moser_map_from_values(np.ones(64), 1.0 + 0.2 * (2 * nodes - 1), grid, x=-0.25,
                               c_floor=0.95)
+
+
+def test_poisson_and_mass_errors_name_stage_and_x():
+    # the true residual floor of a 4096-node interval solve lies above the
+    # default solver tolerance (ROADMAP, "Standing")
+    fam = builtin_family("affine")
+    uniform = lambda m: np.ones_like(np.asarray(m, dtype=float))
+    with pytest.raises(SolverError, match=r"^Poisson solve at x=0\.5: "):
+        moser_map(fam, uniform, 0.5, interval_grid(4096))
+    grid = interval_grid(64)
+    with pytest.raises(MassMismatchError, match=r"^mass balance at x=0\.25: "):
+        moser_map_from_values(np.ones(64), np.full(64, 0.9), grid, x=0.25)

@@ -64,7 +64,7 @@ def _rearrangement_oracle(tf, fam, x, m):
     r0 = tf.rho0_fn(nodes)
     F0 = si.cumulative_trapezoid(r0, nodes, initial=0.0)
     F0 /= F0[-1]
-    Fx = fam.cdf(x, nodes)
+    Fx = fam.cdf_fn(x, nodes)
     p = np.interp(m, nodes, F0)
     return np.interp(p, Fx, nodes)
 
@@ -185,7 +185,7 @@ def test_sample_random_maps_ks_distance(affine_tf):
     images = affine_tf.map_values(x, omegas)
     images.sort()
     fam = affine_tf.fam
-    cdf_vals = fam.cdf(x, images)
+    cdf_vals = fam.cdf_fn(x, images)
     n = len(images)
     emp_hi = np.arange(1, n + 1) / n
     emp_lo = np.arange(0, n) / n
