@@ -4,8 +4,10 @@ A family is an evaluator rho(x, .) over a model domain together with partial
 derivative evaluators D_x^beta D_t^j rho for |beta| + j <= k (closed-form
 where tractable, central finite differences otherwise), an optional closed
 CDF for 1D domains (kept as a test oracle: the library integrates rho through
-MassTable), and a provenance tag.  MassTable is the one cumulative mass on
-[0, 1] and its inverse, used by the collar, the CDFs and the quantiles.
+MassTable), and a provenance tag.  One pair-refined Gauss rule, pair_refine,
+serves every integral on [0, 1]: MassTable, the one cumulative mass and its
+inverse (collar, CDFs, quantiles), and probe_integrals, the signed integrals
+of the masses, normalisers, E_h and the decay checker.
 
 The decay machinery consists of envelope pairs (E, B) with a closure
 constant A, a small library of candidate envelopes, and a sampling-based
@@ -14,14 +16,13 @@ resolution, not a proof, and the report says so.
 """
 
 import functools
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import interpolate, special
 
-from .errors import ConfigurationError, DegeneracyError, InfeasibilityError, ResolutionError
+from .errors import (ConfigurationError, DegeneracyError, InfeasibilityError,
+                     MoserTransportError, ResolutionError)
 from .expressions import parse_density_expression
 from .geometry import CYLINDER, INTERVAL, TORUS, Domain, collar_chart, make_domain
 
@@ -58,58 +59,101 @@ _MAX_PAIRS = 2048  # live segment pairs per halving, about 4x the initial layout
 _MAX_NEWTON = 100  # bisection alone reaches 4 eps from a ratio-2 bracket in ~51
 
 
+def pair_refine(fn, nodes, bound):
+    """Gauss integrals of fn over the segments of ``nodes`` (an even number).
+
+    Each pair of adjacent segments is integrated with the 24-node Gauss
+    rule and compared with one rule over the pair's union.  A pair whose
+    drift exceeds its width's share of ``bound`` (plus 4 eps of its value)
+    is halved, to a depth of 40, which resolves steps and kinks.  Halving
+    stops early when it would leave more than 2048 pairs to integrate, as
+    an oscillation that no depth resolves does.  Returns the refined nodes,
+    the segment integrals and each pair's drift, which the caller judges.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    lo, mid, hi = nodes[:-2:2], nodes[1::2], nodes[2::2]
+    pieces = []
+    with np.errstate(under="ignore"):
+        for depth in range(_MAX_SPLITS + 1):
+            n = lo.size
+            vals = gauss_segments(fn, np.concatenate([lo, mid, lo]),
+                                  np.concatenate([mid, hi, hi]))
+            left, right = vals[:n], vals[n:2 * n]
+            drift = np.abs(vals[2 * n:] - (left + right))
+            split = drift > bound * (hi - lo) + 4 * _EPS * np.abs(left + right)
+            if depth == _MAX_SPLITS or 2 * np.count_nonzero(split) > _MAX_PAIRS:
+                split[:] = False
+            keep = ~split
+            pieces.append((lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
+            if not np.any(split):
+                break
+            lo, hi = (np.concatenate([lo[split], mid[split]]),
+                      np.concatenate([mid[split], hi[split]]))
+            mid = 0.5 * (lo + hi)
+    lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
+    order = np.argsort(lo)
+    refined = np.concatenate([np.column_stack([lo, mid])[order].ravel(), nodes[-1:]])
+    return refined, np.column_stack([left, right])[order].ravel(), drift[order]
+
+
+def probe_integrals(fn, marks, bound):
+    """int_0^t fn (which may be signed) for each t of ``marks`` in [0, 1].
+
+    One pair_refine pass over 0, a geometric sequence from 1e-16 to 1/64
+    (ratio about 2), 64 uniform segments up to 1, and the marks, so each
+    integral is one cumulative sum.  [0, 1e-16] lies in the first pair, and
+    no node is subnormal, where power terms are slow.  Returns the
+    integrals and, per mark, the drift summed over the pairs below it.
+    """
+    marks = np.asarray(marks, dtype=float)
+    if np.any((marks < 0.0) | (marks > 1.0)):
+        raise ConfigurationError("probe integrals run over [0, t] with t in [0, 1]")
+    nodes = np.unique(np.concatenate([[0.0], np.geomspace(1e-16, 1.0 / 64.0, 48),
+                                      np.linspace(1.0 / 64.0, 1.0, 65), marks.ravel()]))
+    if nodes.size % 2 == 0:    # odd segment count: halve the widest segment
+        i = int(np.argmax(np.diff(nodes)))
+        nodes = np.insert(nodes, i + 1, 0.5 * (nodes[i] + nodes[i + 1]))
+    nodes, seg, drift = pair_refine(fn, nodes, bound)
+    i = np.searchsorted(nodes, marks)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum_drift = np.concatenate([[0.0], np.cumsum(drift)])
+    return cum[i], cum_drift[(i + 1) // 2]
+
+
+def _resolved_integrals(fn, marks, bound):
+    """probe_integrals that raises ResolutionError where a drift exceeds bound."""
+    vals, drift = probe_integrals(fn, marks, bound)
+    if not np.all(drift <= bound):
+        raise ResolutionError(f"integral unresolved (pair drift {np.max(drift):.3e})")
+    return vals
+
+
 class MassTable:
     """Cumulative mass M(s) = int_0^s fn on [0, 1], tabulated and inverted.
 
     The nodes are 0, a geometric sequence from 1e-300 to 1/64 (ratio about
     2) and 64 uniform segments up to 1, so every scale down to the
-    underflow range has its own segments and so does the core.  Each pair
-    of adjacent segments is integrated with the 24-node Gauss rule and
-    compared with one rule over the pair's union.  A pair whose drift
-    exceeds its width's share of max(100 tol, 1e-9) is halved, to a depth
-    of 40, which resolves steps and kinks.  Halving stops early when it
-    would leave more than 2048 pairs to integrate, as an oscillation that
-    no depth resolves does; a total drift above the bound then raises
-    ResolutionError.
+    underflow range has its own segments and so does the core.  Above
+    1e-300 pair_refine integrates them; a total drift above max(100 tol,
+    1e-9) raises ResolutionError.
     """
 
     def __init__(self, fn, tol=1e-10):
         self.fn = fn
         self.tol = tol
         bound = max(100 * tol, 1e-9)
-        geo = np.geomspace(1e-300, 1.0 / 64.0, 991)
-        core = np.linspace(1.0 / 64.0, 1.0, 65)
-        lo = np.concatenate([geo[:-2:2], core[:-2:2]])
-        mid = np.concatenate([geo[1::2], core[1::2]])
-        hi = np.concatenate([geo[2::2], core[2::2]])
-        pieces = []
+        layout = np.concatenate([np.geomspace(1e-300, 1.0 / 64.0, 991),
+                                 np.linspace(1.0 / 64.0, 1.0, 65)[1:]])
+        nodes, seg, drift = pair_refine(fn, layout, bound)
         with np.errstate(under="ignore"):
             first = gauss_segments(fn, [0.0], [1e-300])
-            for depth in range(_MAX_SPLITS + 1):
-                n = lo.size
-                vals = gauss_segments(fn, np.concatenate([lo, mid, lo]),
-                                      np.concatenate([mid, hi, hi]))
-                left, right = vals[:n], vals[n:2 * n]
-                drift = np.abs(vals[2 * n:] - (left + right))
-                split = drift > bound * (hi - lo) + 4 * _EPS * np.abs(left + right)
-                if depth == _MAX_SPLITS or 2 * np.count_nonzero(split) > _MAX_PAIRS:
-                    split[:] = False
-                keep = ~split
-                pieces.append((lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
-                if not np.any(split):
-                    break
-                lo, hi = (np.concatenate([lo[split], mid[split]]),
-                          np.concatenate([mid[split], hi[split]]))
-                mid = 0.5 * (lo + hi)
-        lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
-        order = np.argsort(lo)
-        seg = np.concatenate([first, np.column_stack([left, right])[order].ravel()])
+        seg = np.concatenate([first, seg])
         if not np.all(np.isfinite(seg)) or np.any(seg < 0.0):
             raise DegeneracyError("density is not finite and nonnegative on [0, 1]")
         total_drift = float(np.sum(drift))
         if total_drift > bound:
             raise ResolutionError(f"mass table unresolved (pair drift {total_drift:.3e})")
-        self.nodes = np.concatenate([[0.0], np.column_stack([lo, mid])[order].ravel(), [1.0]])
+        self.nodes = np.concatenate([[0.0], nodes])
         self.cum = np.cumsum(np.concatenate([[0.0], seg]))
 
     @property
@@ -274,13 +318,11 @@ class DensityFamily:
     def mass(self, x):
         self._check_x(x)
         if self.domain.dim == 1:
-            val, _ = integrate.quad(lambda s: float(self.fn(x, s)), 0.0, 1.0, limit=200)
-            return val
+            return float(_resolved_integrals(lambda m: self.fn(x, m), [1.0], 1e-10)[0])
         n = 256
         a = np.arange(n) * (self.domain.circumference / n)
         t = np.linspace(0.0, 1.0, n)
-        aa, tt = np.meshgrid(a, t, indexing="ij")
-        vals = self.fn(x, aa, tt)
+        vals = np.broadcast_to(self.fn(x, a[:, None], t[None, :]), (n, n))
         wt = np.full(n, 1.0 / (n - 1))
         wt[0] = wt[-1] = 0.5 / (n - 1)
         wa = np.full(n, self.domain.circumference / n)
@@ -303,8 +345,7 @@ class DensityFamily:
             else:
                 a = np.linspace(0, self.domain.circumference, 17)[:-1]
                 t = np.geomspace(1e-6, 1.0, 17)
-                aa, tt = np.meshgrid(a, t, indexing="ij")
-                vals = self.fn(x, aa, tt)
+                vals = self.fn(x, a[:, None], t[None, :])
             if np.any(np.asarray(vals) <= positivity_floor):
                 raise DegeneracyError(
                     f"family {self.name!r} not positive on the interior at x={x:g}"
@@ -319,8 +360,7 @@ class DensityFamily:
             else:
                 a = np.linspace(0, self.domain.circumference, n)[:-1]
                 t = np.linspace(0.0, 1.0, n)
-                aa, tt = np.meshgrid(a, t, indexing="ij")
-                vals = self.fn(x, aa, tt)
+                vals = self.fn(x, a[:, None], t[None, :])
             worst = min(worst, float(np.min(vals)))
         return worst
 
@@ -484,12 +524,9 @@ def _h_power_family(k, alpha=2.0):
 
 
 def _base_integrals(base, s_fn):
-    """The normalisers n0 = int_0^1 base and ns = int_0^1 s * base, by quad."""
-    n0, _ = integrate.quad(lambda s: float(base(np.asarray(s))), 0.0, 1.0, limit=200)
-    ns, _ = integrate.quad(
-        lambda s: float(s_fn(np.asarray(s))) * float(base(np.asarray(s))),
-        0.0, 1.0, limit=200,
-    )
+    """The normalisers n0 = int_0^1 base and ns = int_0^1 s * base."""
+    n0 = _resolved_integrals(base, [1.0], 1e-12)[0]
+    ns = _resolved_integrals(lambda t: s_fn(t) * base(t), [1.0], 1e-12)[0]
     return float(n0), float(ns)
 
 
@@ -553,13 +590,8 @@ def _h_loglog_family(k):
 
 @functools.cache
 def _ex2_oscillatory_mass():
-    """I(1) = int_0^1 s^5 sin^2(1/s) ds, by a 300,001-node trapezoid rule.
-
-    Below the first node the oscillation is negligible and s^6/12 stands in.
-    """
-    s = np.geomspace(1e-4, 1.0, 300001)
-    vals = s ** 5 * np.sin(1.0 / s) ** 2
-    return float(integrate.cumulative_trapezoid(vals, s)[-1] + s[0] ** 6 / 12.0)
+    """I(1) = int_0^1 s^5 sin^2(1/s) ds, resolved to a pair drift of 1e-15."""
+    return float(_resolved_integrals(lambda s: s ** 5 * np.sin(1.0 / s) ** 2, [1.0], 1e-15)[0])
 
 
 def _example2_family(k):
@@ -680,7 +712,7 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
     """Family from an expression in (x, m) on the interval or (x, a, t) on 2D domains.
 
     When ``normalize`` is set, the evaluator is divided by the per-x mass
-    (computed by quadrature and cached), so the family is a probability
+    (computed by probe_integrals and cached), so the family is a probability
     density for every sampled x.
     """
     domain = domain or _interval()
@@ -740,10 +772,6 @@ class ReferenceDensity:
     side: int
     profile_fn: object
     integral_fn: object
-    deriv_fn: object = None
-    collar_constant: bool = True
-    monotone: bool = True
-    tab_nodes: object = None
     provenance: str = "constructed"
 
     def profile(self, t):
@@ -758,14 +786,6 @@ class ReferenceDensity:
         t = m if self.side == 0 else 1.0 - m
         return self.profile(t)
 
-    def derivative(self, t, j=1):
-        if self.deriv_fn is None:
-            h = np.maximum(np.asarray(t, float) * 1e-4, 1e-9)
-            if j == 1:
-                return (self.profile(t + h) - self.profile(np.maximum(t - h, 0))) / (2 * h)
-            raise ConfigurationError("no derivative evaluator attached")
-        return self.deriv_fn(np.asarray(t, dtype=float), j)
-
     @property
     def mass(self):
         return float(self.integral(1.0))
@@ -776,10 +796,7 @@ def reference_from_profile(profile_fn, integral_fn=None, domain=None, k=2, side=
     domain = domain or _interval()
     if integral_fn is None:
         def integral_fn(t):
-            t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.array(
-                [integrate.quad(lambda s: float(profile_fn(s)), 0.0, ti, limit=200)[0] for ti in t_arr]
-            )
+            out = _resolved_integrals(profile_fn, np.atleast_1d(t), 1e-10)
             return out if np.ndim(t) else float(out[0])
     return ReferenceDensity(
         domain=domain, k=k, side=side,
@@ -834,12 +851,8 @@ def make_reference(fam, margin=0.5, side=0, x_samples=41, n_nodes=500, t_floor=1
     # profiles, which would break the domination rho > f between knots
     log_spline = interpolate.PchipInterpolator(np.log(ts), np.log(mono),
                                                extrapolate=False)
-    dlog1 = log_spline.derivative(1)
-    dlog2 = log_spline.derivative(2)
-
-    t0, t1 = ts[0], ts[1]
-    f0 = mono[0]
-    q_hat = min(max(float(dlog1(np.log(t0))), 0.0), 200.0)
+    t0, f0 = ts[0], mono[0]
+    q_hat = min(max(float(log_spline.derivative(1)(np.log(t0))), 0.0), 200.0)
     tail_mass = f0 * t0 / (q_hat + 1.0)
 
     def profile_fn(t):
@@ -872,30 +885,8 @@ def make_reference(fam, margin=0.5, side=0, x_samples=41, n_nodes=500, t_floor=1
             out[hi] = cum[idx] + gauss_segments(profile_fn, ts[idx], tc)
         return float(out[0]) if scalar else out
 
-    def deriv_fn(t, j):
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, t0, 1.0)
-        s = np.log(tc)
-        p = profile_fn(tc)
-        if j == 1:
-            out = p * np.asarray(dlog1(s)) / tc
-            low = t < t0
-            if np.any(low) and q_hat > 0:
-                tl = np.maximum(t, 1e-300)
-                out = np.where(low, q_hat * profile_fn(tl) / tl, out)
-            return out if np.ndim(out) else float(out)
-        if j == 2:
-            g1 = np.asarray(dlog1(s))
-            g2 = np.asarray(dlog2(s))
-            out = p * (g1 * g1 + g2 - g1) / (tc * tc)
-            return out if np.ndim(out) else float(out)
-        raise ConfigurationError("reference derivatives available up to order 2")
-
-    ref = ReferenceDensity(
-        domain=dom, k=fam.k, side=side,
-        profile_fn=profile_fn, integral_fn=integral_fn, deriv_fn=deriv_fn,
-        collar_constant=dom.has_boundary, tab_nodes=(ts, mono),
-    )
+    ref = ReferenceDensity(domain=dom, k=fam.k, side=side,
+                           profile_fn=profile_fn, integral_fn=integral_fn)
 
     # domination on a verification grid denser in x than the build grid
     check_x = np.linspace(lo, hi, 2 * x_samples + 1)
@@ -1077,9 +1068,11 @@ def check_decay_assumptions(
 
     Ratios LHS/RHS are recorded per derivative order; PASS means every
     sampled ratio is <= 1 (within margin_tol), FAIL carries the witnessing
-    probe point.  Quadrature trouble near t=0 is reported INCONCLUSIVE for
-    that point, never silently passed.  A PASS is evidence at probe
-    resolution only.
+    probe point.  The integrated inequality reads int_0^t |D_x^beta rho|
+    at every probe t from one probe_integrals pass per (x, a, beta); a
+    point whose summed pair drift exceeds quad_tol + 1e-8 of the value,
+    or whose integrand raised, is reported INCONCLUSIVE, never silently
+    passed.  A PASS is evidence at probe resolution only.
     """
     k = k or fam.k
     dom = fam.domain
@@ -1108,7 +1101,15 @@ def check_decay_assumptions(
 
     for x in xs:
         for a in a_nodes:
-            for t in ts:
+            integrated = []    # per beta: int_0^t |D_x^beta rho| at every t, drifts, failure
+            for b in range(0, k + 1):
+                try:
+                    vals, drifts = probe_integrals(
+                        lambda s: np.abs(fam.derivative(x, coords(a, s), b, 0)), ts, quad_tol)
+                    integrated.append((vals, drifts, None))
+                except MoserTransportError as exc:
+                    integrated.append((ts * np.nan, ts * np.inf, str(exc)))
+            for i, t in enumerate(ts):
                 E = float(env.E(a, t))
                 B = float(env.B(a, t))
                 pt = coords(a, float(t))
@@ -1124,20 +1125,12 @@ def check_decay_assumptions(
                         record("derivative", b, j,
                                ratio, {"x": float(x), "a": float(a), "t": float(t),
                                        "beta": b, "j": j})
-                for b in range(0, k + 1):
-                    try:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("error", integrate.IntegrationWarning)
-                            val, _ = integrate.quad(
-                                lambda s: abs(float(np.asarray(
-                                    fam.derivative(x, coords(a, s), b, 0)))),
-                                0.0, float(t), limit=200, epsabs=quad_tol, epsrel=1e-8,
-                            )
-                    except Exception as exc:  # quadrature trouble -> INCONCLUSIVE point
-                        inconclusive.append({"x": float(x), "a": float(a), "t": float(t),
-                                             "beta": b, "reason": str(exc)})
+                for b, (vals, drifts, failure) in enumerate(integrated):
+                    if failure or not drifts[i] <= quad_tol + 1e-8 * vals[i]:
+                        inconclusive.append({"x": float(x), "a": float(a), "t": float(t), "beta": b,
+                                             "reason": failure or f"pair drift {drifts[i]:.3e}"})
                         continue
-                    ratio = val / rho_val / (E ** b / B)
+                    ratio = vals[i] / rho_val / (E ** b / B)
                     record("integrated", b, 0,
                            ratio, {"x": float(x), "a": float(a), "t": float(t),
                                    "beta": b, "j": 0})

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
-from .errors import ConfigurationError, DegeneracyError
+from .density import probe_integrals
+from .errors import ConfigurationError, DegeneracyError, MoserTransportError
 
 _TINY = np.finfo(float).tiny
 _CHUNK = 64  # levels inverted per pass, largest upper bound first
@@ -182,9 +183,12 @@ class ExpectationReport:
 
 
 def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10, fd_fraction=0.2):
-    """E_h(x) = int h d(mu_x) by adaptive quadrature, with smoothness probes.
+    """E_h(x) = int h d(mu_x), with smoothness probes.
 
-    ``h`` is a callable or a parsed expression over m.  Finite differences
+    ``h`` is a callable or a parsed expression over m, evaluated on arrays.
+    Each distinct x takes one density.probe_integrals pass of rho(x, .) h;
+    an x whose pair drift exceeds quad_tol + 1e-12 |E_h(x)|, or whose
+    integrand raised, is inconclusive and has no value.  Finite differences
     of orders 1..k run at steps (h, h/2); instability of any Richardson
     pair flips the verdict to NONSMOOTH-SUSPECT.
     """
@@ -200,13 +204,15 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10, fd_fraction=0.2):
         key = round(float(x), 17)
         if key not in cache:
             try:
-                val, _ = integrate.quad(
-                    lambda m: float(fam.fn(x, m)) * float(h_fn(m)),
-                    0.0, 1.0, limit=300, epsabs=quad_tol, epsrel=1e-12,
-                )
-            except Exception as exc:
+                (val,), (drift,) = probe_integrals(lambda m: fam.fn(x, m) * h_fn(m),
+                                                   [1.0], quad_tol)
+            except MoserTransportError as exc:
                 inconclusive.append({"x": float(x), "reason": str(exc)})
                 val = np.nan
+            else:
+                if not drift <= quad_tol + 1e-12 * abs(val):
+                    inconclusive.append({"x": float(x), "reason": f"pair drift {drift:.3e}"})
+                    val = np.nan
             cache[key] = val
         return cache[key]
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.optimize import brentq
 
 from moser_transport import (
     ConfigurationError,
     DegeneracyError,
+    DensityFamily,
     MassTable,
     ResolutionError,
     builtin_family,
@@ -15,7 +17,9 @@ from moser_transport import (
     make_domain,
     make_envelope,
     make_reference,
+    reference_from_profile,
 )
+from moser_transport.density import _ex2_oscillatory_mass, probe_integrals
 
 
 def test_example1_point_values():
@@ -275,3 +279,68 @@ def test_mass_table_unresolvable_oscillation_fails_fast():
 
     with pytest.raises(ResolutionError, match="unresolved"):
         MassTable(dens)
+
+
+def _quad_oracle(fn, t):
+    # scalar adaptive quadrature at the tolerances the checker asks for
+    return integrate.quad(lambda s: float(fn(s)), 0.0, t, limit=200,
+                          epsabs=1e-9, epsrel=1e-8)[0]
+
+
+@pytest.mark.parametrize("name", ["h_power", "example1", "h_loglog"])
+def test_check_integrals_match_quad_oracle(name):
+    # the checker's pass for one (x, beta): int_0^t |D_x^beta rho| at its probe t
+    fam = builtin_family(name)
+    ts = np.geomspace(1e-6, 1.0, 12)
+    lo, hi = fam.x_range
+    for x in (lo + 0.02 * (hi - lo), 1e-3 * max(abs(lo), abs(hi)), 0.7 * hi):
+        for b in range(3):
+            integrand = lambda s: np.abs(fam.derivative(x, (s,), b, 0))
+            vals, drift = probe_integrals(integrand, ts, 1e-9)
+            for t, v, d in zip(ts, vals, drift):
+                oracle = _quad_oracle(integrand, t)
+                assert abs(v - oracle) <= 1e-9 + 1e-8 * abs(oracle)
+                assert d <= 1e-9 + 1e-8 * v
+
+
+def _unresolvable_family():
+    # sin(1/m)^2 does not vanish at 0: no halving depth resolves it (see
+    # test_mass_table_unresolvable_oscillation_fails_fast); the t- and
+    # x-derivatives are set to zero so that only the integrated inequality
+    # can decide the verdict
+    calls = {"points": 0}
+
+    def fn(x, m):
+        calls["points"] += np.size(m)
+        return 1.0 + np.sin(1.0 / np.asarray(m, dtype=float)) ** 2
+
+    zero = lambda x, m: np.zeros_like(np.asarray(m, dtype=float))
+    fam = DensityFamily(domain=make_domain("interval"), x_range=(0.5, 1.0), k=1,
+                        name="unresolvable", provenance="test", fn=fn,
+                        exact_derivs={(1, 0): zero, (0, 1): zero})
+    return fam, calls
+
+
+def test_check_unresolvable_integral_is_inconclusive():
+    fam, calls = _unresolvable_family()
+    env = make_envelope("constant", k=1, E0=1.0, B0=0.4)
+    rep = check_decay_assumptions(fam, None, env, k=1, x_nodes=2, t_nodes=4, t_floor=1e-2)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.worst_margin <= 1.0
+    # one pass per x for beta = 0 (beta = 1 has an exact zero derivative),
+    # each at most 41 halvings of 2048 pairs, plus the point probes
+    assert calls["points"] <= 2 * 41 * 3 * 2048 * 24 + 100
+
+
+def test_ex2_oscillatory_mass_matches_closed_form():
+    # I(1) = int_0^1 s^5 sin^2(1/s) ds = 1/12 - Re[E_7(-2i)]/2
+    import mpmath as mp
+    with mp.workdps(40):
+        exact = mp.mpf(1) / 12 - mp.re(mp.expint(7, -2j)) / 2
+    assert abs(_ex2_oscillatory_mass() - float(exact)) <= 1e-13
+
+
+def test_reference_from_profile_default_integral():
+    ref = reference_from_profile(lambda s: 3.0 * np.asarray(s, dtype=float) ** 2)
+    assert ref.integral(np.array([0.0, 0.5, 1.0])) == pytest.approx([0.0, 0.125, 1.0], abs=1e-12)
+    assert ref.mass == pytest.approx(1.0, abs=1e-12)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from moser_transport import (
     ConfigurationError,
     DegeneracyError,
+    DensityFamily,
     MassTable,
     builtin_family,
     expectation_curve,
     lipschitz_obstruction,
+    make_domain,
     parse_density_expression,
     w_infinity_1d,
 )
@@ -259,3 +262,40 @@ def _example2_w_inf_oracle(x, dps=40):
                 v = a + ratio * (b - a)
                 gv = gap(v)
         return float(max(gaps[i], gu, gv))
+
+
+def _expectation_quad_oracle(fam, h, x):
+    return integrate.quad(lambda m: float(fam.fn(x, m)) * float(h.evaluate(m=m)),
+                          0.0, 1.0, limit=300, epsabs=1e-12, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("example2", np.linspace(-0.9, 0.9, 11)),    # scripts/configs/example2_obstruct.cfg
+    ("example1", np.linspace(-0.8, 0.8, 9)),
+])
+def test_expectation_matches_quad_oracle(name, xs):
+    fam = builtin_family(name)
+    h = parse_density_expression("m", variables=("m",))
+    rep = expectation_curve(fam, h, xs, k=2)
+    assert not rep.inconclusive
+    for x, v in zip(rep.x_nodes, rep.values):
+        assert abs(v - _expectation_quad_oracle(fam, h, x)) <= 1e-10
+
+
+def test_expectation_unresolvable_integral_is_inconclusive():
+    # 1 + sin(1/m)^2 as in test_mass_table_unresolvable_oscillation_fails_fast
+    points = 0
+
+    def fn(x, m):
+        nonlocal points
+        points += np.size(m)
+        return 1.0 + np.sin(1.0 / np.asarray(m, dtype=float)) ** 2
+
+    fam = DensityFamily(domain=make_domain("interval"), x_range=(-1.0, 1.0), k=1,
+                        name="unresolvable", provenance="test", fn=fn)
+    rep = expectation_curve(fam, lambda m: m, [0.0], k=1)
+    assert rep.to_dict()["inconclusive_count"] > 0
+    assert rep.values == [None]
+    # x = 0 and the four finite-difference points, each one pass of at most
+    # 41 halvings of 2048 pairs
+    assert points <= 5 * 41 * 3 * 2048 * 24
