@@ -88,7 +88,6 @@ from .transport import (
     conjugate_family,
     estimate_uniform_Ck,
     make_x_grid,
-    pushforward_density,
     pushforward_density_1d,
     pushforward_histogram_2d,
     sample_random_maps,

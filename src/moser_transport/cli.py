@@ -14,7 +14,6 @@ paths), so identical config + seed reproduce byte-identical files.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,13 +27,6 @@ from .reports import write_csv, write_json
 from .transport import build_representation, ck_floor_scan
 
 SCHEMA = "moser-transport/report-v1"
-
-
-def _parallel(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _paths(cfg, out_dir):
@@ -65,20 +57,9 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
         )
         lo, hi = fam.x_range
         xs = np.linspace(lo, hi, p.x_samples)
-        if fam.domain.dim == 2:
-            def check_one(x):
-                return tf.pushforward_check_2d(x, n_samples=p.samples, bins=p.bins)
-        else:
-            def check_one(x):
-                return tf.pushforward_check(x, n_fine=p.n_fine)
-        checks = _parallel(check_one, list(xs), threads)
-        if tf.mode == "full":
-            for rec in checks:
-                x = rec["x"]
-                rec["interface_gap"] = tf.interface_gap(x)
-                cm = tf.collar_at(x)
-                rec["t_star_sample"] = cm.t_star_sample()
-                rec["nu_min_past_sixth"] = cm.nu_min_past()
+        check = ({"n_samples": p.samples, "bins": p.bins} if fam.domain.dim == 2
+                 else {"n_fine": p.n_fine})
+        log = tf.verify(xs, threads=threads, **check)
         scan = ck_floor_scan(
             tf, p.floors, k=p.ck_order, floor_mode=p.x_floor_mode,
             growth_threshold=p.growth_threshold,
@@ -87,7 +68,7 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
         print(f"construction error: {exc}", file=sys.stderr)
         return 3
 
-    push_pass = all(rec["passed"] for rec in checks)
+    push_pass = log["all_passed"]
     verdict = "PASS" if (push_pass and scan.verdict == "STABLE") else "FAIL"
     report = {
         "schema": SCHEMA,
@@ -96,15 +77,15 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
         "seed": p.seed,
         "config": cfg.to_dict(),
         "mode": tf.mode,
-        "pushforward": {"per_x": checks, "tol": p.tol_push, "all_passed": push_pass},
+        "pushforward": {"per_x": log["per_x"], "tol": p.tol_push, "all_passed": push_pass},
         "ck_scan": scan.to_dict(),
         "verdict": verdict,
     }
     if tf.mode == "full":
         report["construction"] = {
-            "t_star": min(r["t_star_sample"] for r in checks),
-            "nu_min_past_sixth": min(r["nu_min_past_sixth"] for r in checks),
-            "reference_mass": float(tf.ref.mass),
+            "t_star": log["t_star"],
+            "nu_min_past_sixth": log["nu_min"],
+            "reference_mass": log["reference_mass"],
             "v": p.v,
         }
     write_json(report_path, report)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import MassTable
+from .diagnostics import central_difference, probe_step, richardson_stable
 from .errors import DegeneracyError, InfeasibilityError, ResolutionError
 from .geometry import collar_chart
 
@@ -261,7 +262,7 @@ class BoundReport:
 
 
 def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4),
-                      fd_fraction=0.25, tol=1e-10, side=0, probes_per_floor=5):
+                      tol=1e-10, side=0, probes_per_floor=5):
     """Empirical uniform-derivative constants for x -> g_x(t).
 
     For each refinement floor, estimates D_x^beta g by central finite
@@ -288,15 +289,9 @@ def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4)
             maps[key] = build_collar_map(fam, ref, key, tol=tol, side=side, k=k)
         return maps[key].g_batch(ts)
 
-    def fd_g(x, ts, order, h):
-        """Central finite difference of order `order` of x -> g_x(ts)."""
-        total = 0.0
-        for i in range(order + 1):
-            total = total + (-1) ** i * math.comb(order, i) * g_at(x + (order / 2.0 - i) * h, ts)
-        return total / h ** order
-
     for floor in t_floors:
         t_probes = np.geomspace(floor, 0.3, probes_per_floor)
+        g_probes = lambda xv: g_at(xv, t_probes)
         xs = list(np.asarray(x_grid, dtype=float))
         if lo <= 0.0 <= hi:
             xs += [s for s in (floor ** 1.5, 10 * floor ** 1.5) if lo <= s <= hi]
@@ -305,18 +300,14 @@ def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4)
         best_orders = {b: 0.0 for b in range(1, k + 1)}
         for b in range(1, k + 1):
             for x in xs:
-                margin = min(x - lo, hi - x)
-                if margin <= 0:
+                h = probe_step(x, (lo, hi), b, 0.25, abs(x) or span)
+                if h is None:
                     continue
-                h = fd_fraction * min(abs(x) if abs(x) > 0 else span, 2 * margin / (b + 1))
-                if h <= 0:
-                    continue
-                dhs = fd_g(x, t_probes, b, h)
-                dh2s = fd_g(x, t_probes, b, h / 2)
-                for t, dh, dh2, g_here in zip(t_probes, dhs, dh2s, g_at(x, t_probes)):
-                    scale = max(abs(dh), abs(dh2))
-                    if scale > 1e-10 and not 0.5 <= abs(dh2) / max(abs(dh), 1e-300) <= 2.0:
-                        richardson_ok = False
+                dhs = central_difference(g_probes, x, b, h)
+                dh2s = central_difference(g_probes, x, b, h / 2)
+                if not np.all(richardson_stable(dhs, dh2s, 1e-10)):
+                    richardson_ok = False
+                for t, dh2, g_here in zip(t_probes, dh2s, g_probes(x)):
                     weight = float(env.B(0.0, max(g_here, 1e-300))) / float(
                         env.E(0.0, max(g_here, 1e-300))) ** b
                     c_val = abs(dh2) * weight

@@ -54,7 +54,6 @@ class PipelineSection:
     margin: float = 0.5
     mode: str = "auto"
     seed: int = 0
-    threads: int = 1
     x_samples: int = 5
     tol_push: float = 1e-3
     tol_mass: float = 1e-4
@@ -112,7 +111,7 @@ class RunConfig:
 _STR_KEYS = {"kind", "name", "expression", "mode", "x_floor_mode", "report",
              "csv_dir", "h"}
 _LIST_KEYS = {"floors", "xs"}
-_INT_KEYS = {"k", "grid", "steps", "seed", "threads", "x_samples", "ck_order",
+_INT_KEYS = {"k", "grid", "steps", "seed", "x_samples", "ck_order",
              "samples", "bins", "n_fine", "collar_nodes", "h_x_nodes", "dump_fields"}
 
 _SECTIONS = {

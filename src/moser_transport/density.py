@@ -2,10 +2,10 @@
 
 A family is an evaluator rho(x, .) over a model domain together with partial
 derivative evaluators D_x^beta D_t^j rho for |beta| + j <= k (closed-form
-where tractable, central finite differences otherwise), an optional closed
-CDF for 1D domains (kept as a test oracle: the library integrates rho through
-MassTable), and a provenance tag.  One pair-refined Gauss rule, pair_refine,
-serves every integral on [0, 1]: MassTable, the one cumulative mass and its
+where tractable, central finite differences otherwise), and an optional
+closed CDF for 1D domains (kept as a test oracle: the library integrates rho
+through MassTable).  One pair-refined Gauss rule, pair_refine, serves every
+integral on [0, 1]: MassTable, the one cumulative mass and its
 inverse (collar, CDFs, quantiles), and probe_integrals, the signed integrals
 of the masses, normalisers, E_h and the decay checker.
 
@@ -251,7 +251,6 @@ class DensityFamily:
     x_range: tuple
     k: int
     name: str
-    provenance: str
     fn: object
     exact_derivs: dict = field(default_factory=dict)
     cdf_fn: object = None
@@ -382,7 +381,6 @@ def _constant_family(k):
         x_range=(-1.0, 1.0),
         k=k,
         name="constant",
-        provenance="builtin",
         fn=lambda x, m: np.ones_like(np.asarray(m, dtype=float)),
         exact_derivs=derivs,
         cdf_fn=lambda x, m: np.asarray(m, dtype=float),
@@ -413,7 +411,7 @@ def _example1_family(k):
 
     return DensityFamily(
         domain=dom, x_range=(-1.0, 1.0), k=k, name="example1",
-        provenance="builtin", fn=fn, exact_derivs=derivs, cdf_fn=cdf,
+        fn=fn, exact_derivs=derivs, cdf_fn=cdf,
     )
 
 
@@ -435,7 +433,7 @@ def _affine_family(k, c=0.5):
     }
     return DensityFamily(
         domain=dom, x_range=(-c, c), k=k, name="affine",
-        provenance="builtin", fn=fn, exact_derivs=derivs,
+        fn=fn, exact_derivs=derivs,
         cdf_fn=lambda x, m: np.asarray(m, float) + x * (np.asarray(m, float) ** 2 - np.asarray(m, float)),
     )
 
@@ -503,7 +501,7 @@ def _modulated_family(name, k, base, base_d1, base_d2, n0, ns, cdf_base=None,
 
     return DensityFamily(
         domain=_interval(), x_range=(0.0, 1.0), k=k, name=name,
-        provenance="builtin", fn=fn, exact_derivs=derivs, cdf_fn=cdf_fn,
+        fn=fn, exact_derivs=derivs, cdf_fn=cdf_fn,
     )
 
 
@@ -682,7 +680,7 @@ def _example2_family(k):
 
     return DensityFamily(
         domain=_interval(), x_range=(-1.0, 1.0), k=k, name="example2",
-        provenance="builtin", fn=fn, exact_derivs=derivs,
+        fn=fn, exact_derivs=derivs,
     )
 
 
@@ -731,7 +729,7 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
 
     fam = DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
-        name=f"expression({text})", provenance="expression", fn=raw,
+        name=f"expression({text})", fn=raw,
     )
     if not normalize:
         return fam
@@ -750,7 +748,7 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
         normalized = lambda x, a, t: raw(x, a, t) / norm(x)
     return DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
-        name=f"expression({text})", provenance="expression", fn=normalized,
+        name=f"expression({text})", fn=normalized,
     )
 
 
@@ -772,7 +770,6 @@ class ReferenceDensity:
     side: int
     profile_fn: object
     integral_fn: object
-    provenance: str = "constructed"
 
     def profile(self, t):
         return self.profile_fn(np.asarray(t, dtype=float))
@@ -800,7 +797,7 @@ def reference_from_profile(profile_fn, integral_fn=None, domain=None, k=2, side=
             return out if np.ndim(t) else float(out[0])
     return ReferenceDensity(
         domain=domain, k=k, side=side,
-        profile_fn=profile_fn, integral_fn=integral_fn, provenance="callable",
+        profile_fn=profile_fn, integral_fn=integral_fn,
     )
 
 

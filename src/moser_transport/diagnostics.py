@@ -24,6 +24,38 @@ _TINY = np.finfo(float).tiny
 _CHUNK = 64  # levels inverted per pass, largest upper bound first
 
 
+def central_difference(f, x, j, h):
+    """j-th difference quotient of f at nodes x + (j/2 - i) h, i = 0..j; second order.
+
+    The parameter-derivative probe of E_h, the C^k scan and the lemma bound.
+    A scalar NaN (an inconclusive node) stops the sum and gives NaN.
+    """
+    total = 0.0
+    for i in range(j + 1):
+        v = f(x + (j / 2 - i) * h)
+        if np.ndim(v) == 0 and math.isnan(v):
+            return math.nan
+        total = total + (-1) ** i * math.comb(j, i) * v
+    return total / h ** j
+
+
+def probe_step(x, x_range, j, fraction, scale):
+    """h = fraction * min(scale, 2 edge / (j + 1)), edge the distance to the nearer
+    end of x_range, so the order-j nodes stay inside; None when x is not interior."""
+    edge = min(x - x_range[0], x_range[1] - x)
+    h = fraction * min(scale, 2.0 * edge / (j + 1))
+    return h if h > 0 else None
+
+
+def richardson_stable(d_h, d_h2, atol):
+    """Elementwise: |D_{h/2}| / |D_h| in [1/2, 2] wherever either magnitude
+    exceeds atol (a NaN magnitude exceeds nothing)."""
+    a, b = np.abs(d_h), np.abs(d_h2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = b / a
+    return ~(np.maximum(a, b) > atol) | ((ratio >= 0.5) & (ratio <= 2.0))
+
+
 def _levels(own, other):
     """The node levels p = M(s)/M(1) of one table, normal and below 1, seen from the other.
 
@@ -182,7 +214,7 @@ class ExpectationReport:
         }
 
 
-def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10, fd_fraction=0.2):
+def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
     """E_h(x) = int h d(mu_x), with smoothness probes.
 
     ``h`` is a callable or a parsed expression over m, evaluated on arrays.
@@ -220,36 +252,17 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10, fd_fraction=0.2):
     values = [E(x) for x in xs]
     derivs = {}
     stable = {}
-    span = hi - lo
     for j in range(1, k + 1):
         col = []
         ok = True
         for x in xs:
-            edge = min(x - lo, hi - x)
-            if edge <= 0:
-                col.append(None)
-                continue
-            hstep = fd_fraction * min(span, 2 * edge / (j + 1))
-            pair = []
-            for hh in (hstep, hstep / 2):
-                total = 0.0
-                bad = False
-                for i in range(j + 1):
-                    off = (j / 2 - i) * hh
-                    v = E(x + off)
-                    if np.isnan(v):
-                        bad = True
-                        break
-                    total += (-1) ** i * math.comb(j, i) * v
-                pair.append(np.nan if bad else total / hh ** j)
-            if any(np.isnan(p) for p in pair):
-                col.append(None)
-                continue
-            d_h, d_h2 = pair
-            col.append(float(d_h2))
-            scale = max(abs(d_h), abs(d_h2))
-            if scale > 1e-7 and not 0.5 <= abs(d_h2) / max(abs(d_h), 1e-300) <= 2.0:
-                ok = False
+            step = probe_step(x, (lo, hi), j, 0.2, hi - lo)
+            d_h = d_h2 = math.nan
+            if step is not None:
+                d_h = central_difference(E, x, j, step)
+                d_h2 = central_difference(E, x, j, step / 2)
+            col.append(None if np.isnan(d_h) or np.isnan(d_h2) else float(d_h2))
+            ok = ok and bool(richardson_stable(d_h, d_h2, 1e-7))
         derivs[j] = col
         stable[j] = ok
     verdict = "SMOOTH-CONSISTENT" if all(stable.values()) else "NONSMOOTH-SUSPECT"

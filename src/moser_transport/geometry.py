@@ -33,7 +33,6 @@ class Domain:
 
     kind: str
     circumference: float = 1.0
-    collar_depth: float = 1.0
 
     @property
     def dim(self):

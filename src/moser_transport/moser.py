@@ -351,9 +351,6 @@ class MoserMap:
         moved = pts + _multilinear(self.grid, self.interpolant, pts).T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
-    def __call__(self, points):
-        return self.evaluate(points)
-
     def is_monotone(self):
         """Sorted 1D nodes must map to sorted images (no crossing trajectories)."""
         if self.grid.dim != 1:

@@ -19,6 +19,7 @@ uniform reference.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ from scipy.stats import qmc
 
 from .collar import build_collar_map
 from .density import MassTable, make_reference
-from .errors import ConfigurationError, DegeneracyError, IntegrationError, MoserTransportError
+from .diagnostics import central_difference, probe_step, richardson_stable
+from .errors import ConfigurationError, DegeneracyError, IntegrationError
 from .geometry import INTERVAL, default_grid, interval_grid
 from .moser import moser_map_from_values
 
@@ -68,9 +70,7 @@ class TransportFamily:
     tol_mass: float
     ref: object = None
     rho0_fn: object = None
-    floor: float = 1e-6
     collar_t_nodes: int = 320
-    construction_log: dict = field(default_factory=dict)
     _collars: dict = field(default_factory=dict)
     _mosers: dict = field(default_factory=dict)
     _ref_mass: object = None
@@ -203,28 +203,33 @@ class TransportFamily:
         return {"x": float(x), "l1_error": l1, "passed": bool(l1 <= self.tol_push),
                 "n_samples": int(n_samples), "bins": int(bins)}
 
-    def verify(self, x_values=None, n_fine=2 ** 13):
-        lo, hi = self.fam.x_range
-        if x_values is None:
-            x_values = np.linspace(lo, hi, 5)
-        per_x = []
-        for x in x_values:
-            rec = self.pushforward_check(x, n_fine=n_fine)
+    def verify(self, xs, threads=1, **check):
+        """Per-x pushforward checks on ``threads`` workers, in the order of ``xs``.
+
+        ``check`` goes to the check (n_fine in 1D; n_samples, bins in 2D); full
+        mode adds the collar diagnostics and the t_star / nu_min summary.
+        """
+        def record(x):
+            if self.domain.dim == 2:
+                return self.pushforward_check_2d(x, **check)
+            rec = self.pushforward_check(x, **check)
             if self.mode == "full":
                 rec["interface_gap"] = self.interface_gap(x)
                 cm = self.collar_at(x)
                 rec["t_star_sample"] = cm.t_star_sample()
                 rec["nu_min_past_sixth"] = cm.nu_min_past()
-            per_x.append(rec)
-        log = {
-            "per_x": per_x,
-            "all_passed": bool(all(r["passed"] for r in per_x)),
-        }
+            return rec
+
+        if threads <= 1:
+            per_x = [record(x) for x in xs]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                per_x = list(pool.map(record, xs))
+        log = {"per_x": per_x, "all_passed": all(r["passed"] for r in per_x)}
         if self.mode == "full":
             log["t_star"] = min(r["t_star_sample"] for r in per_x)
             log["nu_min"] = min(r["nu_min_past_sixth"] for r in per_x)
             log["reference_mass"] = float(self.ref.mass)
-        self.construction_log.update(log)
         return log
 
 
@@ -242,8 +247,6 @@ def build_representation(
     floor=1e-6,
     collar_t_nodes=320,
     k=None,
-    verify=False,
-    x_samples=None,
 ):
     """Build the composed transport family for a density family.
 
@@ -266,6 +269,7 @@ def build_representation(
         )
     fam.validate(x_samples=5, tol_norm=max(tol_mass, 1e-8))
 
+    ref = None
     if mode == "moser_only":
         measured = fam.min_density()
         if measured < floor:
@@ -278,11 +282,6 @@ def build_representation(
             rho0_fn = lambda m: np.ones_like(np.asarray(m, dtype=float)) / volume
         else:
             rho0_fn = lambda a, t: np.ones_like(np.asarray(a, dtype=float)) / volume
-        tf = TransportFamily(
-            domain=fam.domain, fam=fam, mode=mode, v=v, grid_n=grid_n, steps=steps,
-            k=k, seed=seed, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
-            ref=None, rho0_fn=rho0_fn, floor=floor, collar_t_nodes=collar_t_nodes,
-        )
     else:
         ref = make_reference(fam, margin=margin)
         deficit = 1.0 - ref.mass
@@ -293,21 +292,11 @@ def build_representation(
         def rho0_fn(m):
             return ref.value_at(m) + deficit * bump(m)
 
-        tf = TransportFamily(
-            domain=fam.domain, fam=fam, mode=mode, v=v, grid_n=grid_n, steps=steps,
-            k=k, seed=seed, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
-            ref=ref, rho0_fn=rho0_fn, floor=floor, collar_t_nodes=collar_t_nodes,
-        )
-    if verify:
-        lo, hi = fam.x_range
-        xs = np.linspace(lo, hi, x_samples or 5)
-        log = tf.verify(xs)
-        if not log["all_passed"]:
-            bad = [r for r in log["per_x"] if not r["passed"]]
-            raise MoserTransportError(
-                f"pushforward verification failed at x={[r['x'] for r in bad]}"
-            )
-    return tf
+    return TransportFamily(
+        domain=fam.domain, fam=fam, mode=mode, v=v, grid_n=grid_n, steps=steps,
+        k=k, seed=seed, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
+        ref=ref, rho0_fn=rho0_fn, collar_t_nodes=collar_t_nodes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +424,6 @@ def binned_target_2d(density_fn, domain, bins=64, oversample=8):
     return _cic_deposit(pts, bins, L, weights=vals * cell_area)
 
 
-def pushforward_density(map_fn, mu_density, domain, **kwargs):
-    """Dispatch: exact change of variables in 1D, sample histogram in 2D."""
-    if domain.dim == 1:
-        return pushforward_density_1d(map_fn, mu_density, **kwargs)
-    return pushforward_histogram_2d(map_fn, domain, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # uniform C^k probes
 
@@ -464,25 +446,7 @@ class CkReport:
         }
 
 
-def _fd_order_j(map_family, x, m_grid, j, h):
-    """Symmetric j-th difference with half-integer offsets; second order.
-
-    Returns per-point magnitudes (euclidean norm over components for maps
-    into 2D domains).
-    """
-    total = None
-    for i in range(j + 1):
-        off = (j / 2.0 - i) * h
-        w = (-1) ** i * math.comb(j, i)
-        vals = w * np.asarray(map_family.map_values(x + off, m_grid), dtype=float)
-        total = vals if total is None else total + vals
-    total = total / h ** j
-    if total.ndim == 2:
-        return np.linalg.norm(total, axis=-1)
-    return total
-
-
-def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1, fd_fraction=0.25, atol=1e-9):
+def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
     """Finite-difference sups of |d^j/dx^j T_x(m)| over (m, x), j = 1..k.
 
     Each probe is computed at steps h and h/2 (Richardson pair); a pair
@@ -491,6 +455,15 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1, fd_fraction=0.25, atol=
     """
     lo, hi = map_family.x_range
     m_grid = np.asarray(m_grid, dtype=float)
+
+    def images(x):
+        return np.asarray(map_family.map_values(x, m_grid), dtype=float)
+
+    def magnitude(x, j, h):
+        # maps into 2D domains: the euclidean norm of the differenced components
+        d = central_difference(images, x, j, h)
+        return np.linalg.norm(d, axis=-1) if d.ndim == 2 else d
+
     sups = {}
     wits = {}
     stable = {}
@@ -501,27 +474,18 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1, fd_fraction=0.25, atol=
         n_stable = 0
         n_tot = 0
         for x in np.asarray(x_grid, dtype=float):
-            edge = min(x - lo, hi - x)
-            if edge <= 0:
+            h = probe_step(x, (lo, hi), j, 0.25, abs(x) or hi - lo)
+            if h is None:
                 continue
-            scale = abs(x) if abs(x) > 0 else (hi - lo)
-            h = fd_fraction * min(scale, 2.0 * edge / (j + 1))
-            if h <= 0:
-                continue
-            d_h = np.abs(_fd_order_j(map_family, x, m_grid, j, h))
-            d_h2 = _fd_order_j(map_family, x, m_grid, j, h / 2)
-            mags = np.abs(d_h2)
+            d_h = magnitude(x, j, h)
+            mags = np.abs(magnitude(x, j, h / 2))
             i_max = int(np.argmax(mags))
             if mags[i_max] > best:
                 best = float(mags[i_max])
                 probe = m_grid[i_max]
                 wit = {"x": float(x), "h": float(h),
                        "m": [float(v) for v in np.atleast_1d(probe)]}
-            big = np.maximum(d_h, mags) > atol
-            nonzero = d_h > 0
-            ratio = np.ones_like(mags)
-            ratio[nonzero] = mags[nonzero] / d_h[nonzero]
-            ratio_ok = ~big | ((ratio >= 0.5) & (ratio <= 2.0) & nonzero)
+            ratio_ok = richardson_stable(d_h, mags, 1e-9)
             n_stable += int(np.sum(ratio_ok))
             n_tot += ratio_ok.size
         sups[j] = best
@@ -659,9 +623,6 @@ class RandomMapSample:
 
     def map(self, x):
         return self._family.map_values(x, np.atleast_1d(np.asarray(self.omega)))[0]
-
-    def fd_dx(self, x, h=1e-4):
-        return (self.map(x + h) - self.map(x - h)) / (2 * h)
 
 
 def sample_random_maps(tf, count, seed=0):

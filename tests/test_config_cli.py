@@ -86,9 +86,11 @@ def test_unknown_section_rejected():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigurationError) as err:
-        parse_config("[pipeline]\nwarp = 9\n")
-    assert err.value.line == 2
+    # threads is a CLI option (--threads, MOSER_TRANSPORT_THREADS), not a config key
+    for text in ("[pipeline]\nwarp = 9\n", "[pipeline]\nthreads = 2\n"):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(text)
+        assert err.value.line == 2
 
 
 def test_family_extra_keys_become_params():
@@ -302,6 +304,17 @@ def test_cli_threads_flag_and_env(tmp_path, monkeypatch):
     b1 = (tmp_path / "t2" / "report.json").read_bytes()
     b2 = (tmp_path / "te" / "report.json").read_bytes()
     assert b1 == b2
+    # full mode: the collar diagnostics of each x run inside the workers too
+    full_path = _write(tmp_path, AFFINE_CFG.replace("grid = 256", "grid = 128")
+                       .replace("steps = 64", "steps = 32"), "affine.cfg")
+    codes = [main(["represent", "--config", full_path, "--out", str(tmp_path / f"f{n}"),
+                   "--threads", str(n)]) for n in (1, 2)]
+    assert codes[0] == codes[1]
+    files = sorted(p.relative_to(tmp_path / "f1") for p in (tmp_path / "f1").rglob("*")
+                   if p.is_file())
+    assert len(files) == 7      # report.json, 3 map and 3 collar tables
+    for rel in files:
+        assert (tmp_path / "f1" / rel).read_bytes() == (tmp_path / "f2" / rel).read_bytes()
 
 
 def test_cli_represent_example1_unbounded_suspect(tmp_path):

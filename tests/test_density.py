@@ -316,7 +316,7 @@ def _unresolvable_family():
 
     zero = lambda x, m: np.zeros_like(np.asarray(m, dtype=float))
     fam = DensityFamily(domain=make_domain("interval"), x_range=(0.5, 1.0), k=1,
-                        name="unresolvable", provenance="test", fn=fn,
+                        name="unresolvable", fn=fn,
                         exact_derivs={(1, 0): zero, (0, 1): zero})
     return fam, calls
 

@@ -15,6 +15,7 @@ from moser_transport import (
     parse_density_expression,
     w_infinity_1d,
 )
+from moser_transport.diagnostics import central_difference, probe_step, richardson_stable
 
 # dense-oracle value for the example1 pair (x=0.1 vs x=0), frozen from a
 # closed-form maximisation of the quantile difference
@@ -292,10 +293,52 @@ def test_expectation_unresolvable_integral_is_inconclusive():
         return 1.0 + np.sin(1.0 / np.asarray(m, dtype=float)) ** 2
 
     fam = DensityFamily(domain=make_domain("interval"), x_range=(-1.0, 1.0), k=1,
-                        name="unresolvable", provenance="test", fn=fn)
+                        name="unresolvable", fn=fn)
     rep = expectation_curve(fam, lambda m: m, [0.0], k=1)
     assert rep.to_dict()["inconclusive_count"] > 0
     assert rep.values == [None]
     # x = 0 and the four finite-difference points, each one pass of at most
     # 41 halvings of 2048 pairs
     assert points <= 5 * 41 * 3 * 2048 * 24
+
+
+def test_parameter_probe_difference_step_and_richardson_rule():
+    rng = np.random.default_rng(5)
+    for j in (1, 2, 3):
+        # exact to rounding on polynomials of degree <= j + 1, scalar and array valued
+        for degree in range(j + 2):
+            coef = rng.normal(size=(2, degree + 1))
+            polys = [np.polynomial.Polynomial(c) for c in coef]
+            f = lambda x: np.array([p(x) for p in polys])
+            for x, h in ((0.3, 0.1), (-0.7, 0.02)):
+                exact = np.array([p.deriv(j)(x) for p in polys])
+                d = central_difference(f, x, j, h)
+                assert np.allclose(d, exact, rtol=1e-9, atol=1e-9)
+                assert abs(central_difference(polys[0], x, j, h) - exact[0]) <= 1e-9
+        # every node of the pair (h, h/2) lies inside the range near either end
+        for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
+            for x in (lo + 1e-3, lo + 0.1, hi - 0.1, hi - 1e-3):
+                for fraction in (0.2, 0.25):
+                    h = probe_step(x, (lo, hi), j, fraction, abs(x) or hi - lo)
+                    nodes = []
+                    for step in (h, h / 2):
+                        central_difference(lambda v: nodes.append(v) or 0.0, x, j, step)
+                    assert len(nodes) == 2 * (j + 1)
+                    assert all(lo < v < hi for v in nodes)
+            # an endpoint, or a point outside, gives no pair
+            for x in (lo, hi, hi + 0.5):
+                assert probe_step(x, (lo, hi), j, 0.25, 1.0) is None
+    # an inconclusive (NaN) node stops the sum
+    calls = []
+    d = central_difference(lambda v: calls.append(v) or np.nan, 0.0, 2, 0.1)
+    assert np.isnan(d) and len(calls) == 1
+    # |D_{h/2}| / |D_h| must lie in [1/2, 2] where either magnitude exceeds atol
+    assert richardson_stable(1.0, 2.0, 1e-9)
+    assert richardson_stable(-1.0, 0.5, 1e-9)
+    assert not richardson_stable(1.0, 2.01, 1e-9)
+    assert not richardson_stable(1.0, 0.49, 1e-9)
+    assert not richardson_stable(0.0, 1e-8, 1e-9)
+    assert richardson_stable(0.0, 5e-10, 1e-9)
+    assert richardson_stable(1e-10, 9e-10, 1e-9)
+    ok = richardson_stable(np.array([1.0, 1.0, 0.0, 0.0]), np.array([2.0, 2.01, 1e-8, 0.0]), 1e-9)
+    assert ok.tolist() == [True, False, False, True]
