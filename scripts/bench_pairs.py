@@ -12,20 +12,24 @@ the base first, odd pairs the change, so a drift in machine load hits
 both sides alike.  The output JSON holds every run, and per side,
 workload and end-to-end metric the median and quartiles, with the number
 of pairs the change won (ties count for neither side).  It also records
-nproc, loadavg at start and end, the Python, numpy and scipy versions and
-each side's ``src/`` line count as perfbench counts it.
+nproc, loadavg at start and end, the Python, numpy and scipy versions,
+each side's ``src/`` line count as perfbench counts it, and each side's
+Tier-1 suite (one run per side, before the pairs): its outcome counts,
+exit code and wall time.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +69,19 @@ def src_lines(tree):
 def loadavg():
     with open("/proc/loadavg", encoding="ascii") as handle:
         return " ".join(handle.read().split()[:3])
+
+
+def tier1(tree):
+    """One run of the Tier-1 suite against the package under ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    tail = got.stdout.strip().splitlines()[-1:] or [""]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) ([a-z]+)", tail[0])}
+    return {"counts": counts, "returncode": got.returncode, "wall_s": wall,
+            "summary": tail[0]}
 
 
 def run_once(tree, workload, seed):
@@ -123,6 +140,10 @@ def main():
                  "src_lines": {"base": src_lines(base_tree), "change": src_lines(ROOT)}},
         "workloads": {},
     }
+    report["tier1"] = {side: tier1(tree) for side, tree in (("base", base_tree),
+                                                          ("change", ROOT))}
+    for side, rec in report["tier1"].items():
+        print(f"tier1 {side}: {rec['summary']} ({rec['wall_s']:.1f} s wall)", flush=True)
     for workload in args.workload or WORKLOADS:
         runs = []
         for i in range(args.pairs):

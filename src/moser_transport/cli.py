@@ -160,7 +160,7 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
     return 0 if verdict == "PASS" else 2
 
 
-def cmd_check_assumptions(cfg, out_dir=None, threads=1, verbose=False):
+def cmd_check_assumptions(cfg, out_dir=None, verbose=False):
     if cfg.envelope is None:
         raise ConfigurationError("check-assumptions needs an [envelope] section")
     fam = build_family(cfg)
@@ -186,7 +186,7 @@ def cmd_check_assumptions(cfg, out_dir=None, threads=1, verbose=False):
     return 0 if result.verdict == "PASS" else 2
 
 
-def cmd_obstruct(cfg, out_dir=None, threads=1, verbose=False):
+def cmd_obstruct(cfg, out_dir=None, verbose=False):
     fam = build_family(cfg)
     ob = cfg.obstruct
     report_path, csv_dir = _paths(cfg, out_dir)
@@ -259,7 +259,8 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory (default: cwd)")
     parser.add_argument("--seed", type=int, default=None, help="override pipeline seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: MOSER_TRANSPORT_THREADS)")
+                        help="worker threads of represent's per-x checks; the other "
+                             "commands run on one (fallback: MOSER_TRANSPORT_THREADS)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -273,8 +274,8 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.seed is not None:
             cfg.pipeline.seed = args.seed
-        return _COMMANDS[args.command](cfg, out_dir=args.out, threads=threads,
-                                       verbose=args.verbose)
+        extra = {"threads": threads} if args.command == "represent" else {}
+        return _COMMANDS[args.command](cfg, out_dir=args.out, verbose=args.verbose, **extra)
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

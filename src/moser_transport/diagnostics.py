@@ -24,15 +24,20 @@ _TINY = np.finfo(float).tiny
 _CHUNK = 64  # levels inverted per pass, largest upper bound first
 
 
+def difference_nodes(x, j, h):
+    """The nodes x + (j/2 - i) h, i = 0..j, at which central_difference reads f."""
+    return [x + (j / 2 - i) * h for i in range(j + 1)]
+
+
 def central_difference(f, x, j, h):
-    """j-th difference quotient of f at nodes x + (j/2 - i) h, i = 0..j; second order.
+    """j-th difference quotient of f at difference_nodes(x, j, h); second order.
 
     The parameter-derivative probe of E_h, the C^k scan and the lemma bound.
     A scalar NaN (an inconclusive node) stops the sum and gives NaN.
     """
     total = 0.0
-    for i in range(j + 1):
-        v = f(x + (j / 2 - i) * h)
+    for i, node in enumerate(difference_nodes(x, j, h)):
+        v = f(node)
         if np.ndim(v) == 0 and math.isnan(v):
             return math.nan
         total = total + (-1) ** i * math.comb(j, i) * v

@@ -53,4 +53,11 @@ class ResolutionError(MoserTransportError):
 
 
 class IntegrationError(MoserTransportError):
-    """Flow trajectory left the domain by more than one grid cell."""
+    """Flow trajectory left the domain by more than one grid cell.
+
+    ``point`` is the index of the offending point in the swept array, when known.
+    """
+
+    def __init__(self, message, point=None):
+        self.point = point
+        super().__init__(message)

@@ -14,6 +14,16 @@ bounded axes and FFT on periodic ones, so the Poisson solve is one direct
 transform pair.  RK4 runs once per build, over the grid nodes, through one
 multilinear interpolator; map queries interpolate the node images (PCHIP in
 1D, the multilinear node displacement in 2D).
+
+A build takes a plan: several parameter values whose densities are known
+up front.  Each value gets its own mass balance, Poisson solve and velocity
+floor.  In 1D one RK4 sweep then runs over the node seeds of every value,
+stacked side by side; each block of seeds reads its own value's node data
+through an index offset, so its arithmetic, and its images bit for bit, are
+those of a sweep on its own.  2D runs one sweep per value: its node data
+outgrows the cache once stacked, which made a stacked sweep slower.
+``TransportFamily.prefetch`` makes these plans, so its caches are full
+before any worker thread reads them.
 """
 
 from dataclasses import dataclass, field
@@ -176,11 +186,13 @@ def gradient(grid, values):
 _CORNERS = np.array([[0], [1]], dtype=np.intp)
 
 
-def _multilinear(grid, F, points):
+def _multilinear(grid, F, points, offset=None):
     """Interpolate fields-major node data F (nf, n_nodes) at (N,) or (N, 2) points.
 
     Returns (nf, N).  Cell and fraction follow from the uniform spacing;
     periodic axes wrap, bounded axes hold their end values outside the grid.
+    ``offset`` (one entry per point) is added to the flat node index, so F
+    may hold the node data of several same-shaped grids side by side.
     """
     pts = points.reshape(-1, grid.dim)
     flat, fracs, stride = None, [], 1
@@ -201,6 +213,8 @@ def _multilinear(grid, F, points):
         corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
         flat = corner if flat is None else flat + corner * stride
         stride *= ax.n
+    if offset is not None:
+        flat += offset
     vals = F.take(flat, axis=1, mode="wrap")
     for frac in reversed(fracs):
         # in place: fresh temporaries of this size cost more than the arithmetic
@@ -260,11 +274,30 @@ class VelocityProvider:
         return VelocityField(grid=self.grid, time=float(t), components=comps)
 
 
+class StackedVelocity:
+    """The 1D VelocityProviders of a plan as one provider over their stacked seeds.
+
+    Point block b (one point per grid node) reads provider b's node data,
+    with the same arithmetic per point as that provider.
+    """
+
+    def __init__(self, providers):
+        self.grid = providers[0].grid
+        n = providers[0].node_data.shape[1]
+        self.node_data = np.concatenate([p.node_data for p in providers], axis=1)
+        self.offset = np.repeat(np.arange(len(providers)) * n, n)
+
+    def __call__(self, t, points):
+        vals = _multilinear(self.grid, self.node_data, points, self.offset)
+        return vals[0] / (vals[1] + t * vals[2])
+
+
 def _clamp_bounded(grid, pts, slack=None, counter=None):
     """Clamp bounded coordinates onto the grid; no copy when all lie on it.
 
-    One more than ``slack`` (default one cell) outside raises IntegrationError;
-    clamps of more than 1e-12 are counted in ``counter[0]`` if given.
+    One more than ``slack`` (default one cell) outside raises IntegrationError,
+    which carries the offending point's index; clamps of more than 1e-12 are
+    added to ``counter`` (one entry per point) if given.
     """
     cols = pts.reshape(-1, grid.dim)
     for i, ax in enumerate(grid.axes):
@@ -275,12 +308,14 @@ def _clamp_bounded(grid, pts, slack=None, counter=None):
         over = np.maximum(lo - c, c - hi)
         allowed = ax.spacing if slack is None else slack
         if np.any(over > allowed):
+            worst = int(np.argmax(over))
             raise IntegrationError(
-                f"point {float(c[np.argmax(over)]):.6g} lies {float(np.max(over)):.3e} "
-                f"outside [{lo:g}, {hi:g}] on axis {i} (allowed {allowed:.3e})"
+                f"point {float(c[worst]):.6g} lies {float(over[worst]):.3e} "
+                f"outside [{lo:g}, {hi:g}] on axis {i} (allowed {allowed:.3e})",
+                point=worst,
             )
         if counter is not None:
-            counter[0] += int(np.sum(over > 1e-12))
+            counter += over > 1e-12
         pts = pts.copy()
         cols = pts.reshape(-1, grid.dim)
         cols[:, i] = np.clip(c, lo, hi)
@@ -296,19 +331,20 @@ def _wrap_periodic(grid, pts):
     return cols.reshape(np.shape(pts))
 
 
-def integrate_flow(provider, points, steps=256):
+def integrate_flow(provider, points, steps=256, clamps=None):
     """Classical RK4 over deformation time with fixed step 1/steps.
 
     Returns (end points, clamp event count); periodic coordinates are
-    wrapped once at the end.  Builds run it over the grid nodes; it also
-    serves as the oracle for MoserMap.evaluate.
+    wrapped once at the end.  ``clamps`` (an int array, one entry per
+    point), if given, receives each point's clamp events.  Builds run it
+    over the grid nodes; it also serves as the oracle for MoserMap.evaluate.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     grid = provider.grid
     pts = np.array(points, dtype=float)
     dt = 1.0 / steps
-    counter = [0]
+    counter = np.zeros(pts.size // grid.dim, dtype=np.intp)
 
     def clamp(p):
         return _clamp_bounded(grid, p, counter=counter)
@@ -321,7 +357,9 @@ def integrate_flow(provider, points, steps=256):
         k3 = provider(t + dt / 2, clamp(p0 + dt / 2 * k2))
         k4 = provider(t + dt, clamp(p0 + dt * k3))
         pts = clamp(p0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    return _wrap_periodic(grid, pts), counter[0]
+    if clamps is not None:
+        clamps += counter
+    return _wrap_periodic(grid, pts), int(counter.sum())
 
 
 @dataclass
@@ -379,18 +417,18 @@ def _node_displacement(grid, seeds, images):
     return disp
 
 
-def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
-                          tol=1e-10, tol_mass=1e-4, c_floor=None):
-    """Flow map between two positive grid densities of equal mass."""
-    rho0_values = np.asarray(rho0_values, dtype=float)
+def _stage_error(exc, stage, x):
+    return type(exc)(f"{stage} at x={float(x)!r}: {exc}")
+
+
+def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
+    """Mass balance, Poisson solve and velocity floor for one x: (provider, potential)."""
     rhox_values = np.asarray(rhox_values, dtype=float)
     measured = min(float(rho0_values.min()), float(rhox_values.min()))
     if measured <= 0:
         raise DegeneracyError(f"densities must be positive on the grid at x={float(x)!r} "
                               f"(min {measured:.3e})")
     c_min = 0.9 * measured if c_floor is None else c_floor
-    seeds = (grid.nodes(0) if grid.dim == 1
-             else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
     stage = "mass balance"
     try:
         rhs = assemble_rhs(rhox_values, rho0_values, grid, tol_mass=tol_mass)
@@ -398,16 +436,61 @@ def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
         potential = solve_neumann_poisson(rhs, grid, tol=tol)
         stage = "velocity floor"
         provider = VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
-        stage = "RK4 sweep"
-        images, clamps = integrate_flow(provider, seeds, steps=steps)
-        stage = "node displacement"
-        interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
-                       else _node_displacement(grid, seeds, images))
-    except (MassMismatchError, SolverError, IntegrationError, DegeneracyError) as exc:
-        raise type(exc)(f"{stage} at x={float(x)!r}: {exc}") from exc
-    return MoserMap(x=float(x), grid=grid, provider=provider, steps=steps,
-                    node_images=images, clamp_events=clamps,
-                    interpolant=interpolant), potential
+    except (MassMismatchError, SolverError, DegeneracyError) as exc:
+        raise _stage_error(exc, stage, x) from exc
+    return provider, potential
+
+
+def _sweep(grid, providers, xs, seeds, steps):
+    """(node images, clamp events) per x: one stacked RK4 sweep in 1D, one per x in 2D."""
+    if grid.dim == 2:
+        out = []
+        for provider, x in zip(providers, xs):
+            try:
+                out.append(integrate_flow(provider, seeds, steps=steps))
+            except IntegrationError as exc:
+                raise _stage_error(exc, "RK4 sweep", x) from exc
+        return out
+    n = seeds.size
+    clamps = np.zeros(n * len(providers), dtype=np.intp)
+    try:
+        images, _ = integrate_flow(StackedVelocity(providers), np.tile(seeds, len(providers)),
+                                   steps=steps, clamps=clamps)
+    except IntegrationError as exc:
+        raise _stage_error(exc, "RK4 sweep", xs[exc.point // n]) from exc
+    return list(zip(images.reshape(-1, n), clamps.reshape(-1, n).sum(axis=1)))
+
+
+def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
+                          tol=1e-10, tol_mass=1e-4, c_floor=None):
+    """Flow map between two positive grid densities of equal mass: (MoserMap, potential).
+
+    A plan, ``x`` a sequence of parameter values and ``rhox_values`` one
+    grid array per value, returns a list of such pairs in plan order,
+    built as the module docstring describes.  Errors name their stage and
+    the x they belong to; the first failing value stops the plan.
+    """
+    if np.ndim(x) == 0:
+        return moser_map_from_values(rho0_values, [rhox_values], grid, x=[x], steps=steps,
+                                     tol=tol, tol_mass=tol_mass, c_floor=c_floor)[0]
+    rho0_values = np.asarray(rho0_values, dtype=float)
+    setups = [_flow_setup(rho0_values, rhox, grid, xi, tol, tol_mass, c_floor)
+              for xi, rhox in zip(x, rhox_values)]
+    providers = [provider for provider, _ in setups]
+    seeds = (grid.nodes(0) if grid.dim == 1
+             else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
+    built = []
+    for xi, (provider, potential), (images, clamps) in zip(
+            x, setups, _sweep(grid, providers, x, seeds, steps)):
+        try:
+            interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
+                           else _node_displacement(grid, seeds, images))
+        except IntegrationError as exc:
+            raise _stage_error(exc, "node displacement", xi) from exc
+        built.append((MoserMap(x=float(xi), grid=grid, provider=provider, steps=steps,
+                               node_images=images, clamp_events=int(clamps),
+                               interpolant=interpolant), potential))
+    return built
 
 
 def moser_map(fam, rho0, x, grid, steps=256, tol=1e-10, tol_mass=1e-4):

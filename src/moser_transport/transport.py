@@ -28,10 +28,15 @@ from scipy.stats import qmc
 
 from .collar import build_collar_map
 from .density import MassTable, make_reference
-from .diagnostics import central_difference, probe_step, richardson_stable
+from .diagnostics import central_difference, difference_nodes, probe_step, richardson_stable
 from .errors import ConfigurationError, DegeneracyError, IntegrationError
 from .geometry import INTERVAL, default_grid, interval_grid
 from .moser import moser_map_from_values
+
+
+def _key(x):
+    """Cache key of a parameter value."""
+    return round(float(x), 15)
 
 
 def _bump_profile(k, lo=0.4, hi=0.9):
@@ -52,9 +57,14 @@ def _bump_profile(k, lo=0.4, hi=0.9):
 class TransportFamily:
     """Lazily built family of composed transport maps, immutable once built.
 
-    Per-parameter collar and interior maps are cached; evaluation sorts the
-    query points, pushes them through the stages, and restores the input
-    order, so batch evaluation over a mesh costs one sweep.
+    Per-parameter collar and interior maps are cached.  Callers that know
+    their parameter values up front (``verify``, the C^k floor scan) plan
+    them with ``prefetch``: the maps are built together, in 1D from one
+    stacked RK4 sweep, and the caches are full before any worker thread
+    starts, so the workers only read them.  A value outside a plan is built
+    on first use, as a plan of one.  Evaluation sorts the query points,
+    pushes them through the stages, and restores the input order, so batch
+    evaluation over a mesh costs one sweep.
     """
 
     domain: object
@@ -81,7 +91,7 @@ class TransportFamily:
 
     # -- per-parameter stages ------------------------------------------------
     def collar_at(self, x):
-        key = round(float(x), 15)
+        key = _key(x)
         if key not in self._collars:
             t_grid = np.geomspace(1e-6, 1.0, self.collar_t_nodes)
             t_grid[-1] = 1.0
@@ -91,31 +101,42 @@ class TransportFamily:
         return self._collars[key]
 
     def moser_at(self, x):
-        key = round(float(x), 15)
+        key = _key(x)
         if key not in self._mosers:
-            if self.mode == "moser_only":
-                grid = default_grid(self.domain, self.grid_n)
-                if grid.dim == 1:
-                    nodes = grid.nodes(0)
-                    rhox = np.asarray(self.fam.fn(x, nodes), dtype=float)
-                    rho0 = self.rho0_fn(nodes)
-                else:
-                    aa, tt = grid.meshes()
-                    rhox = np.asarray(self.fam.fn(x, aa, tt), dtype=float)
-                    rho0 = self.rho0_fn(aa, tt)
-            else:
-                grid = interval_grid(self.grid_n, lo=self.v, hi=1.0)
-                nodes = grid.nodes(0)
-                cm = self.collar_at(x)
-                gs = cm.g_batch(nodes)
-                rhox = cm.nu(nodes, g_values=gs)
-                rho0 = self.rho0_fn(nodes)
-            mm, potential = moser_map_from_values(
-                rho0, rhox, grid, x=x, steps=self.steps,
-                tol=self.tol_solver, tol_mass=self.tol_mass,
-            )
-            self._mosers[key] = (mm, potential)
+            self.prefetch([x])
         return self._mosers[key]
+
+    def prefetch(self, xs):
+        """Build the collar and interior maps of every x in ``xs`` not cached yet.
+
+        The values are planned first: each gets its collar, ``nu`` and Poisson
+        solve, and in 1D their interior flows then come from one stacked RK4
+        sweep (see ``moser``).  Errors name the x they belong to.
+        """
+        plan = {}
+        for x in xs:
+            key = _key(x)
+            if key not in self._mosers:
+                plan.setdefault(key, x)
+        if not plan:
+            return
+        xs = list(plan.values())
+        if self.mode == "moser_only":
+            grid = default_grid(self.domain, self.grid_n)
+            coords = (grid.nodes(0),) if grid.dim == 1 else grid.meshes()
+            rhox = [np.asarray(self.fam.fn(x, *coords), dtype=float) for x in xs]
+        else:
+            grid = interval_grid(self.grid_n, lo=self.v, hi=1.0)
+            coords = (grid.nodes(0),)
+            rhox = []
+            for x in xs:
+                cm = self.collar_at(x)
+                rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
+        built = moser_map_from_values(
+            self.rho0_fn(*coords), rhox, grid, x=xs, steps=self.steps,
+            tol=self.tol_solver, tol_mass=self.tol_mass,
+        )
+        self._mosers.update(zip(plan, built))
 
     # -- evaluation ------------------------------------------------------------
     def map_values(self, x, points):
@@ -207,8 +228,11 @@ class TransportFamily:
         """Per-x pushforward checks on ``threads`` workers, in the order of ``xs``.
 
         ``check`` goes to the check (n_fine in 1D; n_samples, bins in 2D); full
-        mode adds the collar diagnostics and the t_star / nu_min summary.
+        mode adds the collar diagnostics and the t_star / nu_min summary.  The
+        maps of ``xs`` are prefetched before the workers start.
         """
+        self.prefetch(xs)
+
         def record(x):
             if self.domain.dim == 2:
                 return self.pushforward_check_2d(x, **check)
@@ -446,6 +470,22 @@ class CkReport:
         }
 
 
+def _ck_probes(x_range, x_grid, j):
+    """(x, h) of each order-j Richardson probe: the x of x_grid that are interior."""
+    lo, hi = x_range
+    for x in np.asarray(x_grid, dtype=float):
+        h = probe_step(x, (lo, hi), j, 0.25, abs(x) or hi - lo)
+        if h is not None:
+            yield x, h
+
+
+def _prefetch(family, xs):
+    """Plan the builds of xs on a family that has any (QuantileTransport has none)."""
+    prefetch = getattr(family, "prefetch", None)
+    if prefetch is not None:
+        prefetch(xs)
+
+
 def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
     """Finite-difference sups of |d^j/dx^j T_x(m)| over (m, x), j = 1..k.
 
@@ -453,7 +493,6 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
     whose magnitudes differ by more than a factor 2 marks the probe
     unstable.  Divergence is a finding for the caller, not an error.
     """
-    lo, hi = map_family.x_range
     m_grid = np.asarray(m_grid, dtype=float)
 
     def images(x):
@@ -473,10 +512,7 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
         wit = {}
         n_stable = 0
         n_tot = 0
-        for x in np.asarray(x_grid, dtype=float):
-            h = probe_step(x, (lo, hi), j, 0.25, abs(x) or hi - lo)
-            if h is None:
-                continue
+        for x, h in _ck_probes(map_family.x_range, x_grid, j):
             d_h = magnitude(x, j, h)
             mags = np.abs(magnitude(x, j, h / 2))
             i_max = int(np.argmax(mags))
@@ -541,14 +577,20 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
     """C^k sups under m-grid floor refinement; the blow-up dichotomy probe.
 
     UNBOUNDED-SUSPECT when every refinement grows some order's sup by at
-    least the threshold; STABLE otherwise.
+    least the threshold; STABLE otherwise.  Every difference node of every
+    floor and order is prefetched before the first probe.
     """
     if len(floors) < 2:
         raise ConfigurationError("floor scan needs at least two floors")
+    x_grids = [make_x_grid(map_family.x_range, floor_mode, floor, n=x_nodes)
+               for floor in floors]
+    _prefetch(map_family, [node for x_grid in x_grids for j in range(1, k + 1)
+                           for x, h in _ck_probes(map_family.x_range, x_grid, j)
+                           for step in (h, h / 2) for node in difference_nodes(x, j, step)])
     sups = {j: [] for j in range(1, k + 1)}
     reports = []
     domain = getattr(map_family, "domain", None)
-    for floor in floors:
+    for floor, x_grid in zip(floors, x_grids):
         ts = np.geomspace(floor, 1.0, m_per_floor)
         if domain is not None and domain.dim == 2:
             a_nodes = np.linspace(0.0, domain.circumference, 5)[:-1]
@@ -556,7 +598,6 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
             m_grid = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
         else:
             m_grid = ts
-        x_grid = make_x_grid(map_family.x_range, floor_mode, floor, n=x_nodes)
         rep = estimate_uniform_Ck(map_family, m_grid, x_grid, k=k)
         reports.append(rep)
         for j in range(1, k + 1):
@@ -665,6 +706,9 @@ class ConjugatedFamily:
     @property
     def x_range(self):
         return self.base.x_range
+
+    def prefetch(self, xs):
+        _prefetch(self.base, xs)
 
     def map_values(self, x, points):
         inner = self.base.map_values(x, points)

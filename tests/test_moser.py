@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,15 +289,22 @@ def _generic_rhs(grid):
 def test_solve_reports_true_residual(grid):
     # the reported residual is ||b - K u|| / ||b|| of the returned u.  On the
     # interval it sits at the rounding floor of a float64 K u product, where
-    # two summation orders differ by ~5 %, so the oracle product is taken in
-    # extended precision.
+    # two summation orders differ by ~5 %, so each row of the oracle b - K u
+    # is computed exactly in rationals and rounded once.
     tol = 1e-10
     rhs = _generic_rhs(grid)
     pot = solve_neumann_poisson(rhs, grid, tol=tol)
     b = grid.weight_field().reshape(-1) * rhs.reshape(-1)
     b -= b.mean()
-    Ku = stiffness(grid).astype(np.longdouble) @ pot.values.reshape(-1).astype(np.longdouble)
-    true = float(np.linalg.norm((b - Ku).astype(float)) / np.linalg.norm(b))
+    K = stiffness(grid).tocsr()
+    u = pot.values.reshape(-1)
+    r = np.empty_like(b)
+    for i in range(b.size):
+        cols = slice(K.indptr[i], K.indptr[i + 1])
+        exact = Fraction(b[i]) - sum(Fraction(k) * Fraction(v)
+                                     for k, v in zip(K.data[cols], u[K.indices[cols]]))
+        r[i] = float(exact)
+    true = float(np.linalg.norm(r) / np.linalg.norm(b))
     assert pot.residual == pytest.approx(true, rel=1e-3)
     assert true <= tol
     assert pot.iterations in (1, 2)
@@ -517,3 +526,48 @@ def test_poisson_and_mass_errors_name_stage_and_x():
     grid = interval_grid(64)
     with pytest.raises(MassMismatchError, match=r"^mass balance at x=0\.25: "):
         moser_map_from_values(np.ones(64), np.full(64, 0.9), grid, x=0.25)
+
+
+@pytest.mark.parametrize("grid_n", [128, 1024])
+@pytest.mark.parametrize("name, mode", [("h_power", "full"), ("affine", "moser_only")])
+def test_stacked_sweep_matches_per_x_sweeps(name, mode, grid_n):
+    # one RK4 sweep over the stacked seeds of a plan gives, block by block,
+    # the node images of a sweep over that x alone, bit for bit
+    fam = builtin_family(name, k=2, **({"alpha": 2.0} if name == "h_power" else {}))
+    tf = build_representation(fam, mode=mode, grid_n=grid_n, steps=grid_n // 4, floor=0.1)
+    lo, hi = fam.x_range
+    xs = lo + (hi - lo) * np.array([0.2, 0.5, 0.9])
+    tf.prefetch(xs)
+    for x in xs:
+        mm, _ = tf.moser_at(x)
+        alone, clamps = integrate_flow(mm.provider, mm.grid.nodes(0), steps=mm.steps)
+        assert np.array_equal(mm.node_images, alone)
+        assert mm.clamp_events == clamps
+
+
+def _end_heavy(grid, level):
+    """A density of mass one at ``level`` on all nodes but the last."""
+    rhox = np.full(grid.axes[0].n, level)
+    w = grid.axes[0].weights
+    rhox[-1] = (1.0 - grid.integrate(rhox) + level * w[-1]) / w[-1]
+    return rhox
+
+
+def test_plan_sweep_error_names_the_block_x():
+    grid = interval_grid(8)
+    still, leaves = np.ones(8), _end_heavy(grid, 0.2)
+    # one RK4 step on seven cells takes the second block more than a cell past t = 1
+    for xs, plan in (([0.25, 0.5], [still, leaves]), ([0.5, 0.25], [leaves, still])):
+        with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+            moser_map_from_values(np.ones(8), plan, grid, x=xs, steps=1)
+
+
+def test_plan_clamp_counts_land_on_their_maps():
+    grid = interval_grid(8)
+    plan = [np.ones(8), _end_heavy(grid, 0.4), _end_heavy(grid, 0.6)]
+    alone = [moser_map_from_values(np.ones(8), rhox, grid, x=x, steps=4)[0].clamp_events
+             for x, rhox in zip((0.1, 0.2, 0.3), plan)]
+    assert alone[1] > 0 and alone[0] == alone[2] == 0
+    built = moser_map_from_values(np.ones(8), plan, grid, x=[0.1, 0.2, 0.3], steps=4)
+    assert [mm.x for mm, _ in built] == [0.1, 0.2, 0.3]
+    assert [mm.clamp_events for mm, _ in built] == alone

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as si
 
+from moser_transport import transport
 from moser_transport import (
     ConfigurationError,
     IntegrationError,
@@ -251,3 +252,30 @@ def test_interior_image_outside_collar_complement_raises(monkeypatch):
     monkeypatch.setattr(mm, "evaluate", lambda pts: np.asarray(pts, dtype=float) - 0.01)
     with pytest.raises(IntegrationError, match="x=0.5"):
         tf.interface_gap(0.5)
+
+
+def test_prefetch_builds_only_uncached_values(monkeypatch):
+    tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
+                              steps=16)
+    real = transport.moser_map_from_values
+    plans = []
+
+    def spy(*args, **kwargs):
+        plans.append([float(x) for x in kwargs["x"]])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "moser_map_from_values", spy)
+    # verify plans its values before the workers start: one build, none in the workers
+    tf.verify([0.1, -0.2, 0.1], threads=2, n_fine=2 ** 10)
+    assert plans == [[0.1, -0.2]]
+    tf.prefetch([-0.2, 0.1])
+    tf.moser_at(0.1)
+    tf.map_values(-0.2, np.linspace(0.0, 1.0, 5))
+    assert plans == [[0.1, -0.2]]
+    tf.prefetch([0.1, 0.3, 0.3])
+    assert plans == [[0.1, -0.2], [0.3]]
+    conjugate_family(tf, ParamDiffeo(fn=lambda x, n: n)).prefetch([0.4])
+    assert plans[-1] == [0.4]
+    # the scan plans every floor, order and difference node at once
+    ck_floor_scan(tf, [1e-2, 1e-3], k=2, m_per_floor=5, x_nodes=3)
+    assert len(plans) == 4 and len(plans[-1]) > 3
