@@ -8,7 +8,9 @@ scripts/bench_pairs.py exports it, into ``.bench_build/base-<sha>/``.  Both
 sides run the working tree's configs: ``represent --threads 1`` on every
 config in ``scripts/configs/`` and ``perfbench/configs/``, plus
 ``check-assumptions`` where a config has an ``[envelope]`` section and
-``obstruct`` where it has an ``[obstruct]`` section.  Outputs go under
+``obstruct`` where it has an ``[obstruct]`` section, and the library demo
+``scripts/run_demo.py`` (``verify``, ``estimate_uniform_Ck``,
+``sample_random_maps`` and ``map_values`` outside the CLI).  Outputs go under
 ``.bench_build/reports/{base,change}/``.  Prints a unified diff of every
 output file that differs (and any differing exit code), and exits 1 if
 anything differs, 0 otherwise.
@@ -21,7 +23,6 @@ import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 from bench_pairs import ROOT, export
 
@@ -30,7 +31,7 @@ OUT = ROOT / ".bench_build" / "reports"
 
 
 def runs():
-    """(run name, command, config path) for every config, in a fixed order."""
+    """(run name, interpreter arguments before the output directory), in a fixed order."""
     out = []
     for directory in CONFIG_DIRS:
         for cfg in sorted((ROOT / directory).glob("*.cfg")):
@@ -41,7 +42,10 @@ def runs():
             if re.search(r"^\s*\[obstruct\]", text, re.M):
                 commands.append("obstruct")
             for command in commands:
-                out.append((f"{directory}/{cfg.stem}/{command}", command, cfg))
+                out.append((f"{directory}/{cfg.stem}/{command}",
+                            ["-m", "moser_transport.cli", command, "--config", str(cfg),
+                             "--threads", "1", "--out"]))
+    out.append(("scripts/run_demo", [str(ROOT / "scripts" / "run_demo.py")]))
     return out
 
 
@@ -49,15 +53,12 @@ def run_side(tree, side):
     """Run every command against the package under ``tree``; exit code per run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     codes = {}
-    for name, command, cfg in runs():
+    for name, argv in runs():
         out = OUT / side / name
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir(parents=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "moser_transport.cli", command, "--config", str(cfg),
-             "--out", str(out), "--threads", "1"],
-            env=env, cwd=out, capture_output=True, text=True,
-        )
+        proc = subprocess.run([sys.executable, *argv, str(out)],
+                              env=env, cwd=out, capture_output=True, text=True)
         codes[name] = proc.returncode
         print(f"{side}: {name} exit {proc.returncode}", flush=True)
     return codes

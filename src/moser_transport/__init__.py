@@ -15,8 +15,6 @@ from .collar import (
     build_collar_map,
     build_collar_rays,
     check_lemma_bound,
-    pushed_density,
-    solve_collar_g,
 )
 from .density import (
     AssumptionReport,
@@ -66,7 +64,6 @@ from .geometry import (
 from .moser import (
     MoserMap,
     PotentialField,
-    VelocityField,
     VelocityProvider,
     assemble_rhs,
     integrate_flow,

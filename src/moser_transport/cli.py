@@ -121,15 +121,15 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
             )
     if p.dump_fields:
         x_last = float(xs[-1])
-        mm, potential = tf.moser_at(x_last)
-        grid = potential.grid
+        mm = tf.moser_at(x_last)
+        grid = mm.grid
         if grid.dim == 1:
             nodes = grid.nodes(0)
-            vel = mm.provider.snapshot(0.0).components[0]
+            (vel,) = mm.provider.snapshot(0.0)
             write_csv(
                 os.path.join(csv_dir, "potential.csv"),
                 ["m", "u"],
-                list(zip(map(float, nodes), map(float, potential.values))),
+                list(zip(map(float, nodes), map(float, mm.potential.values))),
             )
             write_csv(
                 os.path.join(csv_dir, "velocity_t0.csv"),
@@ -143,9 +143,9 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
             )
         else:
             aa, tt = grid.meshes()
-            vel = mm.provider.snapshot(0.0).components
+            vel = mm.provider.snapshot(0.0)
             rows = zip(
-                aa.reshape(-1), tt.reshape(-1), potential.values.reshape(-1),
+                aa.reshape(-1), tt.reshape(-1), mm.potential.values.reshape(-1),
                 vel[0].reshape(-1), vel[1].reshape(-1),
                 mm.node_images[:, 0], mm.node_images[:, 1],
             )

@@ -23,6 +23,7 @@ and the pushed density nu(t) = rho(x, a, gbar) * d/dt gbar, which equals f
 on [0, 1/3] where the cutoff is 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,11 +124,6 @@ def _rearrange(mass, ref, t, x):
     return g
 
 
-def solve_collar_g(fam, ref, x, a, t, tol=1e-10, side=0):
-    """g(t) on one ray for a scalar t: one point through the collar solver."""
-    return float(_rearrange(_ray_mass(fam, x, a, side, tol), ref, float(t), x)[0])
-
-
 @dataclass
 class CollarMap:
     """Rearrangement data for one parameter value on one boundary ray.
@@ -150,23 +146,20 @@ class CollarMap:
 
     # -- g -----------------------------------------------------------------
     def g_batch(self, ts):
+        """g at any t in [0, 1], as a 1D array (a scalar t gives one element)."""
         return _rearrange(self.mass, self.ref, ts, self.x)
-
-    def g(self, t):
-        out = self.g_batch(t)
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     # -- gbar and derived quantities ----------------------------------------
     def gbar(self, t, g_values=None):
         t = np.asarray(t, dtype=float)
-        g_values = self.g(t) if g_values is None else g_values
+        g_values = self.g_batch(t) if g_values is None else g_values
         eta = self.cutoff.eta(t)
         return eta * g_values + (1.0 - eta) * t
 
     def dgbar_dt(self, t, g_values=None):
         """Exact derivative: eta'(g - t) + eta g' + 1 - eta with g' by formula."""
         t = np.asarray(t, dtype=float)
-        g_values = self.g(t) if g_values is None else g_values
+        g_values = self.g_batch(t) if g_values is None else g_values
         rho_g = self.mass.fn(np.asarray(g_values, dtype=float))
         f_t = np.asarray(self.ref.profile(t), dtype=float)
         gprime = np.where(rho_g > 0, f_t / np.where(rho_g > 0, rho_g, 1.0), np.inf)
@@ -177,16 +170,13 @@ class CollarMap:
     def nu(self, t, g_values=None):
         """Density of the inverse-map pushforward: rho(gbar) * d/dt gbar."""
         t = np.asarray(t, dtype=float)
-        g_values = self.g(t) if g_values is None else g_values
+        g_values = self.g_batch(t) if g_values is None else g_values
         gb = self.gbar(t, g_values)
         return self.mass.fn(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
 
-    def nu_exact(self, t):
-        return float(self.nu(np.asarray(float(t))))
-
     # -- build-time diagnostics ---------------------------------------------
     def t_star_sample(self):
-        return float(self.gbar(np.asarray(1.0 / 6.0)))
+        return float(self.gbar(np.asarray(1.0 / 6.0))[0])
 
     def nu_min_past(self, t0=1.0 / 6.0):
         sel = self.ts >= t0
@@ -231,14 +221,6 @@ def build_collar_rays(fam, ref, x, a_nodes, **kwargs):
     return {float(a): build_collar_map(fam, ref, x, a=float(a), **kwargs) for a in a_nodes}
 
 
-def pushed_density(cm, t):
-    """nu(x, a, t) at a scalar t of the open collar, from the exact g."""
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ResolutionError("pushed density is evaluated on the open collar (0, 1)")
-    return cm.nu_exact(t)
-
-
 @dataclass
 class BoundReport:
     verdict: str
@@ -280,18 +262,13 @@ def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4)
     witness = {}
     richardson_ok = True
 
-    maps = {}
-
-    def g_at(xv, ts):
-        # one collar map per shifted x, shared by all probes, orders and floors
-        key = float(xv)
-        if key not in maps:
-            maps[key] = build_collar_map(fam, ref, key, tol=tol, side=side, k=k)
-        return maps[key].g_batch(ts)
+    # one collar map per shifted x, shared by all probes, orders and floors
+    collar = functools.cache(
+        lambda xv: build_collar_map(fam, ref, xv, tol=tol, side=side, k=k))
 
     for floor in t_floors:
         t_probes = np.geomspace(floor, 0.3, probes_per_floor)
-        g_probes = lambda xv: g_at(xv, t_probes)
+        g_probes = lambda xv: collar(float(xv)).g_batch(t_probes)
         xs = list(np.asarray(x_grid, dtype=float))
         if lo <= 0.0 <= hi:
             xs += [s for s in (floor ** 1.5, 10 * floor ** 1.5) if lo <= s <= hi]

@@ -24,7 +24,7 @@ from scipy import interpolate, special
 from .errors import (ConfigurationError, DegeneracyError, InfeasibilityError,
                      MoserTransportError, ResolutionError)
 from .expressions import parse_density_expression
-from .geometry import CYLINDER, INTERVAL, TORUS, Domain, collar_chart, make_domain
+from .geometry import INTERVAL, Domain, collar_chart, default_grid, make_domain
 
 _X_EPS = 1e-9
 
@@ -315,19 +315,13 @@ class DensityFamily:
         return MassTable(lambda m: self.fn(x, m))
 
     def mass(self, x):
+        """Total mass of rho(x, .): probe integrals in 1D, the 256-node grid quadrature in 2D."""
         self._check_x(x)
         if self.domain.dim == 1:
             return float(_resolved_integrals(lambda m: self.fn(x, m), [1.0], 1e-10)[0])
-        n = 256
-        a = np.arange(n) * (self.domain.circumference / n)
-        t = np.linspace(0.0, 1.0, n)
-        vals = np.broadcast_to(self.fn(x, a[:, None], t[None, :]), (n, n))
-        wt = np.full(n, 1.0 / (n - 1))
-        wt[0] = wt[-1] = 0.5 / (n - 1)
-        wa = np.full(n, self.domain.circumference / n)
-        if self.domain.kind == TORUS:
-            wt = np.full(n, 1.0 / n)
-        return float(np.sum(np.multiply.outer(wa, wt) * vals))
+        grid = default_grid(self.domain, 256)
+        # on open axes the evaluator's axis factors run on 256 points, not on 256^2
+        return grid.integrate(self.fn(x, *np.ix_(grid.nodes(0), grid.nodes(1))))
 
     def validate(self, x_samples=9, tol_norm=1e-4, positivity_floor=0.0):
         """Normalisation and interior positivity on a sample grid."""
@@ -716,7 +710,6 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
     domain = domain or _interval()
     variables = ("x", "m") if domain.dim == 1 else ("x", "a", "t")
     ast = parse_density_expression(text, variables=variables)
-    cache = {}
 
     if domain.dim == 1:
         def raw(x, m):
@@ -734,18 +727,17 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
     if not normalize:
         return fam
 
-    def norm(x):
-        key = round(float(x), 15)
-        if key not in cache:
-            cache[key] = fam.mass(x)
-            if not cache[key] > 0:
-                raise DegeneracyError(f"expression family has non-positive mass at x={x:g}")
-        return cache[key]
+    @functools.cache
+    def mass(x):
+        total = fam.mass(x)
+        if not total > 0:
+            raise DegeneracyError(f"expression family has non-positive mass at x={x:g}")
+        return total
 
     if domain.dim == 1:
-        normalized = lambda x, m: raw(x, m) / norm(x)
+        normalized = lambda x, m: raw(x, m) / mass(float(x))
     else:
-        normalized = lambda x, a, t: raw(x, a, t) / norm(x)
+        normalized = lambda x, a, t: raw(x, a, t) / mass(float(x))
     return DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
         name=f"expression({text})", fn=normalized,

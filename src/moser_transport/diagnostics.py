@@ -11,6 +11,7 @@ representable.  Neither verdict asserts the converse, and the blow-up
 thresholds are finite-sample heuristics, labelled as such in reports.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,19 +162,13 @@ def lipschitz_obstruction(fam, pair_schedule, slope_threshold=-0.05, r2_threshol
     if len(pairs) < 3:
         raise ConfigurationError("pair schedule needs at least 3 pairs for the fit")
     records = []
-    cache = {}
-
-    def quant(x):
-        key = round(float(x), 17)
-        if key not in cache:
-            cache[key] = fam.mass_table(x)
-        return cache[key]
+    table = functools.cache(fam.mass_table)
 
     for x, y in pairs:
         d = abs(float(x) - float(y))
         if d <= 0:
             raise ConfigurationError(f"degenerate pair ({x}, {y})")
-        w, _ = w_infinity_1d(quant(x), quant(y))
+        w, _ = w_infinity_1d(table(float(x)), table(float(y)))
         records.append({"x": float(x), "y": float(y), "w_inf": w, "ratio": w / d,
                         "distance": d})
 
@@ -235,23 +230,19 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
         h_fn = h
     lo, hi = fam.x_range
     inconclusive = []
-    cache = {}
 
+    @functools.cache
     def E(x):
-        key = round(float(x), 17)
-        if key not in cache:
-            try:
-                (val,), (drift,) = probe_integrals(lambda m: fam.fn(x, m) * h_fn(m),
-                                                   [1.0], quad_tol)
-            except MoserTransportError as exc:
-                inconclusive.append({"x": float(x), "reason": str(exc)})
-                val = np.nan
-            else:
-                if not drift <= quad_tol + 1e-12 * abs(val):
-                    inconclusive.append({"x": float(x), "reason": f"pair drift {drift:.3e}"})
-                    val = np.nan
-            cache[key] = val
-        return cache[key]
+        try:
+            (val,), (drift,) = probe_integrals(lambda m: fam.fn(x, m) * h_fn(m),
+                                               [1.0], quad_tol)
+        except MoserTransportError as exc:
+            inconclusive.append({"x": float(x), "reason": str(exc)})
+            return np.nan
+        if not drift <= quad_tol + 1e-12 * abs(val):
+            inconclusive.append({"x": float(x), "reason": f"pair drift {drift:.3e}"})
+            return np.nan
+        return val
 
     xs = np.asarray(x_grid, dtype=float)
     values = [E(x) for x in xs]

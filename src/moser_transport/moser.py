@@ -15,17 +15,20 @@ transform pair.  RK4 runs once per build, over the grid nodes, through one
 multilinear interpolator; map queries interpolate the node images (PCHIP in
 1D, the multilinear node displacement in 2D).
 
-A build takes a plan: several parameter values whose densities are known
-up front.  Each value gets its own mass balance, Poisson solve and velocity
-floor.  In 1D one RK4 sweep then runs over the node seeds of every value,
-stacked side by side; each block of seeds reads its own value's node data
-through an index offset, so its arithmetic, and its images bit for bit, are
-those of a sweep on its own.  2D runs one sweep per value: its node data
-outgrows the cache once stacked, which made a stacked sweep slower.
-``TransportFamily.prefetch`` makes these plans, so its caches are full
-before any worker thread reads them.
+``moser_map_from_values`` is the one build path.  It takes a plan: one or
+more parameter values whose densities are known up front, and returns one
+MoserMap per value, each carrying its potential.  Each value gets its own
+mass balance, Poisson solve and velocity floor.  In 1D one RK4 sweep then
+runs over the node seeds of every value, stacked side by side by
+``VelocityProvider.stack``; each block of seeds reads its own value's node
+data through an index offset, so its arithmetic, and its images bit for
+bit, are those of a sweep on its own.  2D runs one sweep per value: its
+node data outgrows the cache once stacked, which made a stacked sweep
+slower.  ``TransportFamily.prefetch`` makes these plans, so its caches are
+full before any worker thread reads them.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,22 +228,14 @@ def _multilinear(grid, F, points, offset=None):
     return vals
 
 
-@dataclass
-class VelocityField:
-    """Velocity snapshot at a fixed deformation time (grid arrays)."""
-
-    grid: Grid
-    time: float
-    components: tuple
-
-
 class VelocityProvider:
     """Evaluates V_t(p) = grad u (p) / (rho0(p) + t (rho_x(p) - rho0(p))).
 
     Gradient and densities are interpolated multilinearly from their grid
     samples; the time dependence enters only through the denominator, so a
-    single potential solve serves all deformation times.  ``grad``, ``rho0``
-    and ``drho`` = rho_x - rho0 are views into one fields-major ``node_data``.
+    single potential solve serves all deformation times.  ``node_data``
+    holds grad u, rho0 and rho_x - rho0 fields-major; ``offset``, set only
+    on a stacked provider, is added to each point's flat node index.
     """
 
     def __init__(self, grid, potential, rho0_values, rhox_values, c_min):
@@ -259,37 +254,32 @@ class VelocityProvider:
                 )
         fields = np.stack([*gradient(grid, potential.values), rho0, drho])
         self.node_data = fields.reshape(grid.dim + 2, -1)
-        self.grad = tuple(fields[:grid.dim])
-        self.rho0, self.drho = fields[grid.dim], fields[grid.dim + 1]
+        self.offset = None
+
+    @classmethod
+    def stack(cls, providers):
+        """The providers of one grid as one provider over their node seeds, side by side.
+
+        Point block b (one point per grid node) reads provider b's node data,
+        with the same arithmetic per point as that provider.
+        """
+        stacked = copy.copy(providers[0])
+        n = stacked.node_data.shape[1]
+        stacked.node_data = np.concatenate([p.node_data for p in providers], axis=1)
+        stacked.offset = np.repeat(np.arange(len(providers)) * n, n)
+        return stacked
 
     def __call__(self, t, points):
         dim = self.grid.dim
-        vals = _multilinear(self.grid, self.node_data, points)
+        vals = _multilinear(self.grid, self.node_data, points, self.offset)
         v = vals[:dim] / (vals[dim] + t * vals[dim + 1])
         return (v[0] if dim == 1 else v.T).reshape(np.shape(points))
 
     def snapshot(self, t):
-        eta = self.rho0 + t * self.drho
-        comps = tuple(g / eta for g in self.grad)
-        return VelocityField(grid=self.grid, time=float(t), components=comps)
-
-
-class StackedVelocity:
-    """The 1D VelocityProviders of a plan as one provider over their stacked seeds.
-
-    Point block b (one point per grid node) reads provider b's node data,
-    with the same arithmetic per point as that provider.
-    """
-
-    def __init__(self, providers):
-        self.grid = providers[0].grid
-        n = providers[0].node_data.shape[1]
-        self.node_data = np.concatenate([p.node_data for p in providers], axis=1)
-        self.offset = np.repeat(np.arange(len(providers)) * n, n)
-
-    def __call__(self, t, points):
-        vals = _multilinear(self.grid, self.node_data, points, self.offset)
-        return vals[0] / (vals[1] + t * vals[2])
+        """The velocity components at deformation time t, as grid arrays."""
+        *grad, rho0, drho = self.node_data.reshape(self.grid.dim + 2, *self.grid.shape)
+        eta = rho0 + t * drho
+        return tuple(g / eta for g in grad)
 
 
 def _clamp_bounded(grid, pts, slack=None, counter=None):
@@ -373,6 +363,7 @@ class MoserMap:
 
     x: float
     grid: Grid
+    potential: PotentialField
     provider: VelocityProvider
     steps: int
     node_images: np.ndarray
@@ -422,7 +413,7 @@ def _stage_error(exc, stage, x):
 
 
 def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
-    """Mass balance, Poisson solve and velocity floor for one x: (provider, potential)."""
+    """Mass balance, Poisson solve and velocity floor for one x: (potential, provider)."""
     rhox_values = np.asarray(rhox_values, dtype=float)
     measured = min(float(rho0_values.min()), float(rhox_values.min()))
     if measured <= 0:
@@ -435,10 +426,9 @@ def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
         stage = "Poisson solve"
         potential = solve_neumann_poisson(rhs, grid, tol=tol)
         stage = "velocity floor"
-        provider = VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
+        return potential, VelocityProvider(grid, potential, rho0_values, rhox_values, c_min)
     except (MassMismatchError, SolverError, DegeneracyError) as exc:
         raise _stage_error(exc, stage, x) from exc
-    return provider, potential
 
 
 def _sweep(grid, providers, xs, seeds, steps):
@@ -454,42 +444,39 @@ def _sweep(grid, providers, xs, seeds, steps):
     n = seeds.size
     clamps = np.zeros(n * len(providers), dtype=np.intp)
     try:
-        images, _ = integrate_flow(StackedVelocity(providers), np.tile(seeds, len(providers)),
-                                   steps=steps, clamps=clamps)
+        images, _ = integrate_flow(VelocityProvider.stack(providers),
+                                   np.tile(seeds, len(providers)), steps=steps, clamps=clamps)
     except IntegrationError as exc:
         raise _stage_error(exc, "RK4 sweep", xs[exc.point // n]) from exc
     return list(zip(images.reshape(-1, n), clamps.reshape(-1, n).sum(axis=1)))
 
 
-def moser_map_from_values(rho0_values, rhox_values, grid, x=0.0, steps=256,
+def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
                           tol=1e-10, tol_mass=1e-4, c_floor=None):
-    """Flow map between two positive grid densities of equal mass: (MoserMap, potential).
+    """Flow maps of a plan: one MoserMap per value of ``xs``, in plan order.
 
-    A plan, ``x`` a sequence of parameter values and ``rhox_values`` one
-    grid array per value, returns a list of such pairs in plan order,
-    built as the module docstring describes.  Errors name their stage and
-    the x they belong to; the first failing value stops the plan.
+    ``rhox_values`` holds one grid density per value, each positive and of
+    the mass of ``rho0_values``; the maps are built as the module docstring
+    describes.  Errors name their stage and the x they belong to; the first
+    failing value stops the plan.
     """
-    if np.ndim(x) == 0:
-        return moser_map_from_values(rho0_values, [rhox_values], grid, x=[x], steps=steps,
-                                     tol=tol, tol_mass=tol_mass, c_floor=c_floor)[0]
     rho0_values = np.asarray(rho0_values, dtype=float)
-    setups = [_flow_setup(rho0_values, rhox, grid, xi, tol, tol_mass, c_floor)
-              for xi, rhox in zip(x, rhox_values)]
-    providers = [provider for provider, _ in setups]
+    setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass, c_floor)
+              for x, rhox in zip(xs, rhox_values)]
+    providers = [provider for _, provider in setups]
     seeds = (grid.nodes(0) if grid.dim == 1
              else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
     built = []
-    for xi, (provider, potential), (images, clamps) in zip(
-            x, setups, _sweep(grid, providers, x, seeds, steps)):
+    for x, (potential, provider), (images, clamps) in zip(
+            xs, setups, _sweep(grid, providers, xs, seeds, steps)):
         try:
             interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
                            else _node_displacement(grid, seeds, images))
         except IntegrationError as exc:
-            raise _stage_error(exc, "node displacement", xi) from exc
-        built.append((MoserMap(x=float(xi), grid=grid, provider=provider, steps=steps,
-                               node_images=images, clamp_events=int(clamps),
-                               interpolant=interpolant), potential))
+            raise _stage_error(exc, "node displacement", x) from exc
+        built.append(MoserMap(x=float(x), grid=grid, potential=potential, provider=provider,
+                              steps=steps, node_images=images, clamp_events=int(clamps),
+                              interpolant=interpolant))
     return built
 
 
@@ -499,15 +486,8 @@ def moser_map(fam, rho0, x, grid, steps=256, tol=1e-10, tol_mass=1e-4):
     ``rho0`` may be a callable over domain points or a grid array.  Both
     densities must be bounded below by a positive constant on the grid.
     """
-    if grid.dim == 1:
-        nodes = grid.nodes(0)
-        rhox_values = np.asarray(fam.fn(x, nodes), dtype=float)
-        rho0_values = rho0(nodes) if callable(rho0) else np.asarray(rho0, dtype=float)
-    else:
-        aa, tt = grid.meshes()
-        rhox_values = np.asarray(fam.fn(x, aa, tt), dtype=float)
-        rho0_values = rho0(aa, tt) if callable(rho0) else np.asarray(rho0, dtype=float)
-    mm, _ = moser_map_from_values(
-        rho0_values, rhox_values, grid, x=x, steps=steps, tol=tol, tol_mass=tol_mass
-    )
+    coords = grid.meshes()
+    rho0_values = rho0(*coords) if callable(rho0) else rho0
+    [mm] = moser_map_from_values(rho0_values, [fam.fn(x, *coords)], grid, [x], steps=steps,
+                                 tol=tol, tol_mass=tol_mass)
     return mm

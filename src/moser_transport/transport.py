@@ -34,11 +34,6 @@ from .geometry import INTERVAL, default_grid, interval_grid
 from .moser import moser_map_from_values
 
 
-def _key(x):
-    """Cache key of a parameter value."""
-    return round(float(x), 15)
-
-
 def _bump_profile(k, lo=0.4, hi=0.9):
     """Polynomial bump supported in [lo, hi], integrating to one, C^k at the ends."""
     q = k + 1
@@ -57,14 +52,14 @@ def _bump_profile(k, lo=0.4, hi=0.9):
 class TransportFamily:
     """Lazily built family of composed transport maps, immutable once built.
 
-    Per-parameter collar and interior maps are cached.  Callers that know
-    their parameter values up front (``verify``, the C^k floor scan) plan
-    them with ``prefetch``: the maps are built together, in 1D from one
-    stacked RK4 sweep, and the caches are full before any worker thread
-    starts, so the workers only read them.  A value outside a plan is built
-    on first use, as a plan of one.  Evaluation sorts the query points,
-    pushes them through the stages, and restores the input order, so batch
-    evaluation over a mesh costs one sweep.
+    Per-parameter collar and interior maps are cached under the exact
+    value of x.  Callers that know their parameter values up front
+    (``verify``, the C^k floor scan) plan them with ``prefetch``: the maps
+    are built together, in 1D from one stacked RK4 sweep, and the caches
+    are full before any worker thread starts, so the workers only read
+    them.  A value outside a plan is built on first use, as a plan of one.
+    Evaluation pushes the query points through the stages in the order
+    they come; both stages accept any order.
     """
 
     domain: object
@@ -91,7 +86,7 @@ class TransportFamily:
 
     # -- per-parameter stages ------------------------------------------------
     def collar_at(self, x):
-        key = _key(x)
+        key = float(x)
         if key not in self._collars:
             t_grid = np.geomspace(1e-6, 1.0, self.collar_t_nodes)
             t_grid[-1] = 1.0
@@ -101,7 +96,7 @@ class TransportFamily:
         return self._collars[key]
 
     def moser_at(self, x):
-        key = _key(x)
+        key = float(x)
         if key not in self._mosers:
             self.prefetch([x])
         return self._mosers[key]
@@ -115,7 +110,7 @@ class TransportFamily:
         """
         plan = {}
         for x in xs:
-            key = _key(x)
+            key = float(x)
             if key not in self._mosers:
                 plan.setdefault(key, x)
         if not plan:
@@ -123,54 +118,41 @@ class TransportFamily:
         xs = list(plan.values())
         if self.mode == "moser_only":
             grid = default_grid(self.domain, self.grid_n)
-            coords = (grid.nodes(0),) if grid.dim == 1 else grid.meshes()
-            rhox = [np.asarray(self.fam.fn(x, *coords), dtype=float) for x in xs]
+            coords = grid.meshes()
+            rhox = [self.fam.fn(x, *coords) for x in xs]
         else:
             grid = interval_grid(self.grid_n, lo=self.v, hi=1.0)
-            coords = (grid.nodes(0),)
+            coords = grid.meshes()
             rhox = []
             for x in xs:
                 cm = self.collar_at(x)
                 rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
         built = moser_map_from_values(
-            self.rho0_fn(*coords), rhox, grid, x=xs, steps=self.steps,
+            self.rho0_fn(*coords), rhox, grid, xs, steps=self.steps,
             tol=self.tol_solver, tol_mass=self.tol_mass,
         )
         self._mosers.update(zip(plan, built))
 
     # -- evaluation ------------------------------------------------------------
     def map_values(self, x, points):
-        """T_x at the given points (1D array of m, or (N, 2) for 2D modes)."""
+        """T_x at the given points (1D array of m, or (N, 2) for 2D modes), in any order."""
+        pts = np.asarray(points, dtype=float)
         if self.domain.dim == 2:
-            mm, _ = self.moser_at(x)
-            return mm.evaluate(np.asarray(points, dtype=float))
-        m = np.asarray(points, dtype=float)
-        scalar = m.ndim == 0
-        m = np.atleast_1d(m).astype(float)
-        order = np.argsort(m, kind="stable")
-        ms = m[order]
+            return self.moser_at(x).evaluate(pts)
+        m = np.atleast_1d(pts)
         if self.mode == "moser_only":
-            mm, _ = self.moser_at(x)
-            out_sorted = mm.evaluate(ms)
+            out = self.moser_at(x).evaluate(m)
         else:
             cm = self.collar_at(x)
-            mm, _ = self.moser_at(x)
-            out_sorted = np.empty_like(ms)
-            low = ms < self.v
+            mm = self.moser_at(x)
+            out = np.empty_like(m)
+            low = m < self.v
             if np.any(low):
-                gs = cm.g_batch(ms[low])
-                out_sorted[low] = cm.gbar(ms[low], g_values=gs)
-            if np.any(~low):
-                imgs = self._interior_images(x, mm, ms[~low])
-                idx = np.argsort(imgs, kind="stable")
-                gs = cm.g_batch(imgs[idx])
-                vals = cm.gbar(imgs[idx], g_values=gs)
-                back = np.empty_like(vals)
-                back[idx] = vals
-                out_sorted[~low] = back
-        out = np.empty_like(out_sorted)
-        out[order] = out_sorted
-        return float(out[0]) if scalar else out
+                out[low] = cm.gbar(m[low], g_values=cm.g_batch(m[low]))
+            if not np.all(low):
+                imgs = self._interior_images(x, mm, m[~low])
+                out[~low] = cm.gbar(imgs, g_values=cm.g_batch(imgs))
+        return float(out[0]) if pts.ndim == 0 else out
 
     # -- reference handling ------------------------------------------------------
     def reference_quantile(self, u):
@@ -185,11 +167,11 @@ class TransportFamily:
         if self.mode != "full":
             return 0.0
         cm = self.collar_at(x)
-        mm, _ = self.moser_at(x)
+        mm = self.moser_at(x)
         v_side = cm.gbar(np.asarray(self.v))
         phi_v = self._interior_images(x, mm, np.asarray([self.v]))
         complement_side = cm.gbar(phi_v)
-        return abs(float(v_side) - float(complement_side[0]))
+        return abs(float(v_side[0]) - float(complement_side[0]))
 
     def _interior_images(self, x, mm, points):
         """Interior map images, which must stay in [v, 1] for the collar stage."""

@@ -28,7 +28,6 @@ from moser_transport import (
     parse_density_expression,
     pushforward_histogram_2d,
     reference_from_profile,
-    solve_collar_g,
 )
 from moser_transport.cli import main as cli_main
 
@@ -89,13 +88,9 @@ def test_criterion_03_collar_closed_form():
         lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
     )
     ts = np.geomspace(1e-6, 1.0, 100)
-    g_err = max(
-        abs(solve_collar_g(fam, ref, 0.0, 0.0, float(t)) - t / np.sqrt(2.0)) for t in ts
-    )
     cm = build_collar_map(fam, ref, 0.0)
-    nu_err = max(
-        abs(cm.nu_exact(float(t)) - t) for t in np.geomspace(1e-4, 1.0 / 3.0, 25)
-    )
+    g_err = max(abs(cm.g_batch(t)[0] - t / np.sqrt(2.0)) for t in ts)
+    nu_err = max(abs(cm.nu(t)[0] - t) for t in np.geomspace(1e-4, 1.0 / 3.0, 25))
     ok = g_err <= 1e-8 and nu_err <= 1e-6
     assert _report(
         3, ok,
@@ -276,7 +271,7 @@ def test_criterion_09_cylinder_smoke():
     )
     tf = build_representation(fam, mode="moser_only", grid_n=128, steps=64, floor=0.5)
     x = 0.8
-    _, pot = tf.moser_at(x)
+    pot = tf.moser_at(x).potential
     # linear binning keeps the quasi-random integrand continuous; sharp box
     # counting saturates near the tolerance at this sample count
     hist = pushforward_histogram_2d(

@@ -15,9 +15,7 @@ from moser_transport import (
     make_domain,
     make_envelope,
     make_reference,
-    pushed_density,
     reference_from_profile,
-    solve_collar_g,
 )
 from moser_transport.collar import Cutoff
 
@@ -65,9 +63,9 @@ def test_cutoff_degree():
 
 def test_collar_g_closed_form():
     fam, ref = _fam_2s(), _ref_s()
-    g = solve_collar_g(fam, ref, 0.0, 0.0, 0.5)
+    g, g0 = build_collar_map(fam, ref, 0.0).g_batch(np.array([0.5, 0.0]))
     assert g == pytest.approx(0.5 / SQRT2, abs=1e-12)
-    assert solve_collar_g(fam, ref, 0.0, 0.0, 0.0) == 0.0
+    assert g0 == 0.0
 
 
 def test_collar_g_identity_when_equal():
@@ -76,8 +74,9 @@ def test_collar_g_identity_when_equal():
         lambda s: 2.0 * np.asarray(s, dtype=float),
         lambda t: np.asarray(t, dtype=float) ** 2,
     )
+    cm = build_collar_map(fam, ref, 0.0)
     for t in (0.1, 0.4, 0.9):
-        assert solve_collar_g(fam, ref, 0.0, 0.0, t) == pytest.approx(t, abs=1e-12)
+        assert cm.g_batch(t)[0] == pytest.approx(t, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -87,7 +86,8 @@ def test_collar_g_power_pairs(p, t):
     # g^{p+1} = t^2 / 2
     fam = family_from_expression(f"({p} + 1) * m^{p}", x_range=(0.0, 1.0), normalize=False)
     ref = _ref_s()
-    g = solve_collar_g(fam, ref, 0.0, 0.0, t)
+    # a one-node t grid: without domination gbar need not be monotone, and g is all we read
+    g = build_collar_map(fam, ref, 0.0, t_grid=[1.0]).g_batch(t)[0]
     assert g == pytest.approx((t * t / 2.0) ** (1.0 / (p + 1.0)), rel=1e-9)
 
 
@@ -98,8 +98,9 @@ def test_collar_infeasibility():
         lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
         lambda t: 0.9 * np.asarray(t, dtype=float),
     )
+    cm = build_collar_map(fam, ref, 0.0, t_grid=[0.1])
     with pytest.raises(InfeasibilityError):
-        solve_collar_g(fam, ref, 0.0, 0.0, 0.9)
+        cm.g_batch(0.9)
 
 
 def test_collar_errors_name_stage_and_x():
@@ -150,9 +151,9 @@ def test_rearrangement_identity_recheck():
 def test_pushed_density_closed_form():
     cm = build_collar_map(_fam_2s(), _ref_s(), 0.0)
     # nu = rho(gbar) dgbar/dt = 2 (t/sqrt2)(1/sqrt2) = t = f(t) below the knee
-    assert pushed_density(cm, 0.2) == pytest.approx(0.2, abs=1e-9)
+    assert cm.nu(0.2)[0] == pytest.approx(0.2, abs=1e-9)
     # identity region: G = id, nu = rho
-    assert pushed_density(cm, 0.9) == pytest.approx(2 * 0.9, abs=1e-9)
+    assert cm.nu(0.9)[0] == pytest.approx(2 * 0.9, abs=1e-9)
 
 
 def test_pushed_density_uniformises_h_power():
@@ -160,7 +161,7 @@ def test_pushed_density_uniformises_h_power():
     ref = make_reference(fam, margin=0.5)
     cm = build_collar_map(fam, ref, 0.7)
     for t in np.geomspace(1e-3, 1.0 / 3.0, 9):
-        assert pushed_density(cm, float(t)) == pytest.approx(
+        assert cm.nu(t)[0] == pytest.approx(
             float(ref.profile(t)), rel=1e-6, abs=1e-12
         )
 
@@ -179,7 +180,7 @@ def test_density_floor_past_sixth_and_t_star():
 def test_extrapolation_below_table_floor():
     cm = build_collar_map(_fam_2s(), _ref_s(), 0.0)
     t = 1e-8  # below the tabulation floor 1e-6
-    assert cm.g(t) == pytest.approx(t / SQRT2, rel=1e-6)
+    assert cm.g_batch(t)[0] == pytest.approx(t / SQRT2, rel=1e-6)
 
 
 def test_g_batch_matches_exact():
@@ -277,4 +278,4 @@ def test_collar_rays_cylinder():
     for a, cm in rays.items():
         c = 1 + 0.5 * np.cos(2 * np.pi * a)
         # rho constant in t along the ray: g = 0.4 t / c
-        assert cm.g(0.25) == pytest.approx(0.4 * 0.25 / c, rel=1e-9)
+        assert cm.g_batch(0.25)[0] == pytest.approx(0.4 * 0.25 / c, rel=1e-9)

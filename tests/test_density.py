@@ -10,6 +10,7 @@ from moser_transport import (
     DensityFamily,
     MassTable,
     ResolutionError,
+    build_representation,
     builtin_family,
     check_decay_assumptions,
     family_from_expression,
@@ -20,6 +21,15 @@ from moser_transport import (
     reference_from_profile,
 )
 from moser_transport.density import _ex2_oscillatory_mass, probe_integrals
+
+
+def test_torus_mass_counts_the_seam_once():
+    # t = 0 and t = 1 are one circle of the torus; a normalised family has mass one
+    fam = family_from_expression("1 + 0.5*x*cos(2*pi*t)", domain=make_domain("torus"),
+                                 x_range=(-1.0, 1.0), normalize=False)
+    for x in (-1.0, 0.0, 1.0):
+        assert fam.mass(x) == pytest.approx(1.0, abs=1e-12)
+    assert build_representation(fam, mode="moser_only").mode == "moser_only"
 
 
 def test_example1_point_values():

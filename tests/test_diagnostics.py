@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.optimize import brentq, minimize_scalar
 
 from moser_transport import (
     ConfigurationError,
@@ -127,6 +128,37 @@ def test_lipschitz_degenerate_schedule():
         lipschitz_obstruction(
             builtin_family("constant"), [(0.1, 0.1), (0.01, 0.0), (0.2, 0.0)]
         )
+
+
+def _example1_scaled_gap():
+    """lim W_inf(mu_x, mu_0) / x^(2/3) as x -> 0 for example1, by root-solving.
+
+    With m = x^(2/3) u and p = x^(10/3) q the gap is sup_q q^(1/5) - u(q),
+    u^2 + (1 - x^2) u^5 = q; below x = 1e-8 the factor 1 - x^2 rounds to 1.
+    """
+    def gap(log_q):
+        q = np.exp(log_q)
+        u = brentq(lambda u: u * u + u ** 5 - q, 0.0, max(1.0, q),
+                   xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        return q ** 0.2 - u
+
+    log_qs = np.linspace(-30.0, 5.0, 701)
+    gaps = np.array([gap(t) for t in log_qs])
+    i = int(np.argmax(gaps))
+    res = minimize_scalar(lambda t: -gap(t), bounds=(log_qs[i - 1], log_qs[i + 1]),
+                          method="bounded", options={"xatol": 1e-10})
+    return max(-res.fun, gaps[i])
+
+
+def test_lipschitz_tiny_x_gets_its_own_table():
+    # x = 1e-18 lies within 1e-17 of the base x = 0; it must not read the base's table
+    xs = (1e-9, 1e-12, 1e-18)
+    rep = lipschitz_obstruction(builtin_family("example1"), [(x, 0.0) for x in xs])
+    c = _example1_scaled_gap()
+    for x, r in zip(xs, rep.pairs):
+        assert r["w_inf"] == pytest.approx(c * x ** (2.0 / 3.0), rel=1e-6)
+    assert rep.verdict == "BLOWUP-DETECTED"
+    assert rep.slope == pytest.approx(-1.0 / 3.0, abs=0.01)
 
 
 def test_lipschitz_example1_blowup_short_schedule():

@@ -137,8 +137,8 @@ def test_solve_cylinder_manufactured_eigenexpansion():
 def test_velocity_zero_potential():
     grid = interval_grid(64)
     pot = solve_neumann_poisson(np.zeros(64), grid)
-    vf = VelocityProvider(grid, pot, np.ones(64), np.ones(64), 1e-12).snapshot(0.0)
-    assert np.abs(vf.components[0]).max() == 0.0
+    (vel,) = VelocityProvider(grid, pot, np.ones(64), np.ones(64), 1e-12).snapshot(0.0)
+    assert np.abs(vel).max() == 0.0
 
 
 def test_velocity_affine_formula():
@@ -148,11 +148,11 @@ def test_velocity_affine_formula():
     x = 0.5
     rhox = 1.0 + x * (2 * nodes - 1)
     pot = solve_neumann_poisson(assemble_rhs(rhox, np.ones_like(nodes), grid), grid)
-    vf = VelocityProvider(grid, pot, np.ones_like(nodes), rhox, 1e-12).snapshot(0.0)
+    (vel,) = VelocityProvider(grid, pot, np.ones_like(nodes), rhox, 1e-12).snapshot(0.0)
     interior = slice(8, -8)
     expect = x * (nodes - nodes ** 2)
-    assert np.abs(vf.components[0][interior] - expect[interior]).max() <= 1e-5
-    assert vf.components[0][0] == 0.0 and vf.components[0][-1] == 0.0
+    assert np.abs(vel[interior] - expect[interior]).max() <= 1e-5
+    assert vel[0] == 0.0 and vel[-1] == 0.0
 
 
 def test_velocity_denominator_guard():
@@ -270,7 +270,7 @@ def test_flow_monotone_for_affine(x):
 def test_moser_map_from_values_positivity_guard():
     grid = interval_grid(64)
     with pytest.raises(DegeneracyError):
-        moser_map_from_values(np.zeros(64), np.ones(64), grid)
+        moser_map_from_values(np.zeros(64), [np.ones(64)], grid, [0.0])
 
 
 def _generic_rhs(grid):
@@ -330,7 +330,7 @@ def test_evaluate_matches_reintegration_1d():
     tf = build_representation(builtin_family("h_power", k=2, alpha=2.0), mode="full",
                               grid_n=1024, steps=256)
     for x in (0.2, 0.8):
-        mm, _ = tf.moser_at(x)
+        mm = tf.moser_at(x)
         assert _flow_oracle_gap(mm, rng.uniform(tf.v, 1.0, 2000)) <= 2e-6
 
 
@@ -341,7 +341,7 @@ def test_evaluate_matches_reintegration_cylinder():
         domain=dom, x_range=(-1.0, 1.0), k=2, normalize=False,
     )
     tf = build_representation(fam, mode="moser_only", grid_n=48, steps=24, floor=0.5)
-    mm, _ = tf.moser_at(1.0)
+    mm = tf.moser_at(1.0)
     rng = np.random.default_rng(11)
     queries = rng.uniform(0.0, 1.0, (4096, 2))
     assert _flow_oracle_gap(mm, queries) <= 2e-4
@@ -370,7 +370,7 @@ def test_evaluate_rejects_points_outside_grid():
                                x_range=(0.0, 1.0), normalize=False),
         mode="moser_only", grid_n=16, steps=8, floor=0.5,
     )
-    mm2, _ = tf.moser_at(1.0)
+    mm2 = tf.moser_at(1.0)
     # the circle coordinate wraps; the bounded one must stay in [0, 1]
     wrapped = mm2.evaluate(np.array([[1.25, 0.5], [-0.75, 0.5]]))
     assert np.abs(wrapped[0] - wrapped[1]).max() <= 1e-15
@@ -400,7 +400,7 @@ def test_velocity_interpolates_across_torus_seam():
     provider = VelocityProvider(grid, pot, np.ones(grid.shape), np.ones(grid.shape), 0.5)
     h = grid.axes[1].spacing
     on_seam = provider(0.0, np.array([[0.25, 1.0 - h / 2]]))[0]
-    snap = provider.snapshot(0.0).components
+    snap = provider.snapshot(0.0)
     expect = [0.5 * (c[4, -1] + c[4, 0]) for c in snap]
     assert np.abs(on_seam - expect).max() <= 1e-14
 
@@ -505,14 +505,14 @@ def test_rk4_sweep_error_names_stage_and_x():
     rhox[-1] = (1.0 - grid.integrate(rhox) + 0.2 * w[-1]) / w[-1]
     # one RK4 step on seven cells overshoots t = 1 by more than a cell
     with pytest.raises(IntegrationError, match=r"RK4 sweep at x=0\.5: point"):
-        moser_map_from_values(np.ones(8), rhox, grid, x=0.5, steps=1)
+        moser_map_from_values(np.ones(8), [rhox], grid, [0.5], steps=1)
 
 
 def test_velocity_floor_error_names_stage_and_x():
     grid = interval_grid(64)
     nodes = grid.nodes(0)
     with pytest.raises(DegeneracyError, match=r"velocity floor at x=-0\.25: interpolated"):
-        moser_map_from_values(np.ones(64), 1.0 + 0.2 * (2 * nodes - 1), grid, x=-0.25,
+        moser_map_from_values(np.ones(64), [1.0 + 0.2 * (2 * nodes - 1)], grid, [-0.25],
                               c_floor=0.95)
 
 
@@ -525,7 +525,7 @@ def test_poisson_and_mass_errors_name_stage_and_x():
         moser_map(fam, uniform, 0.5, interval_grid(4096))
     grid = interval_grid(64)
     with pytest.raises(MassMismatchError, match=r"^mass balance at x=0\.25: "):
-        moser_map_from_values(np.ones(64), np.full(64, 0.9), grid, x=0.25)
+        moser_map_from_values(np.ones(64), [np.full(64, 0.9)], grid, [0.25])
 
 
 @pytest.mark.parametrize("grid_n", [128, 1024])
@@ -539,7 +539,7 @@ def test_stacked_sweep_matches_per_x_sweeps(name, mode, grid_n):
     xs = lo + (hi - lo) * np.array([0.2, 0.5, 0.9])
     tf.prefetch(xs)
     for x in xs:
-        mm, _ = tf.moser_at(x)
+        mm = tf.moser_at(x)
         alone, clamps = integrate_flow(mm.provider, mm.grid.nodes(0), steps=mm.steps)
         assert np.array_equal(mm.node_images, alone)
         assert mm.clamp_events == clamps
@@ -559,15 +559,15 @@ def test_plan_sweep_error_names_the_block_x():
     # one RK4 step on seven cells takes the second block more than a cell past t = 1
     for xs, plan in (([0.25, 0.5], [still, leaves]), ([0.5, 0.25], [leaves, still])):
         with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
-            moser_map_from_values(np.ones(8), plan, grid, x=xs, steps=1)
+            moser_map_from_values(np.ones(8), plan, grid, xs, steps=1)
 
 
 def test_plan_clamp_counts_land_on_their_maps():
     grid = interval_grid(8)
     plan = [np.ones(8), _end_heavy(grid, 0.4), _end_heavy(grid, 0.6)]
-    alone = [moser_map_from_values(np.ones(8), rhox, grid, x=x, steps=4)[0].clamp_events
+    alone = [moser_map_from_values(np.ones(8), [rhox], grid, [x], steps=4)[0].clamp_events
              for x, rhox in zip((0.1, 0.2, 0.3), plan)]
     assert alone[1] > 0 and alone[0] == alone[2] == 0
-    built = moser_map_from_values(np.ones(8), plan, grid, x=[0.1, 0.2, 0.3], steps=4)
-    assert [mm.x for mm, _ in built] == [0.1, 0.2, 0.3]
-    assert [mm.clamp_events for mm, _ in built] == alone
+    built = moser_map_from_values(np.ones(8), plan, grid, [0.1, 0.2, 0.3], steps=4)
+    assert [mm.x for mm in built] == [0.1, 0.2, 0.3]
+    assert [mm.clamp_events for mm in built] == alone

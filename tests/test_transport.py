@@ -245,13 +245,34 @@ def test_interior_image_outside_collar_complement_raises(monkeypatch):
     # an interior image outside [v, 1] is a fault, reported with x, never clipped
     fam = builtin_family("affine", k=2)
     tf = build_representation(fam, mode="full", grid_n=64, steps=16)
-    mm, _ = tf.moser_at(0.5)
+    mm = tf.moser_at(0.5)
     monkeypatch.setattr(mm, "evaluate", lambda pts: np.asarray(pts, dtype=float) + 0.01)
     with pytest.raises(IntegrationError, match="x=0.5"):
         tf.map_values(0.5, np.array([0.3, 0.995]))
     monkeypatch.setattr(mm, "evaluate", lambda pts: np.asarray(pts, dtype=float) - 0.01)
     with pytest.raises(IntegrationError, match="x=0.5"):
         tf.interface_gap(0.5)
+
+
+@pytest.mark.parametrize("name, mode", [("h_power", "full"), ("affine", "moser_only")])
+def test_map_values_takes_points_in_any_order(name, mode):
+    fam = builtin_family(name, k=2, **({"alpha": 2.0} if name == "h_power" else {}))
+    tf = build_representation(fam, mode=mode, grid_n=128, steps=32, floor=0.1)
+    m = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257), np.geomspace(1e-7, 1.0, 64)]))
+    perm = np.random.default_rng(3).permutation(m.size)
+    lo, hi = fam.x_range
+    x = lo + 0.75 * (hi - lo)
+    assert np.array_equal(tf.map_values(x, m[perm]), tf.map_values(x, m)[perm])
+    assert tf.map_values(x, m[7]) == tf.map_values(x, m)[7]
+
+
+def test_maps_are_cached_by_exact_x():
+    tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
+                              steps=16)
+    mm, cm = tf.moser_at(1e-16), tf.collar_at(1e-16)
+    assert tf.moser_at(4e-16) is not mm and tf.moser_at(4e-16).x == 4e-16
+    assert tf.collar_at(4e-16) is not cm and tf.collar_at(4e-16).x == 4e-16
+    assert tf.moser_at(np.float64(1e-16)) is mm
 
 
 def test_prefetch_builds_only_uncached_values(monkeypatch):
@@ -261,7 +282,7 @@ def test_prefetch_builds_only_uncached_values(monkeypatch):
     plans = []
 
     def spy(*args, **kwargs):
-        plans.append([float(x) for x in kwargs["x"]])
+        plans.append([float(x) for x in args[3]])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(transport, "moser_map_from_values", spy)
