@@ -19,12 +19,11 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import interpolate, special
 
 from .errors import (ConfigurationError, DegeneracyError, InfeasibilityError,
                      MoserTransportError, ResolutionError)
 from .expressions import parse_density_expression
-from .geometry import INTERVAL, Domain, collar_chart, default_grid, make_domain
+from .geometry import INTERVAL, Domain, Pchip, collar_chart, default_grid, make_domain
 
 _X_EPS = 1e-9
 
@@ -587,6 +586,8 @@ def _ex2_oscillatory_mass():
 
 
 def _example2_family(k):
+    from scipy import special
+
     q = k + 1  # bump degree 2q >= 2k + 2
     sigma_mass = 0.5 * special.beta(q + 1, q + 1)
     I1 = _ex2_oscillatory_mass()
@@ -838,10 +839,9 @@ def make_reference(fam, margin=0.5, side=0, x_samples=41, n_nodes=500, t_floor=1
     # interpolate in log-log space: linear-space interpolation between the
     # log-refined knots overshoots by orders of magnitude for fast-decaying
     # profiles, which would break the domination rho > f between knots
-    log_spline = interpolate.PchipInterpolator(np.log(ts), np.log(mono),
-                                               extrapolate=False)
+    log_spline = Pchip(np.log(ts), np.log(mono), extrapolate=False)
     t0, f0 = ts[0], mono[0]
-    q_hat = min(max(float(log_spline.derivative(1)(np.log(t0))), 0.0), 200.0)
+    q_hat = min(max(float(log_spline.derivative()(np.log(t0))), 0.0), 200.0)
     tail_mass = f0 * t0 / (q_hat + 1.0)
 
     def profile_fn(t):

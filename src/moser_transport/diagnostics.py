@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .density import probe_integrals
 from .errors import ConfigurationError, DegeneracyError, MoserTransportError
@@ -119,6 +118,8 @@ def w_infinity_1d(q1, q2):
     def gap_at(log_p):
         level = math.exp(log_p)
         return abs(q1.invert(level * q1.total) - q2.invert(level * q2.total))
+
+    from scipy import optimize
 
     res = optimize.minimize_scalar(lambda s: -gap_at(s), method="bounded",
                                    bounds=(math.log(lo_p), math.log(hi_p)),

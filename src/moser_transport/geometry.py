@@ -1,4 +1,4 @@
-"""Model domains, grids, and the boundary collar parametrisation.
+"""Model domains, grids, the boundary collar parametrisation, and PCHIP.
 
 Three flat model domains are supported:
 
@@ -12,8 +12,12 @@ into the domain, restricts to the identity at t = 0 and has unit Jacobian on
 all flat domains.  The collar depth is normalised to 1, so for the interval
 the chart from one side covers the whole domain; charts from distinct sides
 overlap, and injectivity holds per side.
+
+``Pchip`` is the monotone cubic interpolant that the 1D Moser map, the
+log-log reference profile and the pushforward CDF share.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,3 +223,95 @@ def default_grid(domain, n):
     if domain.kind == CYLINDER:
         return cylinder_grid(n, n, circumference=domain.circumference)
     return torus_grid(n, n)
+
+
+class Pchip:
+    """Monotone piecewise cubic Hermite interpolant of 1D data (Fritsch & Butland).
+
+    Reproduces scipy's ``PchipInterpolator`` bit for bit: its weighted
+    harmonic-mean interior slopes (0 where the data turn or are flat) and
+    one-sided three-point end slopes, the power-basis coefficients of
+    ``CubicHermiteSpline``, and ``PPoly``'s evaluation
+    ``c3 + c2 s + c1 (s s) + c0 ((s s) s)`` with s = q - x[i] on the
+    interval x[i] <= q < x[i + 1] (the last one closed; the end intervals
+    extend outwards).  Queries outside [x[0], x[-1]] give NaN unless
+    ``extrapolate``.
+    """
+
+    def __init__(self, x, y, extrapolate=True):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        h = np.diff(x)
+        if x.ndim != 1 or x.size < 2 or y.shape != x.shape or not np.all(h > 0):
+            raise ValueError("Pchip needs at least 2 strictly increasing knots and one "
+                             "value per knot")
+        m = np.diff(y) / h
+        d = np.full_like(y, m[0])  # two knots: the chord
+        if x.size > 2:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            d[1:-1] = np.where(flat, 0.0, mean)
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x, self.extrapolate = x, bool(extrapolate)
+        self.c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self.c[-1] += 0.0  # PPoly's sum starts from +0.0, which turns -0.0 into +0.0
+
+    def derivative(self):
+        """The first derivative, a piecewise quadratic with the same knots."""
+        out = copy.copy(self)
+        out.c = self.c[:-1] * np.arange(len(self.c) - 1, 0, -1.0)[:, None]
+        out.c[-1] += 0.0
+        return out
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        x, c = self.x, self.c
+        pick = _interval_picker(x, flat)
+        s = flat - pick(x[:-1])
+        out = pick(c[-2])
+        out *= s
+        out += pick(c[-1])
+        z = s
+        for row in c[-3::-1]:
+            z = z * s
+            term = pick(row)
+            term *= z
+            out += term
+        if not (self.extrapolate or x[0] <= flat.min(initial=np.inf)
+                and flat.max(initial=-np.inf) <= x[-1]):
+            out[(flat < x[0]) | (flat > x[-1])] = np.nan
+        return out.reshape(q.shape)
+
+
+def _interval_picker(x, q):
+    """A function that takes a row of per-interval values to its value at each query.
+
+    The interval of a query is searchsorted(x, q, side="right") - 1, clipped
+    to the first and last intervals.
+    """
+    if q.size > 2 * x.size and np.all(q[1:] >= q[:-1]):
+        # sorted queries, as quadrature nodes come: counting them per interval
+        # takes one search per knot, far fewer than one search per query
+        first = np.searchsorted(q, x, side="left")
+        counts = np.diff(first)
+        counts[0] += first[0]
+        counts[-1] += q.size - first[-1]
+        return lambda row: np.repeat(row, counts)
+    i = np.searchsorted(x, q, side="right")
+    i -= 1
+    np.clip(i, 0, x.size - 2, out=i)
+    return lambda row: row.take(i)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, held to the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d

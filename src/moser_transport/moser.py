@@ -11,7 +11,12 @@ Discretisation is second-order: a P1 stiffness flux stencil (mirror-reflection
 Neumann closure on bounded axes, periodic wrap on circles) and trapezoid /
 uniform lumped quadrature.  M^-1 K is diagonalised exactly by DCT-I on
 bounded axes and FFT on periodic ones, so the Poisson solve is one direct
-transform pair.  RK4 runs once per build, over the grid nodes, through one
+transform pair.  Both come from numpy's real FFT: DCT-I is the real FFT
+of the even extension, and a periodic axis takes a real FFT and its
+Hermitian fill.  On the interval and the cylinder this is scipy.fft's
+arithmetic bit for bit; on the torus (two periodic axes) scipy fills the
+self-conjugate columns in its own way, so the two differ in the last bit
+(about 5e-16 relative).  RK4 runs once per build, over the grid nodes, through one
 multilinear interpolator; map queries interpolate the node images (PCHIP in
 1D, the multilinear node displacement in 2D).
 
@@ -32,11 +37,9 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegeneracyError, IntegrationError, MassMismatchError, SolverError
-from .geometry import Grid
+from .geometry import Grid, Pchip
 
 
 def apply_stiffness(grid, u):
@@ -110,20 +113,50 @@ def _eigenvalues(grid):
     return lam
 
 
+def _dct1(c, axis, norm=None):
+    """DCT-I along ``axis``: the real FFT of the even extension, real part.
+
+    ``norm="forward"`` scales by 1 / (2 (n - 1)), which makes it the inverse.
+    This is scipy.fft's DCT-I arithmetic, bit for bit: both run pocketfft's
+    real FFT on the same extension.
+    """
+    mirror = [slice(None)] * c.ndim
+    mirror[axis] = slice(-2, 0, -1)
+    even = np.concatenate([c, c[tuple(mirror)]], axis=axis)
+    return np.fft.rfft(even, axis=axis, norm=norm).real
+
+
+def _fft_real(c, axes):
+    """fftn of real ``c`` over ``axes``, as scipy.fft computes it.
+
+    A real FFT along the last axis, complex FFTs of that half spectrum along
+    the others, and the Hermitian fill X[-k] = conj(X[k]) for the rest.
+    """
+    last = axes[-1]
+    half = np.fft.rfft(c, axis=last)
+    for ax in axes[:-1]:
+        half = np.fft.fft(half, axis=ax)
+    n = c.shape[last]
+    rest = np.conj(half.take(range((n - 1) // 2, 0, -1), axis=last))
+    for ax in axes[:-1]:
+        rest = np.roll(np.flip(rest, axis=ax), 1, axis=ax)
+    return np.concatenate([half, rest], axis=last)
+
+
 def _spectral_solve(grid, lam, f):
     """u with M^-1 K u = f, f's constant mode dropped."""
     bounded = [i for i, ax in enumerate(grid.axes) if not ax.periodic]
     periodic = [i for i, ax in enumerate(grid.axes) if ax.periodic]
     c = f
     for i in bounded:
-        c = sp_fft.dct(c, type=1, axis=i)
+        c = _dct1(c, i)
     if periodic:
-        c = sp_fft.fftn(c, axes=periodic)
+        c = _fft_real(c, periodic)
     c = c / lam
     if periodic:
-        c = sp_fft.ifftn(c, axes=periodic).real
+        c = np.fft.ifftn(c, axes=periodic[::-1]).real  # numpy runs the axes last first
     for i in bounded:
-        c = sp_fft.idct(c, type=1, axis=i)
+        c = _dct1(c, i, norm="forward")
     return c
 
 
@@ -470,7 +503,7 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
     for x, (potential, provider), (images, clamps) in zip(
             xs, setups, _sweep(grid, providers, xs, seeds, steps)):
         try:
-            interpolant = (PchipInterpolator(seeds, images, extrapolate=False) if grid.dim == 1
+            interpolant = (Pchip(seeds, images, extrapolate=False) if grid.dim == 1
                            else _node_displacement(grid, seeds, images))
         except IntegrationError as exc:
             raise _stage_error(exc, "node displacement", x) from exc

@@ -23,19 +23,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, special
-from scipy.stats import qmc
 
 from .collar import build_collar_map
 from .density import MassTable, make_reference
 from .diagnostics import central_difference, difference_nodes, probe_step, richardson_stable
 from .errors import ConfigurationError, DegeneracyError, IntegrationError
-from .geometry import INTERVAL, default_grid, interval_grid
+from .geometry import INTERVAL, Pchip, default_grid, interval_grid
 from .moser import moser_map_from_values
 
 
 def _bump_profile(k, lo=0.4, hi=0.9):
     """Polynomial bump supported in [lo, hi], integrating to one, C^k at the ends."""
+    from scipy import special
+
     q = k + 1
     width = hi - lo
     norm = width ** (2 * q + 1) * special.beta(q + 1, q + 1)
@@ -336,12 +336,12 @@ def pushforward_density_1d(map_fn, mu_density_fn, n_fine=2 ** 13, out_nodes=None
     mesh = mesh[keep]
     y = y[keep]
     mu = np.asarray(mu_density_fn(mesh), dtype=float)
-    cdf = integrate.cumulative_trapezoid(mu, mesh, initial=0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(mesh) * (mu[1:] + mu[:-1]) / 2.0)])
     total = cdf[-1]
     if not total > 0:
         raise ConfigurationError("source density has no mass")
     cdf /= total
-    pch = interpolate.PchipInterpolator(y, cdf)
+    pch = Pchip(y, cdf)
     if out_nodes is None:
         out_nodes = np.linspace(y[0], y[-1], 2 ** 12 + 1)
     nu = pch.derivative()(out_nodes)
@@ -360,6 +360,8 @@ def pushforward_histogram_2d(map_fn, domain, n_samples=2 ** 20, bins=64, seed=0,
     than indicator counting.  Returns bin probabilities with the per-bin
     sampling error estimate ~ N^{-1/2}.
     """
+    from scipy.stats import qmc  # 0.3 s to import; only this 2D check needs it
+
     engine = qmc.Sobol(d=2, scramble=scramble, seed=seed)
     m = int(math.ceil(math.log2(max(n_samples, 2))))
     pts = engine.random(2 ** m)[:n_samples]
