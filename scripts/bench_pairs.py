@@ -15,7 +15,11 @@ of pairs the change won (ties count for neither side).  It also records
 nproc, loadavg at start and end, the Python, numpy and scipy versions,
 each side's ``src/`` line count as perfbench counts it, and each side's
 Tier-1 suite (one run per side, before the pairs): its outcome counts,
-exit code and wall time.
+exit code and wall time.  Each run also stores ``first_pass_s``, the wall
+time of its first pass, read from the run record perfbench keeps under
+that tree's ``.bench_build/perfbench/``; it shows import work that a
+change moved out of set-up into the first pass, which the median pass
+hides.  It is summarised beside the end-to-end metrics.
 """
 
 import argparse
@@ -94,9 +98,13 @@ def run_once(tree, workload, seed):
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {got.returncode}:\n"
                            f"{got.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    record = tree / ".bench_build" / "perfbench" / f"{workload}-trace0-seed{seed}.json"
+    with open(record, encoding="utf-8") as handle:
+        first_pass = json.load(handle)["result"]["walls"][0]
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {**{k: v["value"] for k, v in result["metrics"].items()},
+                        "first_pass_s": first_pass}}
 
 
 def summarise(runs, metrics):
@@ -128,6 +136,7 @@ def main():
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         metrics = {m["name"]: m for m in json.load(handle)["end_to_end"]}
+    metrics["first_pass_s"] = {"unit": "s", "better": "lower"}
     sha, base_tree = export(args.base)
     import numpy
     import scipy

@@ -100,10 +100,10 @@ def _ray_mass(fam, x, a, side, tol):
         raise type(exc)(f"collar ray mass at x={float(x)!r}: {exc}") from exc
 
 
-def _rearrange(mass, ref, t, x):
+def _rearrange(mass, ref, t, x, targets=None):
     """g(t) = M^{-1}(I_f(t)) for an array t in [0, 1], in any order.
 
-    g is nondecreasing in t.  Near-equal targets can come out inverted by
+    ``targets``, if given, holds I_f(t) already.  g is nondecreasing in t.  Near-equal targets can come out inverted by
     rounding; the running maximum over the sorted t removes that, and an
     inversion above 1e-12 relative raises ResolutionError.
     """
@@ -111,7 +111,7 @@ def _rearrange(mass, ref, t, x):
     try:
         if np.any((t < 0.0) | (t > 1.0)):
             raise InfeasibilityError("collar coordinate t outside [0, 1]")
-        g = mass.invert(ref.integral(t))
+        g = mass.invert(ref.integral(t) if targets is None else targets)
         order = np.argsort(t, kind="stable")
         g_sorted = g[order]
         lifted = np.maximum.accumulate(g_sorted)
@@ -192,11 +192,13 @@ class CollarMap:
         ])
 
 
-def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None):
+def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None,
+                     targets=None):
     """Tabulate the ray mass and g on a log-refined t grid; wrap them as a CollarMap.
 
-    Verifies strict monotonicity of gbar on the grid and raises
-    ResolutionError asking for a finer grid if violated.
+    ``targets`` may carry the reference integral on ``t_grid``, which does
+    not depend on x.  Verifies strict monotonicity of gbar on the grid and
+    raises ResolutionError asking for a finer grid if violated.
     """
     k = k or fam.k
     if t_grid is None:
@@ -208,7 +210,7 @@ def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None)
     mass = _ray_mass(fam, x, a, side, tol)
     cm = CollarMap(
         fam=fam, ref=ref, x=float(x), a=float(a), side=side,
-        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts, x), mass=mass,
+        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts, x, targets), mass=mass,
     )
     gb = cm.gbar(ts, cm.gs)
     if np.any(np.diff(gb) <= 0):

@@ -248,7 +248,7 @@ class Pchip:
         d = np.full_like(y, m[0])  # two knots: the chord
         if x.size > 2:
             w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
             flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
             d[1:-1] = np.where(flat, 0.0, mean)

@@ -294,8 +294,13 @@ class VelocityProvider:
         """The providers of one grid as one provider over their node seeds, side by side.
 
         Point block b (one point per grid node) reads provider b's node data,
-        with the same arithmetic per point as that provider.
+        with the same arithmetic per point as that provider.  The grid's
+        leading axis must be bounded: ``_multilinear`` wraps a periodic one
+        over the whole node array, which would cross into the next block.
         """
+        if providers[0].grid.axes[0].periodic:
+            raise ValueError("stacked providers need a bounded leading axis; a periodic "
+                             "one would wrap into the neighbouring block")
         stacked = copy.copy(providers[0])
         n = stacked.node_data.shape[1]
         stacked.node_data = np.concatenate([p.node_data for p in providers], axis=1)

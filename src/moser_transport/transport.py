@@ -75,7 +75,8 @@ class TransportFamily:
     tol_mass: float
     ref: object = None
     rho0_fn: object = None
-    collar_t_nodes: int = 320
+    collar_t: np.ndarray = None        # full mode: the collar's t grid
+    collar_targets: np.ndarray = None  # and the reference integral on it
     _collars: dict = field(default_factory=dict)
     _mosers: dict = field(default_factory=dict)
     _ref_mass: object = None
@@ -88,10 +89,9 @@ class TransportFamily:
     def collar_at(self, x):
         key = float(x)
         if key not in self._collars:
-            t_grid = np.geomspace(1e-6, 1.0, self.collar_t_nodes)
-            t_grid[-1] = 1.0
             self._collars[key] = build_collar_map(
-                self.fam, self.ref, x, t_grid=t_grid, tol=1e-10, k=self.k
+                self.fam, self.ref, x, t_grid=self.collar_t, tol=1e-10, k=self.k,
+                targets=self.collar_targets,
             )
         return self._collars[key]
 
@@ -275,7 +275,7 @@ def build_representation(
         )
     fam.validate(x_samples=5, tol_norm=max(tol_mass, 1e-8))
 
-    ref = None
+    ref = collar_t = collar_targets = None
     if mode == "moser_only":
         measured = fam.min_density()
         if measured < floor:
@@ -298,10 +298,16 @@ def build_representation(
         def rho0_fn(m):
             return ref.value_at(m) + deficit * bump(m)
 
+        collar_t = np.geomspace(1e-6, 1.0, collar_t_nodes)
+        collar_t[-1] = 1.0
+        collar_targets = ref.integral(collar_t)
+        for shared in (collar_t, collar_targets):  # every collar map holds them
+            shared.flags.writeable = False
+
     return TransportFamily(
         domain=fam.domain, fam=fam, mode=mode, v=v, grid_n=grid_n, steps=steps,
         k=k, seed=seed, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
-        ref=ref, rho0_fn=rho0_fn, collar_t_nodes=collar_t_nodes,
+        ref=ref, rho0_fn=rho0_fn, collar_t=collar_t, collar_targets=collar_targets,
     )
 
 

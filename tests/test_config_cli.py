@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moser_transport
 from moser_transport import ConfigurationError
 from moser_transport.cli import main
 from moser_transport.config import (
@@ -360,3 +364,13 @@ def test_shipped_configs_parse():
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             parse_config(handle.read())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the few functions that need it, never at start-up
+    code = ("import sys, moser_transport.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(moser_transport.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

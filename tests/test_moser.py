@@ -571,3 +571,56 @@ def test_plan_clamp_counts_land_on_their_maps():
     built = moser_map_from_values(np.ones(8), plan, grid, [0.1, 0.2, 0.3], steps=4)
     assert [mm.x for mm in built] == [0.1, 0.2, 0.3]
     assert [mm.clamp_events for mm in built] == alone
+
+
+def _scipy_spectral_solve(grid, lam, f):
+    """The solve as scipy.fft computes it: the oracle for the numpy transforms."""
+    from scipy import fft as sp_fft
+
+    bounded = [i for i, ax in enumerate(grid.axes) if not ax.periodic]
+    periodic = [i for i, ax in enumerate(grid.axes) if ax.periodic]
+    c = f
+    for i in bounded:
+        c = sp_fft.dct(c, type=1, axis=i)
+    if periodic:
+        c = sp_fft.fftn(c, axes=periodic)
+    c = c / lam
+    if periodic:
+        c = sp_fft.ifftn(c, axes=periodic).real
+    for i in bounded:
+        c = sp_fft.idct(c, type=1, axis=i)
+    return c
+
+
+@pytest.mark.parametrize("grid", [interval_grid(n) for n in (2, 3, 17, 100, 129, 1024, 4097)]
+                         + [cylinder_grid(na, nt) for na, nt in
+                            ((2, 2), (3, 5), (16, 16), (33, 17), (100, 37), (128, 128))],
+                         ids=lambda g: "x".join(map(str, g.shape)))
+def test_spectral_solve_matches_scipy_fft(grid):
+    from moser_transport.moser import _eigenvalues, _spectral_solve
+
+    lam = _eigenvalues(grid)
+    f = np.random.default_rng(grid.axes[0].n).standard_normal(grid.shape)
+    assert np.array_equal(_spectral_solve(grid, lam, f), _scipy_spectral_solve(grid, lam, f))
+
+
+def test_spectral_solve_on_torus_matches_scipy_to_rounding():
+    from moser_transport.moser import _eigenvalues, _spectral_solve
+
+    grid = torus_grid(33, 17)
+    lam = _eigenvalues(grid)
+    f = np.random.default_rng(4).standard_normal(grid.shape)
+    got, expect = _spectral_solve(grid, lam, f), _scipy_spectral_solve(grid, lam, f)
+    assert np.abs(got - expect).max() <= 4 * np.finfo(float).eps * np.abs(expect).max()
+
+
+def test_stack_rejects_a_periodic_leading_axis():
+    # _multilinear wraps the leading axis over the whole stacked node array,
+    # so the seam of block 0 would read block 1's nodes
+    grid = cylinder_grid(8, 8)
+    aa, tt = grid.meshes()
+    providers = [VelocityProvider(grid, solve_neumann_poisson(np.cos(2 * np.pi * s * aa), grid),
+                                  np.ones(grid.shape), np.ones(grid.shape), 0.5)
+                 for s in (1, 2)]
+    with pytest.raises(ValueError, match="bounded leading axis"):
+        VelocityProvider.stack(providers)
