@@ -16,6 +16,7 @@ resolution, not a proof, and the report says so.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -579,6 +580,11 @@ def _h_loglog_family(k):
     return _modulated_family("h_loglog", k, base, d1, d2, n0, ns, mod=_LOGLOG_MOD)
 
 
+def symmetric_beta(q):
+    """B(q + 1, q + 1) = q!^2 / (2q + 1)!, correctly rounded (one exact integer division)."""
+    return math.factorial(q) ** 2 / math.factorial(2 * q + 1)
+
+
 @functools.cache
 def _ex2_oscillatory_mass():
     """I(1) = int_0^1 s^5 sin^2(1/s) ds, resolved to a pair drift of 1e-15."""
@@ -586,10 +592,8 @@ def _ex2_oscillatory_mass():
 
 
 def _example2_family(k):
-    from scipy import special
-
     q = k + 1  # bump degree 2q >= 2k + 2
-    sigma_mass = 0.5 * special.beta(q + 1, q + 1)
+    sigma_mass = 0.5 * symmetric_beta(q)
     I1 = _ex2_oscillatory_mass()
 
     def c_of_x(x):

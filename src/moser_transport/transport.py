@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collar import build_collar_map
-from .density import MassTable, make_reference
+from .density import MassTable, make_reference, symmetric_beta
 from .diagnostics import central_difference, difference_nodes, probe_step, richardson_stable
 from .errors import ConfigurationError, DegeneracyError, IntegrationError
 from .geometry import INTERVAL, Pchip, default_grid, interval_grid
@@ -34,11 +34,9 @@ from .moser import moser_map_from_values
 
 def _bump_profile(k, lo=0.4, hi=0.9):
     """Polynomial bump supported in [lo, hi], integrating to one, C^k at the ends."""
-    from scipy import special
-
     q = k + 1
     width = hi - lo
-    norm = width ** (2 * q + 1) * special.beta(q + 1, q + 1)
+    norm = width ** (2 * q + 1) * symmetric_beta(q)
 
     def bump(m):
         m = np.asarray(m, dtype=float)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,7 @@ from moser_transport import (
     make_reference,
     reference_from_profile,
 )
-from moser_transport.density import _ex2_oscillatory_mass, probe_integrals
+from moser_transport.density import _ex2_oscillatory_mass, probe_integrals, symmetric_beta
 
 
 def test_torus_mass_counts_the_seam_once():
@@ -354,3 +357,9 @@ def test_reference_from_profile_default_integral():
     ref = reference_from_profile(lambda s: 3.0 * np.asarray(s, dtype=float) ** 2)
     assert ref.integral(np.array([0.0, 0.5, 1.0])) == pytest.approx([0.0, 0.125, 1.0], abs=1e-12)
     assert ref.mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_symmetric_beta_is_correctly_rounded(q):
+    # B(q + 1, q + 1) = q!^2 / (2q + 1)!; float(Fraction) rounds the exact value once
+    assert symmetric_beta(q) == float(Fraction(factorial(q) ** 2, factorial(2 * q + 1)))

@@ -243,13 +243,12 @@ def _example2_w_inf_oracle(x, dps=40):
     neighbours.
     """
     import mpmath as mp
-    from scipy import special
 
-    from moser_transport.density import _ex2_oscillatory_mass
+    from moser_transport.density import _ex2_oscillatory_mass, symmetric_beta
 
     q = 3  # bump degree parameter k + 1 for k = 2
     c = (1.0 - (2.0 + x) * _ex2_oscillatory_mass() - 1.0 / 31.0) / (
-        0.5 * special.beta(q + 1, q + 1))
+        0.5 * symmetric_beta(q))
     with mp.workdps(dps):
         def cdf(xv, cv, m):
             m = mp.mpf(m)
@@ -259,7 +258,7 @@ def _example2_w_inf_oracle(x, dps=40):
             return (2 + mp.mpf(xv)) * osc + m ** 31 / 31 + mp.mpf(cv) * bump
 
         c0 = (1.0 - 2.0 * _ex2_oscillatory_mass() - 1.0 / 31.0) / (
-            0.5 * special.beta(q + 1, q + 1))
+            0.5 * symmetric_beta(q))
         total_x, total_0 = cdf(x, c, 1), cdf(0.0, c0, 1)
 
         def quantile(xv, cv, total, p):
