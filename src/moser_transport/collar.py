@@ -103,9 +103,10 @@ def _ray_mass(fam, x, a, side, tol):
 def _rearrange(mass, ref, t, x, targets=None):
     """g(t) = M^{-1}(I_f(t)) for an array t in [0, 1], in any order.
 
-    ``targets``, if given, holds I_f(t) already.  g is nondecreasing in t.  Near-equal targets can come out inverted by
-    rounding; the running maximum over the sorted t removes that, and an
-    inversion above 1e-12 relative raises ResolutionError.
+    ``targets``, if given, holds I_f(t) already.  g is nondecreasing in t.
+    Near-equal targets can come out inverted by rounding; the running
+    maximum over the sorted t removes that, and an inversion above 1e-12
+    relative raises ResolutionError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     try:
@@ -210,7 +211,8 @@ def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None,
     mass = _ray_mass(fam, x, a, side, tol)
     cm = CollarMap(
         fam=fam, ref=ref, x=float(x), a=float(a), side=side,
-        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts, x, targets), mass=mass,
+        cutoff=Cutoff(k=k), tol=tol, ts=ts, gs=_rearrange(mass, ref, ts, x, targets),
+        mass=mass,
     )
     gb = cm.gbar(ts, cm.gs)
     if np.any(np.diff(gb) <= 0):

@@ -16,9 +16,9 @@ of the even extension, and a periodic axis takes a real FFT and its
 Hermitian fill.  On the interval and the cylinder this is scipy.fft's
 arithmetic bit for bit; on the torus (two periodic axes) scipy fills the
 self-conjugate columns in its own way, so the two differ in the last bit
-(about 5e-16 relative).  RK4 runs once per build, over the grid nodes, through one
-multilinear interpolator; map queries interpolate the node images (PCHIP in
-1D, the multilinear node displacement in 2D).
+(about 5e-16 relative).  RK4 runs once per build, over the grid nodes,
+through one multilinear interpolator; map queries interpolate the node
+images (PCHIP in 1D, the multilinear node displacement in 2D).
 
 ``moser_map_from_values`` is the one build path.  It takes a plan: one or
 more parameter values whose densities are known up front, and returns one
@@ -127,10 +127,11 @@ def _dct1(c, axis, norm=None):
 
 
 def _fft_real(c, axes):
-    """fftn of real ``c`` over ``axes``, as scipy.fft computes it.
+    """fftn of real ``c`` over ``axes``.
 
     A real FFT along the last axis, complex FFTs of that half spectrum along
-    the others, and the Hermitian fill X[-k] = conj(X[k]) for the rest.
+    the others, and the Hermitian fill X[-k] = conj(X[k]) for the rest.  Over
+    one axis this is scipy.fft's arithmetic bit for bit.
     """
     last = axes[-1]
     half = np.fft.rfft(c, axis=last)
@@ -154,7 +155,8 @@ def _spectral_solve(grid, lam, f):
         c = _fft_real(c, periodic)
     c = c / lam
     if periodic:
-        c = np.fft.ifftn(c, axes=periodic[::-1]).real  # numpy runs the axes last first
+        # numpy transforms the listed axes last first: reversed, they run in scipy's order
+        c = np.fft.ifftn(c, axes=periodic[::-1]).real
     for i in bounded:
         c = _dct1(c, i, norm="forward")
     return c
