@@ -13,7 +13,6 @@ from .collar import (
     CollarMap,
     Cutoff,
     build_collar_map,
-    build_collar_rays,
     check_lemma_bound,
 )
 from .density import (
@@ -67,22 +66,18 @@ from .moser import (
     VelocityProvider,
     assemble_rhs,
     integrate_flow,
-    moser_map,
     moser_map_from_values,
     solve_neumann_poisson,
 )
 from .transport import (
     CkReport,
-    ConjugatedFamily,
     FloorScanReport,
-    ParamDiffeo,
     QuantileTransport,
     RandomMapSample,
     TransportFamily,
     binned_target_2d,
     build_representation,
     ck_floor_scan,
-    conjugate_family,
     estimate_uniform_Ck,
     make_x_grid,
     pushforward_density_1d,

@@ -164,6 +164,7 @@ def cmd_check_assumptions(cfg, out_dir=None, verbose=False):
     if cfg.envelope is None:
         raise ConfigurationError("check-assumptions needs an [envelope] section")
     fam = build_family(cfg)
+    fam.require_orders(cfg.family.k)
     env = build_envelope(cfg)
     report_path, _ = _paths(cfg, out_dir)
     try:
@@ -258,15 +259,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--out", default=None, help="output directory (default: cwd)")
     parser.add_argument("--seed", type=int, default=None, help="override pipeline seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker threads of represent's per-x checks; the other "
-                             "commands run on one (fallback: MOSER_TRANSPORT_THREADS)")
+                             "commands run on one")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MOSER_TRANSPORT_THREADS", "1"))
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -274,7 +271,7 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.seed is not None:
             cfg.pipeline.seed = args.seed
-        extra = {"threads": threads} if args.command == "represent" else {}
+        extra = {"threads": args.threads} if args.command == "represent" else {}
         return _COMMANDS[args.command](cfg, out_dir=args.out, verbose=args.verbose, **extra)
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

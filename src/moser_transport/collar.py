@@ -220,11 +220,6 @@ def build_collar_map(fam, ref, x, t_grid=None, tol=1e-10, a=0.0, side=0, k=None,
     return cm
 
 
-def build_collar_rays(fam, ref, x, a_nodes, **kwargs):
-    """Per-boundary-node collar maps for 2D domains (one CollarMap per ray)."""
-    return {float(a): build_collar_map(fam, ref, x, a=float(a), **kwargs) for a in a_nodes}
-
-
 @dataclass
 class BoundReport:
     verdict: str
@@ -234,17 +229,6 @@ class BoundReport:
     richardson_ok: bool
     witness: dict
     orders: dict
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "c_hat": self.c_hat,
-            "c_hat_sequence": self.c_hat_sequence,
-            "uniform_bound": self.uniform_bound,
-            "richardson_ok": self.richardson_ok,
-            "witness": self.witness,
-            "orders": {str(k): v for k, v in self.orders.items()},
-        }
 
 
 def check_lemma_bound(fam, ref, env, x_grid, k=None, t_floors=(1e-2, 1e-3, 1e-4),

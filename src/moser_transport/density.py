@@ -1,8 +1,8 @@
 """Parametrised density families, reference densities, and decay envelopes.
 
-A family is an evaluator rho(x, .) over a model domain together with partial
-derivative evaluators D_x^beta D_t^j rho for |beta| + j <= k (closed-form
-where tractable, central finite differences otherwise), and an optional
+A family is an evaluator rho(x, .) over a model domain together with a table
+of exact partial derivatives D_x^beta D_t^j rho for |beta| + j <= k
+(closed-form for the builtins, symbolic for expressions), and an optional
 closed CDF for 1D domains (kept as a test oracle: the library integrates rho
 through MassTable).  One pair-refined Gauss rule, pair_refine, serves every
 integral on [0, 1]: MassTable, the one cumulative mass and its
@@ -243,7 +243,8 @@ class DensityFamily:
 
     ``fn(x, *coords)`` accepts scalar or ndarray coordinates.  For 1D
     domains coords is ``(m,)``; for 2D domains ``(a, t)`` with ``t`` the
-    collar coordinate.  All evaluators are pure, so concurrent evaluation
+    collar coordinate.  ``exact_derivs`` maps ``(bx, jt)`` to the evaluator
+    of D_x^bx D_t^jt rho.  All evaluators are pure, so concurrent evaluation
     is safe.
     """
 
@@ -254,8 +255,10 @@ class DensityFamily:
     fn: object
     exact_derivs: dict = field(default_factory=dict)
     cdf_fn: object = None
-    fd_step_x: float = 1e-5
-    fd_rel_t: float = 0.125
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigurationError("smoothness budget k must be a positive integer")
 
     def _check_x(self, x):
         lo, hi = self.x_range
@@ -272,40 +275,26 @@ class DensityFamily:
         return self.fn(x, *coords)
 
     def derivative(self, x, coords, bx=0, jt=0):
-        """D_x^bx D_t^jt rho at (x, coords), exact where attached else FD."""
+        """D_x^bx D_t^jt rho at (x, coords), from the exact derivative table."""
         if bx == 0 and jt == 0:
             return self.fn(x, *coords)
-        exact = self.exact_derivs.get((bx, jt))
-        if exact is not None:
-            return exact(x, *coords)
-        if bx > 0:
-            lo, hi = self.x_range
-            h = min(self.fd_step_x, 0.25 * (hi - lo))
-            if x - h < lo:
-                f0 = self.derivative(x, coords, bx - 1, jt)
-                f1 = self.derivative(x + h, coords, bx - 1, jt)
-                f2 = self.derivative(x + 2 * h, coords, bx - 1, jt)
-                return (-3 * f0 + 4 * f1 - f2) / (2 * h)
-            if x + h > hi:
-                f0 = self.derivative(x, coords, bx - 1, jt)
-                f1 = self.derivative(x - h, coords, bx - 1, jt)
-                f2 = self.derivative(x - 2 * h, coords, bx - 1, jt)
-                return (3 * f0 - 4 * f1 + f2) / (2 * h)
-            return (
-                self.derivative(x + h, coords, bx - 1, jt)
-                - self.derivative(x - h, coords, bx - 1, jt)
-            ) / (2 * h)
-        # t-derivative along the collar coordinate (last coordinate)
-        *rest, t = coords
-        t = float(t)
-        h = max(t * self.fd_rel_t, 1e-12)
-        if t + h > 1.0:
-            h = (1.0 - t) if 1.0 - t > 0 else 1e-6
-        if t - h < 0:
-            h = 0.5 * t if t > 0 else 1e-8
-        up = self.derivative(x, (*rest, t + h), bx, jt - 1)
-        dn = self.derivative(x, (*rest, t - h), bx, jt - 1)
-        return (up - dn) / (2 * h)
+        return self._table_entry(bx, jt)(x, *coords)
+
+    def require_orders(self, k):
+        """Raise ConfigurationError at the first (bx, jt), 0 < bx + jt <= k, the table lacks."""
+        for b in range(k + 1):
+            for j in range(k + 1 - b):
+                if b + j:
+                    self._table_entry(b, j)
+
+    def _table_entry(self, bx, jt):
+        try:
+            return self.exact_derivs[(bx, jt)]
+        except KeyError:
+            raise ConfigurationError(
+                f"family {self.name!r} has no exact derivative D_x^{bx} D_t^{jt} "
+                f"(order {bx + jt}); give the density as an expression, whose "
+                f"derivatives are exact at any order") from None
 
     def mass_table(self, x):
         """MassTable of rho(x, .) along the 1D domain."""
@@ -314,14 +303,18 @@ class DensityFamily:
         self._check_x(x)
         return MassTable(lambda m: self.fn(x, m))
 
-    def mass(self, x):
-        """Total mass of rho(x, .): probe integrals in 1D, the 256-node grid quadrature in 2D."""
+    def mass(self, x, bx=0):
+        """Integral of D_x^bx rho(x, .) over the domain, the total mass at bx = 0.
+
+        Probe integrals in 1D, the 256-node grid quadrature in 2D.
+        """
         self._check_x(x)
         if self.domain.dim == 1:
-            return float(_resolved_integrals(lambda m: self.fn(x, m), [1.0], 1e-10)[0])
+            return float(_resolved_integrals(lambda m: self.derivative(x, (m,), bx),
+                                             [1.0], 1e-10)[0])
         grid = default_grid(self.domain, 256)
         # on open axes the evaluator's axis factors run on 256 points, not on 256^2
-        return grid.integrate(self.fn(x, *np.ix_(grid.nodes(0), grid.nodes(1))))
+        return grid.integrate(self.derivative(x, np.ix_(grid.nodes(0), grid.nodes(1)), bx))
 
     def validate(self, x_samples=9, tol_norm=1e-4, positivity_floor=0.0):
         """Normalisation and interior positivity on a sample grid."""
@@ -359,6 +352,67 @@ class DensityFamily:
 
 
 # ---------------------------------------------------------------------------
+# exact derivative tables of expressions
+
+
+class _LazyTable(dict):
+    """(b, j) -> value, built by ``build(b, j)`` on the first lookup of a missing key."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        b, j = key
+        if b < 0 or j < 0:
+            raise KeyError(key)
+        value = self[key] = self.build(b, j)
+        return value
+
+
+def _evaluator(ast):
+    """fn(x, *coords) of an expression over (x, *coords)."""
+    names = ast.variables[1:]
+
+    def fn(x, *coords):
+        env = {name: np.asarray(c, dtype=float) for name, c in zip(names, coords)}
+        return np.asarray(ast.evaluate(x=x, **env), dtype=float)
+
+    return fn
+
+
+def _expression_derivatives(ast):
+    """Table of D_x^b D_t^j of an expression, to any order, differentiated on first use.
+
+    t is the last coordinate (m in 1D); entry (0, 0) is the expression itself.
+    """
+    t = ast.variables[-1]
+    trees = _LazyTable(lambda b, j: trees[b, j - 1].diff(t) if j else trees[b - 1, 0].diff("x"))
+    trees[0, 0] = ast
+    return _LazyTable(lambda b, j: _evaluator(trees[b, j]))
+
+
+def _normalised_derivatives(raw, integral):
+    """Table of D_x^b D_t^j (rho / N) from the table ``raw`` of rho; (0, 0) is rho / N.
+
+    ``integral(b, x)`` is N^(b)(x).  Leibniz on rho = (rho / N) N gives
+    D_x^b D_t^j (rho / N) = (D_x^b D_t^j rho
+                             - sum_{i=1}^b C(b, i) N^(i) D_x^(b-i) D_t^j (rho / N)) / N.
+    """
+    def build(b, j):
+        def entry(x, *coords):
+            x = float(x)
+            out = raw[b, j](x, *coords)
+            for i in range(1, b + 1):
+                out = out - math.comb(b, i) * integral(i, x) * table[b - i, j](x, *coords)
+            return out / integral(0, x)
+        return entry
+
+    table = _LazyTable(build)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # builtin families
 
 
@@ -367,67 +421,45 @@ def _interval():
 
 
 def _constant_family(k):
-    dom = _interval()
-    zero = lambda x, m: np.zeros_like(np.asarray(m, dtype=float))
-    derivs = {(b, j): zero for b in range(0, k + 1) for j in range(0, k + 1) if 0 < b + j <= k}
     return DensityFamily(
-        domain=dom,
+        domain=_interval(),
         x_range=(-1.0, 1.0),
         k=k,
         name="constant",
         fn=lambda x, m: np.ones_like(np.asarray(m, dtype=float)),
-        exact_derivs=derivs,
+        exact_derivs=_expression_derivatives(parse_density_expression("1")),
         cdf_fn=lambda x, m: np.asarray(m, dtype=float),
     )
 
 
 def _example1_family(k):
-    dom = _interval()
-
     def fn(x, m):
         m = np.asarray(m, dtype=float)
         return 2 * x * x * m + 5 * (1 - x * x) * m ** 4
-
-    derivs = {
-        (1, 0): lambda x, m: 4 * x * np.asarray(m, float) - 10 * x * np.asarray(m, float) ** 4,
-        (2, 0): lambda x, m: 4 * np.asarray(m, float) - 10 * np.asarray(m, float) ** 4,
-        (0, 1): lambda x, m: 2 * x * x + 20 * (1 - x * x) * np.asarray(m, float) ** 3,
-        (0, 2): lambda x, m: 60 * (1 - x * x) * np.asarray(m, float) ** 2,
-        (1, 1): lambda x, m: 4 * x - 40 * x * np.asarray(m, float) ** 3,
-        (2, 1): lambda x, m: 4 - 40 * np.asarray(m, float) ** 3,
-        (1, 2): lambda x, m: -120 * x * np.asarray(m, float) ** 2,
-        (0, 3): lambda x, m: 120 * (1 - x * x) * np.asarray(m, float),
-    }
 
     def cdf(x, m):
         m = np.asarray(m, dtype=float)
         return x * x * m * m + (1 - x * x) * m ** 5
 
     return DensityFamily(
-        domain=dom, x_range=(-1.0, 1.0), k=k, name="example1",
-        fn=fn, exact_derivs=derivs, cdf_fn=cdf,
+        domain=_interval(), x_range=(-1.0, 1.0), k=k, name="example1", fn=fn,
+        exact_derivs=_expression_derivatives(
+            parse_density_expression("2*x^2*m + 5*(1 - x^2)*m^4")),
+        cdf_fn=cdf,
     )
 
 
 def _affine_family(k, c=0.5):
     if not 0 < c < 1:
         raise ConfigurationError(f"affine family needs 0 < c < 1, got {c}")
-    dom = _interval()
 
     def fn(x, m):
         m = np.asarray(m, dtype=float)
         return 1.0 + x * (2 * m - 1)
 
-    derivs = {
-        (1, 0): lambda x, m: 2 * np.asarray(m, float) - 1,
-        (0, 1): lambda x, m: 2 * x * np.ones_like(np.asarray(m, float)),
-        (1, 1): lambda x, m: 2.0 * np.ones_like(np.asarray(m, float)),
-        (2, 0): lambda x, m: np.zeros_like(np.asarray(m, float)),
-        (0, 2): lambda x, m: np.zeros_like(np.asarray(m, float)),
-    }
     return DensityFamily(
-        domain=dom, x_range=(-c, c), k=k, name="affine",
-        fn=fn, exact_derivs=derivs,
+        domain=_interval(), x_range=(-c, c), k=k, name="affine", fn=fn,
+        exact_derivs=_expression_derivatives(parse_density_expression("1 + x*(2*m - 1)")),
         cdf_fn=lambda x, m: np.asarray(m, float) + x * (np.asarray(m, float) ** 2 - np.asarray(m, float)),
     )
 
@@ -593,13 +625,10 @@ def _ex2_oscillatory_mass():
 
 def _example2_family(k):
     q = k + 1  # bump degree 2q >= 2k + 2
-    sigma_mass = 0.5 * symmetric_beta(q)
     I1 = _ex2_oscillatory_mass()
 
     def c_of_x(x):
         return (1.0 - (2.0 + x) * I1 - 1.0 / 31.0) / sigma_mass
-
-    c_slope = -I1 / sigma_mass
 
     def sigma(m):
         m = np.asarray(m, dtype=float)
@@ -677,10 +706,14 @@ def _example2_family(k):
         (2, 1): lambda x, m: np.zeros_like(np.asarray(m, float)),
     }
 
-    return DensityFamily(
+    fam = DensityFamily(
         domain=_interval(), x_range=(-1.0, 1.0), k=k, name="example2",
         fn=fn, exact_derivs=derivs,
     )
+    # after the family has checked k: symmetric_beta needs q >= 0
+    sigma_mass = 0.5 * symmetric_beta(q)
+    c_slope = -I1 / sigma_mass
+    return fam
 
 
 _BUILTINS = {
@@ -700,8 +733,6 @@ def builtin_family(name, k=2, **params):
         raise ConfigurationError(
             f"unknown builtin family {name!r}; available: {sorted(_BUILTINS)}"
         )
-    if k < 1:
-        raise ConfigurationError("smoothness budget k must be a positive integer")
     return _BUILTINS[name](k, **params)
 
 
@@ -709,43 +740,32 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
     """Family from an expression in (x, m) on the interval or (x, a, t) on 2D domains.
 
     When ``normalize`` is set, the evaluator is divided by the per-x mass
-    (computed by probe_integrals and cached), so the family is a probability
-    density for every sampled x.
+    N(x), so the family is a probability density for every sampled x.  Its
+    derivatives are exact at any order: the expression's tree differentiated
+    symbolically, and for the normalised family N^(b)(x) = int D_x^b rho by
+    the rule of ``mass``, cached per (b, x).
     """
     domain = domain or _interval()
     variables = ("x", "m") if domain.dim == 1 else ("x", "a", "t")
-    ast = parse_density_expression(text, variables=variables)
-
-    if domain.dim == 1:
-        def raw(x, m):
-            return np.asarray(ast.evaluate(x=x, m=np.asarray(m, dtype=float)), dtype=float)
-    else:
-        def raw(x, a, t):
-            a = np.asarray(a, dtype=float)
-            t = np.asarray(t, dtype=float)
-            return np.asarray(ast.evaluate(x=x, a=a, t=t), dtype=float)
-
+    raw = _expression_derivatives(parse_density_expression(text, variables=variables))
     fam = DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
-        name=f"expression({text})", fn=raw,
+        name=f"expression({text})", fn=raw[0, 0], exact_derivs=raw,
     )
     if not normalize:
         return fam
 
     @functools.cache
-    def mass(x):
-        total = fam.mass(x)
-        if not total > 0:
+    def integral(b, x):
+        total = fam.mass(x, b)
+        if b == 0 and not total > 0:
             raise DegeneracyError(f"expression family has non-positive mass at x={x:g}")
         return total
 
-    if domain.dim == 1:
-        normalized = lambda x, m: raw(x, m) / mass(float(x))
-    else:
-        normalized = lambda x, a, t: raw(x, a, t) / mass(float(x))
+    table = _normalised_derivatives(raw, integral)
     return DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
-        name=f"expression({text})", fn=normalized,
+        name=f"expression({text})", fn=table[0, 0], exact_derivs=table,
     )
 
 
@@ -1065,9 +1085,12 @@ def check_decay_assumptions(
     at every probe t from one probe_integrals pass per (x, a, beta); a
     point whose summed pair drift exceeds quad_tol + 1e-8 of the value,
     or whose integrand raised, is reported INCONCLUSIVE, never silently
-    passed.  A PASS is evidence at probe resolution only.
+    passed.  A PASS is evidence at probe resolution only.  Every derivative
+    comes from the family's exact table; an order it lacks raises
+    ConfigurationError before any probe.
     """
     k = k or fam.k
+    fam.require_orders(k)
     dom = fam.domain
     xs = _x_probe_nodes(fam.x_range, n=x_nodes)
     ts = np.geomspace(t_floor, 1.0, t_nodes)

@@ -14,6 +14,13 @@ functions ``sin cos exp log sqrt abs min max``.  Evaluation accepts numpy
 arrays and raises EvaluationDomainError where the mathematical domain is
 left (log of a non-positive value, division by zero, sqrt of a negative,
 0 raised to a negative power).
+
+``Node.diff(var)`` differentiates a tree symbolically (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008): closed-form rules for every
+operator and function, with ``abs``, ``min`` and ``max`` piecewise through
+the internal functions ``sign`` and ``where``, which the parser does not
+accept.  Derivative trees fold constants (``0*u``, ``1*u``, ``u+0``, sums,
+differences and products of numbers), so they stay small.
 """
 
 import math
@@ -77,6 +84,10 @@ class Node:
     def evaluate(self, env):
         raise NotImplementedError
 
+    def diff(self, var):
+        """The derivative tree d(self)/d(var), constants folded."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Num(Node):
@@ -84,6 +95,9 @@ class Num(Node):
 
     def evaluate(self, env):
         return self.value
+
+    def diff(self, var):
+        return _ZERO
 
     def __str__(self):
         return repr(self.value)
@@ -98,6 +112,9 @@ class Var(Node):
             return env[self.name]
         return CONSTANTS[self.name]
 
+    def diff(self, var):
+        return _ONE if self.name == var else _ZERO
+
     def __str__(self):
         return self.name
 
@@ -108,6 +125,9 @@ class Neg(Node):
 
     def evaluate(self, env):
         return -self.operand.evaluate(env)
+
+    def diff(self, var):
+        return _neg(self.operand.diff(var))
 
     def __str__(self):
         return f"-{_paren(self.operand, 25)}"
@@ -147,6 +167,21 @@ class BinOp(Node):
     def evaluate(self, env):
         return _BINOPS[self.op][1](self.left.evaluate(env), self.right.evaluate(env))
 
+    def diff(self, var):
+        u, v = self.left, self.right
+        du, dv = u.diff(var), v.diff(var)
+        if self.op in "+-":
+            return _op(self.op, du, dv)
+        if self.op == "*":
+            return _op("+", _op("*", du, v), _op("*", u, dv))
+        if self.op == "/":
+            return _op("-", _op("/", du, v), _op("/", _op("*", u, dv), _op("^", v, _TWO)))
+        if dv == _ZERO:    # u^c: the exponent does not move with var
+            return _op("*", _op("*", v, _op("^", u, _op("-", v, _ONE))), du)
+        # u^v = exp(v log u): u^v (v' log u + v u'/u)
+        return _op("*", self, _op("+", _op("*", dv, _call("log", u)),
+                                  _op("/", _op("*", v, du), u)))
+
     def __str__(self):
         prec = _BINOPS[self.op][0]
         # left-assoc except ^; tighten the right side for - and /
@@ -177,6 +212,9 @@ _FUNC_IMPL = {
     "abs": np.abs,
     "min": np.minimum,
     "max": np.maximum,
+    # internal: derivative trees only, not in FUNCTIONS, so the parser rejects them
+    "sign": np.sign,
+    "where": lambda c, a, b: np.where(np.asarray(c) > 0, a, b),   # a where c > 0, else b
 }
 
 
@@ -189,9 +227,61 @@ class Call(Node):
         vals = [arg.evaluate(env) for arg in self.args]
         return _FUNC_IMPL[self.func](*vals)
 
+    def diff(self, var):
+        u = self.args[0]
+        if self.func == "sign":
+            return _ZERO
+        if self.func == "where":    # piecewise: the condition's own derivative does not enter
+            return _call("where", u, self.args[1].diff(var), self.args[2].diff(var))
+        if self.func in ("min", "max"):
+            v = self.args[1]
+            # the derivative of whichever argument is selected (ties take v's)
+            c = _op("-", v, u) if self.func == "min" else _op("-", u, v)
+            return _call("where", c, u.diff(var), v.diff(var))
+        outer = {
+            "sin": lambda: _call("cos", u),
+            "cos": lambda: _neg(_call("sin", u)),
+            "exp": lambda: self,
+            "log": lambda: _op("/", _ONE, u),
+            "sqrt": lambda: _op("/", _HALF, self),
+            "abs": lambda: _call("sign", u),
+        }[self.func]
+        return _op("*", outer(), u.diff(var))
+
     def __str__(self):
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.func}({inner})"
+
+
+_ZERO, _HALF, _ONE, _TWO = Num(0.0), Num(0.5), Num(1.0), Num(2.0)
+
+
+def _op(op, u, v):
+    """BinOp(op, u, v) folded: 0*u, 0/u -> 0; u^0 -> 1; u+0, 0+u, u-0, 1*u, u*1,
+    u/1, u^1 -> u; 0-u -> -u; a number + - * a number -> one number."""
+    if (op in "*/" and u == _ZERO) or (op == "*" and v == _ZERO):
+        return _ZERO
+    if op == "^" and v == _ZERO:
+        return _ONE
+    if (op in "+-" and v == _ZERO) or (op in "*/^" and v == _ONE):
+        return u
+    if (op == "+" and u == _ZERO) or (op == "*" and u == _ONE):
+        return v
+    if op == "-" and u == _ZERO:
+        return _neg(v)
+    if op in "+-*" and isinstance(u, Num) and isinstance(v, Num):
+        return Num(_BINOPS[op][1](u.value, v.value))
+    return BinOp(op, u, v)
+
+
+def _neg(u):
+    if isinstance(u, Num):
+        return Num(-u.value)
+    return u.operand if isinstance(u, Neg) else Neg(u)
+
+
+def _call(func, *args):
+    return args[1] if func == "where" and args[1] == args[2] else Call(func, args)
 
 
 def _precedence(node):
@@ -306,14 +396,22 @@ class ExpressionAst:
     source: str
 
     def evaluate(self, **env):
+        """Value at the given variables; a value that depends on none of them
+        still has their broadcast shape."""
         missing = set(self.variables) - set(env)
         if missing:
             raise EvaluationDomainError(f"missing variables {sorted(missing)}")
-        return self.root.evaluate(env)
+        out = self.root.evaluate(env)
+        if np.ndim(out) == 0:
+            shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+            if shape:
+                return np.full(shape, out, dtype=float)
+        return out
 
-    def pretty(self):
-        """Canonical rendering; re-parsing it yields an equivalent AST."""
-        return str(self.root)
+    def diff(self, var):
+        """The derivative in ``var``, itself an expression over the same variables."""
+        root = self.root.diff(var)
+        return ExpressionAst(root=root, variables=self.variables, source=str(root))
 
 
 def parse_density_expression(text, variables=("x", "m")):

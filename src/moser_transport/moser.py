@@ -420,12 +420,6 @@ class MoserMap:
         moved = pts + _multilinear(self.grid, self.interpolant, pts).T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
-    def is_monotone(self):
-        """Sorted 1D nodes must map to sorted images (no crossing trajectories)."""
-        if self.grid.dim != 1:
-            raise ValueError("monotonicity check is a 1D property")
-        return bool(np.all(np.diff(self.node_images) > 0))
-
 
 def _node_displacement(grid, seeds, images):
     """Fields-major node displacement (dim, n_nodes), circles unwrapped to (-L/2, L/2].
@@ -519,15 +513,3 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
                               interpolant=interpolant))
     return built
 
-
-def moser_map(fam, rho0, x, grid, steps=256, tol=1e-10, tol_mass=1e-4):
-    """Flow map pushing the reference density rho0 to the family member at x.
-
-    ``rho0`` may be a callable over domain points or a grid array.  Both
-    densities must be bounded below by a positive constant on the grid.
-    """
-    coords = grid.meshes()
-    rho0_values = rho0(*coords) if callable(rho0) else rho0
-    [mm] = moser_map_from_values(rho0_values, [fam.fn(x, *coords)], grid, [x], steps=steps,
-                                 tol=tol, tol_mass=tol_mass)
-    return mm

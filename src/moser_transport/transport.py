@@ -448,15 +448,6 @@ class CkReport:
     richardson_stable: dict
     stable_fraction: dict
 
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "sups": {str(j): v for j, v in self.sups.items()},
-            "witnesses": {str(j): w for j, w in self.witnesses.items()},
-            "richardson_stable": {str(j): bool(v) for j, v in self.richardson_stable.items()},
-            "stable_fraction": {str(j): v for j, v in self.stable_fraction.items()},
-        }
-
 
 def _ck_probes(x_range, x_grid, j):
     """(x, h) of each order-j Richardson probe: the x of x_grid that are interior."""
@@ -672,50 +663,3 @@ def sample_random_maps(tf, count, seed=0):
     pts = np.stack([u[:, 0] * tf.domain.circumference, u[:, 1]], axis=-1)
     return [RandomMapSample(p, tf) for p in pts]
 
-
-# ---------------------------------------------------------------------------
-# conjugation by an outer parametrised diffeomorphism family
-
-
-@dataclass(frozen=True)
-class ParamDiffeo:
-    """Outer family R_x with an evaluator and optional x-derivative."""
-
-    fn: object
-    dfdx: object = None
-    name: str = "R"
-
-
-@dataclass
-class ConjugatedFamily:
-    base: object
-    outer: ParamDiffeo
-
-    @property
-    def x_range(self):
-        return self.base.x_range
-
-    def prefetch(self, xs):
-        _prefetch(self.base, xs)
-
-    def map_values(self, x, points):
-        inner = self.base.map_values(x, points)
-        return self.outer.fn(x, inner)
-
-
-def conjugate_family(base, outer, check_nodes=65):
-    """Compose an outer diffeomorphism family with a transport family.
-
-    Verifies injectivity of the outer maps on a sample grid for a few
-    parameter values; the composed family exposes the same probe surface.
-    """
-    lo, hi = base.x_range
-    grid = np.linspace(0.0, 1.0, check_nodes)
-    for x in np.linspace(lo, hi, 5):
-        vals = np.asarray(outer.fn(x, grid), dtype=float)
-        d = np.diff(vals)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise ConfigurationError(
-                f"outer family {outer.name} is not injective on samples at x={x:g}"
-            )
-    return ConjugatedFamily(base=base, outer=outer)

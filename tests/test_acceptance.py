@@ -51,7 +51,7 @@ def test_criterion_01_identity_law():
 
 
 def test_criterion_02_moser_matches_quantile_oracle():
-    from moser_transport import interval_grid, moser_map
+    from moser_transport import interval_grid, moser_map_from_values
 
     t0 = time.perf_counter()
     fam = builtin_family("affine", k=2)
@@ -67,7 +67,7 @@ def test_criterion_02_moser_matches_quantile_oracle():
     sup = 0.0
     spot = None
     for x in (0.5, -0.5, 0.25, -0.25, 0.0):
-        mm = moser_map(fam, uniform, x, grid, steps=256)
+        [mm] = moser_map_from_values(uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=256)
         sup = max(sup, float(np.abs(mm.node_images - oracle(x, nodes)).max()))
         if x == 0.5:
             spot = float(mm.evaluate(np.array([0.5]))[0])

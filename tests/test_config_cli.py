@@ -90,7 +90,7 @@ def test_unknown_section_rejected():
 
 
 def test_unknown_key_rejected():
-    # threads is a CLI option (--threads, MOSER_TRANSPORT_THREADS), not a config key
+    # threads is a CLI option (--threads), not a config key
     for text in ("[pipeline]\nwarp = 9\n", "[pipeline]\nthreads = 2\n"):
         with pytest.raises(ConfigurationError) as err:
             parse_config(text)
@@ -204,6 +204,38 @@ report = fail.json
     assert first_order["witness"]["beta"] == 1 and first_order["witness"]["j"] == 0
 
 
+def test_cli_rejects_k_below_one_and_orders_beyond_a_table(tmp_path, capsys):
+    # k < 1 left the checker nothing to check: it passed with exit 0
+    for k in (0, -1):
+        cfg_path = _write(tmp_path, f"""
+[family]
+expression = 1 + x*(2*m - 1)
+k = {k}
+x_lo = -0.5
+x_hi = 0.5
+
+[envelope]
+name = constant
+""", f"k{k}.cfg")
+        for command in ("check-assumptions", "represent"):
+            assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "report.json").exists()
+    capsys.readouterr()
+    cfg_path = _write(tmp_path, """
+[family]
+name = h_power
+alpha = 2
+k = 3
+
+[envelope]
+name = power
+alpha = 2
+""", "k3.cfg")
+    assert main(["check-assumptions", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "'h_power'" in err and "D_x^0 D_t^3" in err and "expression" in err
+
+
 def test_cli_obstruct_example1_finding(tmp_path):
     cfg_path = _write(tmp_path, """
 [family]
@@ -298,15 +330,14 @@ def test_cli_dump_fields(tmp_path):
         assert (tmp_path / "dump" / "csv" / name).exists()
 
 
-def test_cli_threads_flag_and_env(tmp_path, monkeypatch):
+def test_cli_threads_flag_and_env(tmp_path):
     cfg_path = _write(tmp_path, CONSTANT_CFG)
-    assert main(["represent", "--config", cfg_path, "--out", str(tmp_path / "t2"),
-                 "--threads", "2"]) == 0
-    monkeypatch.setenv("MOSER_TRANSPORT_THREADS", "2")
-    assert main(["represent", "--config", cfg_path, "--out", str(tmp_path / "te")]) == 0
+    for n in (1, 2):
+        assert main(["represent", "--config", cfg_path, "--out", str(tmp_path / f"t{n}"),
+                     "--threads", str(n)]) == 0
     # the report content is thread-count independent
-    b1 = (tmp_path / "t2" / "report.json").read_bytes()
-    b2 = (tmp_path / "te" / "report.json").read_bytes()
+    b1 = (tmp_path / "t1" / "report.json").read_bytes()
+    b2 = (tmp_path / "t2" / "report.json").read_bytes()
     assert b1 == b2
     # full mode: the collar diagnostics of each x run inside the workers too
     full_path = _write(tmp_path, AFFINE_CFG.replace("grid = 256", "grid = 128")

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moser_transport import (
     EvaluationDomainError,
     ExpressionSyntaxError,
     parse_density_expression,
 )
+from moser_transport.diagnostics import central_difference, richardson_stable
 from moser_transport.expressions import BinOp, Call, Neg, Num, Var
 
 
@@ -120,3 +121,88 @@ def test_pretty_print_preserves_value(root, x, m):
         return
     got = parse_density_expression(str(root), variables=("x", "m")).evaluate(**env)
     assert float(got) == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+
+
+def _in_domain(children):
+    # every operator and function of the grammar, with arguments kept inside
+    # their domains: log of 1 + u^2, sqrt and powers of 2 + sin(u) > 0
+    lift = lambda u: BinOp("+", Num(2.0), Call("sin", (u,)))
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children).map(
+            lambda t: BinOp(t[0], t[1], t[2])),
+        st.tuples(children, children).map(lambda t: BinOp("/", t[0], lift(t[1]))),
+        st.tuples(children, st.sampled_from([2.0, 3.0, -1.5])).map(
+            lambda t: BinOp("^", lift(t[0]), Num(t[1]))),
+        st.tuples(children, st.sampled_from([2.0, 3.0])).map(
+            lambda t: BinOp("^", t[0], Num(t[1]))),
+        st.tuples(children, children).map(lambda t: BinOp("^", lift(t[0]), t[1])),
+        children.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "abs"]), children).map(
+            lambda t: Call(t[0], (t[1],))),
+        children.map(lambda u: Call("log", (BinOp("+", Num(1.0), BinOp("^", u, Num(2.0))),))),
+        children.map(lambda u: Call("sqrt", (lift(u),))),
+        st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+            lambda t: Call(t[0], (t[1], t[2]))),
+    )
+
+
+_smooth_leaves = st.one_of(st.sampled_from([0.5, 2.0, 3.0]).map(Num),
+                           st.sampled_from(["x", "m", "pi"]).map(Var))
+_domain_ast = st.recursive(_smooth_leaves, _in_domain, max_leaves=6)
+
+
+def _subtrees(node):
+    yield node
+    parts = {Neg: lambda n: (n.operand,), BinOp: lambda n: (n.left, n.right),
+             Call: lambda n: n.args}.get(type(node), lambda n: ())(node)
+    for part in parts:
+        yield from _subtrees(part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=_domain_ast, var=st.sampled_from(["x", "m"]), j=st.sampled_from([1, 2]),
+       x0=st.floats(-1.0, 1.0), m0=st.floats(0.1, 0.9))
+def test_diff_matches_richardson_checked_difference(root, var, j, x0, m0):
+    ast = parse_density_expression(str(root))
+    env = {"x": x0, "m": m0}
+    h = 1e-3
+    span = np.linspace(env[var] - j * h / 2, env[var] + j * h / 2, 9)
+    for part in _subtrees(ast.root):
+        # parts of moderate size keep every oscillation slow on the scale of h
+        assume(abs(part.evaluate(env)) < 10)
+        if isinstance(part, Call) and part.func in ("abs", "min", "max"):
+            # the difference reads one piece of every abs, min and max
+            kink = part.args[0] if part.func == "abs" else BinOp("-", *part.args)
+            signs = np.sign([kink.evaluate({**env, var: v}) for v in span])
+            assume(np.all(signs == signs[0]) and signs[0] != 0)
+    values = np.array([ast.evaluate(**{**env, var: v}) for v in span], dtype=float)
+    deriv = ast
+    for _ in range(j):
+        deriv = deriv.diff(var)
+    exact = float(deriv.evaluate(**env))
+    f = lambda v: float(ast.evaluate(**{**env, var: v}))
+    d_h, d_h2 = central_difference(f, env[var], j, h), central_difference(f, env[var], j, h / 2)
+    scale = max(1.0, np.max(np.abs(values)), abs(exact))
+    assume(richardson_stable(d_h, d_h2, 1e-6 * scale))
+    assert abs(exact - (4 * d_h2 - d_h) / 3) <= 1e-6 * scale
+
+
+@given(root=st.recursive(st.one_of(st.sampled_from([0.5, 2.0, 3.0]).map(Num),
+                                   st.just(Var("pi"))), _in_domain, max_leaves=6))
+def test_diff_of_a_variable_free_tree_is_an_array_of_zeros(root):
+    ast = parse_density_expression(str(root))
+    m = np.linspace(0.0, 1.0, 5)
+    for var in ("x", "m"):
+        out = ast.diff(var).evaluate(x=0.3, m=m)
+        assert isinstance(out, np.ndarray) and out.shape == m.shape
+        assert np.all(out == 0.0)
+
+
+def test_derivative_functions_are_internal():
+    # sign and where exist only inside derivative trees
+    for text in ("sign(m)", "where(m, 1, 0)"):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_density_expression(text)
+    d = parse_density_expression("abs(m - 0.5) + min(m, x) + max(m, 2*x)").diff("m")
+    m = np.array([0.2, 0.7])
+    assert d.evaluate(x=0.4, m=m).tolist() == [-1.0 + 1.0 + 0.0, 1.0 + 0.0 + 0.0]

@@ -18,7 +18,6 @@ from moser_transport import (
     integrate_flow,
     interval_grid,
     make_domain,
-    moser_map,
     pushforward_density_1d,
     solve_neumann_poisson,
     torus_grid,
@@ -187,7 +186,8 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def test_flow_affine_golden_ratio():
     fam = builtin_family("affine")
     grid = interval_grid(1024)
-    mm = moser_map(fam, _uniform, 0.5, grid, steps=256)
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(0.5, nodes)], grid, [0.5], steps=256)
     val = mm.evaluate(np.array([0.5]))[0]
     assert val == pytest.approx(GOLDEN, abs=1e-6)
 
@@ -196,7 +196,7 @@ def test_flow_reverse_round_trip():
     fam = builtin_family("affine")
     grid = interval_grid(512)
     nodes = grid.nodes(0)
-    mm = moser_map(fam, _uniform, 0.5, grid, steps=128)
+    [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(0.5, nodes)], grid, [0.5], steps=128)
     reverse = _on_grid(lambda t, p: -mm.provider(1.0 - t, p), grid)
     fwd, _ = integrate_flow(mm.provider, nodes, steps=128)
     back, _ = integrate_flow(reverse, fwd, steps=128)
@@ -207,7 +207,8 @@ def test_flow_reverse_round_trip():
 def test_moser_constant_family_identity():
     fam = builtin_family("constant")
     grid = interval_grid(256)
-    mm = moser_map(fam, _uniform, 0.2, grid, steps=64)
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(0.2, nodes)], grid, [0.2], steps=64)
     assert np.abs(mm.node_images - grid.nodes(0)).max() == 0.0
 
 
@@ -221,10 +222,11 @@ def _affine_oracle(x, m):
 def test_moser_matches_quantile_oracle():
     fam = builtin_family("affine")
     grid = interval_grid(512)
+    nodes = grid.nodes(0)
     for x in (0.5, -0.25):
-        mm = moser_map(fam, _uniform, x, grid, steps=128)
+        [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=128)
         assert np.abs(mm.node_images - _affine_oracle(x, grid.nodes(0))).max() <= 1e-5
-        assert mm.is_monotone()
+        assert np.all(np.diff(mm.node_images) > 0)
         assert mm.clamp_events == 0
 
 
@@ -233,7 +235,9 @@ def test_moser_grid_convergence_order():
     errs = []
     for n, steps in ((64, 16), (128, 32), (256, 64)):
         grid = interval_grid(n)
-        mm = moser_map(fam, _uniform, 0.5, grid, steps=steps)
+        nodes = grid.nodes(0)
+        [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(0.5, nodes)], grid, [0.5],
+                                     steps=steps)
         errs.append(np.abs(mm.node_images - _affine_oracle(0.5, grid.nodes(0))).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
@@ -244,7 +248,8 @@ def test_intermediate_deformation_consistency():
     fam = builtin_family("affine")
     grid = interval_grid(1024)
     x = 0.5
-    mm = moser_map(fam, _uniform, x, grid, steps=128)
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=128)
     # s -> Phi_{s/2}: the velocity 0.5 V_{t/2} over unit time ends at time 1/2
     half = _on_grid(lambda t, p: 0.5 * mm.provider(0.5 * t, p), grid)
 
@@ -262,8 +267,9 @@ def test_intermediate_deformation_consistency():
 def test_flow_monotone_for_affine(x):
     fam = builtin_family("affine")
     grid = interval_grid(128)
-    mm = moser_map(fam, _uniform, x, grid, steps=32)
-    assert mm.is_monotone()
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=32)
+    assert np.all(np.diff(mm.node_images) > 0)
     assert mm.node_images.min() >= 0.0 and mm.node_images.max() <= 1.0
 
 
@@ -324,8 +330,9 @@ def test_evaluate_matches_reintegration_1d():
     rng = np.random.default_rng(7)
     fam = builtin_family("affine")
     grid = interval_grid(1024)
+    nodes = grid.nodes(0)
     for x in (0.5, -0.5):
-        mm = moser_map(fam, _uniform, x, grid, steps=256)
+        [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=256)
         assert _flow_oracle_gap(mm, rng.uniform(0.0, 1.0, 2000)) <= 2e-6
     tf = build_representation(builtin_family("h_power", k=2, alpha=2.0), mode="full",
                               grid_n=1024, steps=256)
@@ -352,7 +359,9 @@ def test_evaluate_matches_reintegration_cylinder():
        ticks=st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=200, unique=True))
 def test_evaluate_monotone_bounded_and_nodal_for_affine(x, ticks):
     grid = interval_grid(128)
-    mm = moser_map(builtin_family("affine"), _uniform, x, grid, steps=32)
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [builtin_family("affine").fn(x, nodes)], grid,
+                                 [x], steps=32)
     vals = mm.evaluate(np.sort(np.asarray(ticks, dtype=float)) / 10 ** 6)
     assert np.all(np.diff(vals) > 0)
     assert vals.min() >= 0.0 and vals.max() <= 1.0
@@ -360,7 +369,10 @@ def test_evaluate_monotone_bounded_and_nodal_for_affine(x, ticks):
 
 
 def test_evaluate_rejects_points_outside_grid():
-    mm = moser_map(builtin_family("affine"), _uniform, 0.5, interval_grid(64), steps=16)
+    grid = interval_grid(64)
+    nodes = grid.nodes(0)
+    [mm] = moser_map_from_values(_uniform(nodes), [builtin_family("affine").fn(0.5, nodes)],
+                                 grid, [0.5], steps=16)
     assert mm.evaluate(np.array([-1e-13, 1.0 + 1e-13])).tolist() == [0.0, 1.0]
     for bad in (-1e-9, 1.0 + 1e-9):
         with pytest.raises(IntegrationError):
@@ -520,9 +532,9 @@ def test_poisson_and_mass_errors_name_stage_and_x():
     # the true residual floor of a 4096-node interval solve lies above the
     # default solver tolerance (ROADMAP, "Standing")
     fam = builtin_family("affine")
-    uniform = lambda m: np.ones_like(np.asarray(m, dtype=float))
+    nodes = interval_grid(4096).nodes(0)
     with pytest.raises(SolverError, match=r"^Poisson solve at x=0\.5: "):
-        moser_map(fam, uniform, 0.5, interval_grid(4096))
+        moser_map_from_values(_uniform(nodes), [fam.fn(0.5, nodes)], interval_grid(4096), [0.5])
     grid = interval_grid(64)
     with pytest.raises(MassMismatchError, match=r"^mass balance at x=0\.25: "):
         moser_map_from_values(np.ones(64), [np.full(64, 0.9)], grid, [0.25])

@@ -6,12 +6,10 @@ from moser_transport import transport
 from moser_transport import (
     ConfigurationError,
     IntegrationError,
-    ParamDiffeo,
     QuantileTransport,
     build_representation,
     builtin_family,
     ck_floor_scan,
-    conjugate_family,
     estimate_uniform_Ck,
     make_domain,
     family_from_expression,
@@ -199,31 +197,6 @@ def test_sample_count_guard(constant_tf):
         sample_random_maps(constant_tf, 0)
 
 
-def test_conjugate_identity(constant_tf):
-    ident = ParamDiffeo(fn=lambda x, n: n, name="identity")
-    comp = conjugate_family(constant_tf, ident)
-    m = np.linspace(0, 1, 33)
-    assert np.abs(comp.map_values(0.2, m) - constant_tf.map_values(0.2, m)).max() == 0.0
-
-
-def test_conjugate_moving_support(constant_tf):
-    # R_x(n) = n (1 + x/10) moves the support to [0, 1 + x/10]
-    outer = ParamDiffeo(fn=lambda x, n: np.asarray(n) * (1 + x / 10), name="stretch")
-    comp = conjugate_family(constant_tf, outer)
-    x = 0.5
-    y, nu = pushforward_density_1d(
-        lambda m: comp.map_values(x, m), lambda m: np.ones_like(np.asarray(m))
-    )
-    assert y[-1] == pytest.approx(1 + x / 10, abs=1e-10)
-    assert np.trapezoid(np.abs(nu - 1.0 / (1 + x / 10)), y) <= 1e-6
-
-
-def test_conjugate_rejects_non_injective(constant_tf):
-    bad = ParamDiffeo(fn=lambda x, n: np.asarray(n) ** 2 - np.asarray(n), name="fold")
-    with pytest.raises(ConfigurationError):
-        conjugate_family(constant_tf, bad)
-
-
 def test_moser_only_requires_floor():
     fam = builtin_family("example1")
     with pytest.raises(Exception):
@@ -295,8 +268,6 @@ def test_prefetch_builds_only_uncached_values(monkeypatch):
     assert plans == [[0.1, -0.2]]
     tf.prefetch([0.1, 0.3, 0.3])
     assert plans == [[0.1, -0.2], [0.3]]
-    conjugate_family(tf, ParamDiffeo(fn=lambda x, n: n)).prefetch([0.4])
-    assert plans[-1] == [0.4]
     # the scan plans every floor, order and difference node at once
     ck_floor_scan(tf, [1e-2, 1e-3], k=2, m_per_floor=5, x_nodes=3)
-    assert len(plans) == 4 and len(plans[-1]) > 3
+    assert len(plans) == 3 and len(plans[-1]) > 3
