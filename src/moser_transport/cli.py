@@ -51,7 +51,6 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
             tol_push=p.tol_push,
             tol_solver=p.solver_tol,
             tol_mass=p.tol_mass,
-            seed=p.seed,
             floor=p.floor,
             collar_t_nodes=p.collar_nodes,
         )

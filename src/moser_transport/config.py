@@ -213,41 +213,6 @@ def validate_config(cfg):
     return cfg
 
 
-def serialize_config(cfg):
-    """Canonical text form; parsing it back is semantically idempotent."""
-    def fmt(v):
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
-
-    lines = []
-
-    def emit(name, obj, skip=()):
-        lines.append(f"[{name}]")
-        data = asdict(obj)
-        params = data.pop("params", None)
-        for key, val in data.items():
-            if key in skip or val is None:
-                continue
-            if isinstance(val, list):
-                lines.append(f"{key} = {', '.join(fmt(v) for v in val)}")
-            else:
-                lines.append(f"{key} = {fmt(val)}")
-        if params:
-            for key in sorted(params):
-                lines.append(f"{key} = {fmt(params[key])}")
-        lines.append("")
-
-    emit("domain", cfg.domain)
-    emit("family", cfg.family)
-    if cfg.envelope is not None:
-        emit("envelope", cfg.envelope)
-    emit("pipeline", cfg.pipeline)
-    emit("obstruct", cfg.obstruct)
-    emit("outputs", cfg.outputs)
-    return "\n".join(lines)
-
-
 def build_domain(cfg):
     return make_domain(cfg.domain.kind, cfg.domain.circumference)
 

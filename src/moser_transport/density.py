@@ -75,11 +75,11 @@ def pair_refine(fn, nodes, bound):
     pieces = []
     with np.errstate(under="ignore"):
         for depth in range(_MAX_SPLITS + 1):
-            n = lo.size
-            vals = gauss_segments(fn, np.concatenate([lo, mid, lo]),
-                                  np.concatenate([mid, hi, hi]))
-            left, right = vals[:n], vals[n:2 * n]
-            drift = np.abs(vals[2 * n:] - (left + right))
+            # lo stays sorted, so each query below is sorted, which a Pchip counts
+            halves = gauss_segments(fn, np.column_stack([lo, mid]).ravel(),
+                                    np.column_stack([mid, hi]).ravel())
+            left, right = halves[0::2], halves[1::2]
+            drift = np.abs(gauss_segments(fn, lo, hi) - (left + right))
             split = drift > bound * (hi - lo) + 4 * _EPS * np.abs(left + right)
             if depth == _MAX_SPLITS or 2 * np.count_nonzero(split) > _MAX_PAIRS:
                 split[:] = False
@@ -87,8 +87,8 @@ def pair_refine(fn, nodes, bound):
             pieces.append((lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
             if not np.any(split):
                 break
-            lo, hi = (np.concatenate([lo[split], mid[split]]),
-                      np.concatenate([mid[split], hi[split]]))
+            lo, hi = (np.column_stack([lo[split], mid[split]]).ravel(),
+                      np.column_stack([mid[split], hi[split]]).ravel())
             mid = 0.5 * (lo + hi)
     lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
     order = np.argsort(lo)

@@ -88,8 +88,8 @@ def w_infinity_1d(q1, q2):
     two nodes, which bounds the difference from above and below.  Levels
     are inverted in the other table (Newton) in passes of 64, largest upper
     bound first, until no upper bound beats the best difference found; the
-    best level is then refined by a bounded search in log p between its
-    neighbours.  Symmetric in its arguments.
+    best level is then refined by Brent's bounded search (Brent 1973) in
+    log p between its neighbours.  Symmetric in its arguments.
     """
     if not (q1.total > 0.0 and q2.total > 0.0):
         raise DegeneracyError("density has no mass on [0, 1]")
@@ -115,18 +115,66 @@ def w_infinity_1d(q1, q2):
     lo_p = grid[k - 1] if k > 0 else 0.5 * best_p
     hi_p = grid[k + 1] if k + 1 < grid.size else 1.0
 
-    def gap_at(log_p):
+    def neg_gap(log_p):
         level = math.exp(log_p)
-        return abs(q1.invert(level * q1.total) - q2.invert(level * q2.total))
+        return -abs(q1.invert(level * q1.total) - q2.invert(level * q2.total))
 
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(lambda s: -gap_at(s), method="bounded",
-                                   bounds=(math.log(lo_p), math.log(hi_p)),
-                                   options={"xatol": 1e-10})
-    if -res.fun > best:
-        best, best_p = float(-res.fun), math.exp(res.x)
+    log_p, fun, _ = _bounded_minimize(neg_gap, math.log(lo_p), math.log(hi_p), xatol=1e-10)
+    if -fun > best:
+        best, best_p = float(-fun), math.exp(log_p)
     return best, best_p
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_minimize(f, a, b, xatol):
+    """Brent's bounded minimisation (Brent 1973, ch. 5): golden-section steps with
+    parabolic interpolation where it is safe, in the operation order of scipy's
+    ``minimize_scalar(method="bounded")``.  Returns x, f(x) and the evaluations.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= 500:  # scipy's maxfun
+            return xf, fx, num
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 @dataclass

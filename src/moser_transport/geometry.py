@@ -47,17 +47,8 @@ class Domain:
         return self.kind != TORUS
 
     @property
-    def boundary_sides(self):
-        """Side identifiers: 0 is the t=0 component, 1 the t=1 component."""
-        return (0, 1) if self.has_boundary else ()
-
-    @property
     def volume(self):
-        if self.kind == INTERVAL:
-            return 1.0
-        if self.kind == CYLINDER:
-            return self.circumference
-        return 1.0
+        return self.circumference if self.kind == CYLINDER else 1.0
 
 
 def make_domain(kind, circumference=1.0):
@@ -173,19 +164,6 @@ class Grid:
     def integrate(self, field):
         """Discrete integral of a node field with the grid's quadrature weights."""
         return float(np.sum(self.weight_field() * np.asarray(field)))
-
-    def boundary_mask(self):
-        """True at nodes on the domain boundary (non-periodic axis endpoints)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for i, ax in enumerate(self.axes):
-            if ax.periodic:
-                continue
-            index = [slice(None)] * self.dim
-            index[i] = 0
-            mask[tuple(index)] = True
-            index[i] = -1
-            mask[tuple(index)] = True
-        return mask
 
 
 def interval_grid(n, lo=0.0, hi=1.0):

@@ -67,7 +67,6 @@ class TransportFamily:
     grid_n: int
     steps: int
     k: int
-    seed: int
     tol_push: float
     tol_solver: float
     tol_mass: float
@@ -195,8 +194,7 @@ class TransportFamily:
         """Linear-binned sample pushforward against the tent-binned target."""
         hist = pushforward_histogram_2d(
             lambda pts: self.map_values(x, pts), self.domain,
-            n_samples=n_samples, bins=bins, seed=self.seed, scramble=False,
-            binning="linear",
+            n_samples=n_samples, bins=bins, binning="linear",
         )
         target = binned_target_2d(lambda a, t: self.fam.fn(x, a, t),
                                   self.domain, bins=bins)
@@ -247,7 +245,6 @@ def build_representation(
     tol_push=1e-3,
     tol_solver=1e-10,
     tol_mass=1e-4,
-    seed=0,
     floor=1e-6,
     collar_t_nodes=320,
     k=None,
@@ -304,7 +301,7 @@ def build_representation(
 
     return TransportFamily(
         domain=fam.domain, fam=fam, mode=mode, v=v, grid_n=grid_n, steps=steps,
-        k=k, seed=seed, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
+        k=k, tol_push=tol_push, tol_solver=tol_solver, tol_mass=tol_mass,
         ref=ref, rho0_fn=rho0_fn, collar_t=collar_t, collar_targets=collar_targets,
     )
 
@@ -352,23 +349,36 @@ def pushforward_density_1d(map_fn, mu_density_fn, n_fine=2 ** 13, out_nodes=None
     return out_nodes, np.maximum(nu, 0.0)
 
 
-def pushforward_histogram_2d(map_fn, domain, n_samples=2 ** 20, bins=64, seed=0,
-                             scramble=True, binning="box"):
+def _sobol_net_2d(m):
+    """The first 2**m points of the unscrambled 2-D Sobol' net (Sobol' 1967) in
+    Gray-code order, as scipy's ``qmc.Sobol(d=2, scramble=False)`` gives them.
+
+    30-bit direction numbers (Joe & Kuo 2008): axis 0 is van der Corput,
+    axis 1 has m_k = m_{k-1} ^ (m_{k-1} << 1) with m_1 = 1.
+    """
+    v = np.empty((m, 2), dtype=np.uint32)
+    mk = 1
+    for k in range(1, m + 1):
+        v[k - 1] = 1 << (30 - k), mk << (30 - k)
+        mk ^= mk << 1
+    q = np.zeros((1, 2), dtype=np.uint32)
+    for j in range(m):  # Gray code: point 2**j + i is v_j ^ point 2**j - 1 - i
+        q = np.concatenate([q, q[::-1] ^ v[j]])
+    return q * 2.0 ** -30
+
+
+def pushforward_histogram_2d(map_fn, domain, n_samples=2 ** 20, bins=64, binning="box"):
     """Quasi-random sample pushforward on a 2D domain with uniform reference.
 
-    Draws a Sobol point set (deterministic for a fixed seed; unscrambled
-    nets ignore the seed), pushes it through the map, and bins the images.
+    Pushes the first n_samples points of the unscrambled Sobol' net (Sobol'
+    1967, direction numbers of Joe & Kuo 2008) through the map and bins the images.
     ``binning="box"`` counts sharp cells; ``binning="linear"`` deposits
     cloud-in-cell tent weights on the cell-centre lattice, which keeps the
     quasi-random integrand continuous and therefore converges much faster
     than indicator counting.  Returns bin probabilities with the per-bin
     sampling error estimate ~ N^{-1/2}.
     """
-    from scipy.stats import qmc  # 0.3 s to import; only this 2D check needs it
-
-    engine = qmc.Sobol(d=2, scramble=scramble, seed=seed)
-    m = int(math.ceil(math.log2(max(n_samples, 2))))
-    pts = engine.random(2 ** m)[:n_samples]
+    pts = _sobol_net_2d(math.ceil(math.log2(max(n_samples, 2))))[:n_samples]
     L = domain.circumference
     points = np.stack([pts[:, 0] * L, pts[:, 1]], axis=-1)
     imgs = np.asarray(map_fn(points), dtype=float)

@@ -276,7 +276,7 @@ def test_criterion_09_cylinder_smoke():
     # counting saturates near the tolerance at this sample count
     hist = pushforward_histogram_2d(
         lambda pts: tf.map_values(x, pts), dom,
-        n_samples=2 ** 20, bins=64, seed=0, scramble=False, binning="linear",
+        n_samples=2 ** 20, bins=64, binning="linear",
     )
     A0, A1 = _tent_axis_weights(64, periodic=True, omega=2 * np.pi)
     T0, T1 = _tent_axis_weights(64, periodic=False, omega=np.pi)

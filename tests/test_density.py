@@ -151,6 +151,23 @@ def test_symbolic_tables_match_the_hand_derivatives(name):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (name, x, b, j)
 
 
+def test_example2_hand_table_matches_its_expression_twin():
+    # the same density as a formula tree, its table differentiated symbolically;
+    # sin(1/m) is probed no closer to m = 0 than 1e-6
+    I1, sigma_mass = _ex2_oscillatory_mass(), 0.5 * symmetric_beta(3)
+    twin = family_from_expression(
+        f"(2 + x)*m^5*sin(1/m)^2 + m^30"
+        f" + (1 - (2 + x)*{I1!r} - 1/31)/{sigma_mass!r}*max(4*(m - 0.5)*(1 - m), 0)^3",
+        x_range=(-1.0, 1.0), k=2, normalize=False)
+    fam = builtin_family("example2", k=2)
+    ts = np.concatenate([np.geomspace(1e-6, 1.0, 12), np.linspace(0.01, 0.99, 99)])
+    for x in _x_probe_nodes(fam.x_range):
+        for b, j in fam.exact_derivs:
+            want = fam.derivative(x, (ts,), b, j)
+            assert np.all(np.abs(twin.derivative(x, (ts,), b, j) - want)
+                          <= 1e-12 * np.abs(want)), (x, b, j)
+
+
 def test_expression_twin_of_h_power_matches_the_builtin():
     # (1 + x m/2) m^2 is h_power at alpha = 2 before normalisation; with
     # fixed-step differences this check read INCONCLUSIVE (22 unresolved points)
@@ -352,6 +369,20 @@ def test_mass_table_newton_cannot_cycle():
     for target, m in zip(targets, batch):
         assert table.invert(target) == pytest.approx(m, rel=1e-14)
         assert table.cdf(m * (1 - 1e-12)) <= target <= table.cdf(m * (1 + 1e-12))
+
+
+def test_mass_table_queries_its_density_in_sorted_order():
+    # each evaluation block is increasing, so an interpolant in the density
+    # (the reference Pchip) counts its queries per knot instead of searching
+    # each one; the kink at 0.3 makes pair_refine halve pairs below the top level
+    blocks = []
+
+    def dens(m):
+        blocks.append(np.all(np.diff(m.ravel()) >= 0))
+        return np.sqrt(np.abs(m - 0.3))
+
+    MassTable(dens)
+    assert len(blocks) > 6 and all(blocks)
 
 
 def test_mass_table_unresolvable_oscillation_fails_fast():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,12 @@ from moser_transport import (
     parse_density_expression,
     w_infinity_1d,
 )
-from moser_transport.diagnostics import central_difference, probe_step, richardson_stable
+from moser_transport.diagnostics import (
+    _bounded_minimize,
+    central_difference,
+    probe_step,
+    richardson_stable,
+)
 
 # dense-oracle value for the example1 pair (x=0.1 vs x=0), frozen from a
 # closed-form maximisation of the quantile difference
@@ -373,3 +380,29 @@ def test_parameter_probe_difference_step_and_richardson_rule():
     assert richardson_stable(1e-10, 9e-10, 1e-9)
     ok = richardson_stable(np.array([1.0, 1.0, 0.0, 0.0]), np.array([2.0, 2.01, 1e-8, 0.0]), 1e-9)
     assert ok.tolist() == [True, False, False, True]
+
+
+def _unimodal(c):
+    return lambda s: abs(c[1]) * (s - c[0]) ** 2 + c[2] * abs(s - c[0]) ** 1.5
+
+
+def _multimodal(c):
+    return lambda s: math.sin(c[1] * s) + c[2] * math.cos(c[3] * s * s) + 0.1 * c[0] * s
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4),
+       lo=st.floats(-50, 50, allow_nan=False), width=st.floats(1e-8, 100),
+       shape=st.sampled_from([_unimodal, _multimodal]), xatol=st.sampled_from([1e-10, 1e-5]))
+def test_bounded_minimize_matches_scipy(c, lo, width, shape, xatol):
+    f, calls = shape(c), []
+
+    def counted(s):
+        calls.append(s)
+        return f(s)
+
+    res = minimize_scalar(counted, method="bounded", bounds=(lo, lo + width),
+                          options={"xatol": xatol})
+    x, fx, nfev = _bounded_minimize(f, lo, lo + width, xatol=xatol)
+    assert (x, fx, nfev) == (float(res.x), float(res.fun), res.nfev)
+    assert nfev == len(calls)

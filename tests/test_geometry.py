@@ -15,9 +15,8 @@ from moser_transport.geometry import Pchip
 
 
 def test_make_domain_kinds():
-    assert make_domain("interval").boundary_sides == (0, 1)
-    assert make_domain("cylinder", circumference=1.0).boundary_sides == (0, 1)
-    assert make_domain("torus").boundary_sides == ()
+    assert make_domain("interval").has_boundary
+    assert make_domain("cylinder", circumference=1.0).has_boundary
     assert not make_domain("torus").has_boundary
 
 
@@ -92,14 +91,6 @@ def test_grid_integrate_constant_matches_volume():
     assert g.integrate(field) == pytest.approx(2.5)
     g1 = interval_grid(33, lo=0.25, hi=1.0)
     assert g1.integrate(np.ones(33)) == pytest.approx(0.75)
-
-
-def test_boundary_mask():
-    g = cylinder_grid(8, 9)
-    mask = g.boundary_mask()
-    assert mask[:, 0].all() and mask[:, -1].all()
-    assert not mask[:, 1:-1].any()
-    assert not torus_grid(8, 8).boundary_mask().any()
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)

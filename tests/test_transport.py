@@ -119,7 +119,7 @@ def test_pushforward_2d_smoke():
     tf = build_representation(fam, mode="moser_only", grid_n=32, steps=16, floor=0.5)
     x = 0.6
     hist = pushforward_histogram_2d(
-        lambda pts: tf.map_values(x, pts), dom, n_samples=2 ** 16, bins=16, seed=7,
+        lambda pts: tf.map_values(x, pts), dom, n_samples=2 ** 16, bins=16,
     )
     ea, et = hist["a_edges"], hist["t_edges"]
     Sa = np.sin(2 * np.pi * ea) / (2 * np.pi)
@@ -271,3 +271,14 @@ def test_prefetch_builds_only_uncached_values(monkeypatch):
     # the scan plans every floor, order and difference node at once
     ck_floor_scan(tf, [1e-2, 1e-3], k=2, m_per_floor=5, x_nodes=3)
     assert len(plans) == 3 and len(plans[-1]) > 3
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_sobol_net_matches_scipy_bit_for_bit(m):
+    # scipy stays the oracle in the tests; the package itself imports no scipy
+    from scipy.stats import qmc
+
+    expect = qmc.Sobol(d=2, scramble=False).random(2 ** m)
+    got = transport._sobol_net_2d(m)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
