@@ -163,7 +163,6 @@ def cmd_check_assumptions(cfg, out_dir=None, verbose=False):
     if cfg.envelope is None:
         raise ConfigurationError("check-assumptions needs an [envelope] section")
     fam = build_family(cfg)
-    fam.require_orders(cfg.family.k)
     env = build_envelope(cfg)
     report_path, _ = _paths(cfg, out_dir)
     try:

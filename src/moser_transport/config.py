@@ -209,6 +209,9 @@ def validate_config(cfg):
         raise ConfigurationError("family section needs a name or an expression")
     if cfg.family.name is not None and cfg.family.expression is not None:
         raise ConfigurationError("family section takes a name or an expression, not both")
+    lo, hi = cfg.family.x_lo, cfg.family.x_hi
+    if lo is not None and hi is not None and not lo < hi:
+        raise ConfigurationError(f"family needs x_lo < x_hi, got x_lo = {lo:g}, x_hi = {hi:g}")
     make_domain(cfg.domain.kind, cfg.domain.circumference)
     return cfg
 
@@ -218,20 +221,25 @@ def build_domain(cfg):
 
 
 def build_family(cfg):
+    """The configured family; x_lo or x_hi, given alone, replaces that end of
+    the family's own X (a builtin's, or [0, 1] for an expression)."""
     dom = build_domain(cfg)
     fam_cfg = cfg.family
+    fam = None
+    lo, hi = 0.0, 1.0
     if fam_cfg.name is not None:
         fam = builtin_family(fam_cfg.name, k=fam_cfg.k, **fam_cfg.params)
-        if fam_cfg.x_lo is not None and fam_cfg.x_hi is not None:
-            fam.x_range = (float(fam_cfg.x_lo), float(fam_cfg.x_hi))
-        return fam
-    x_range = (
-        fam_cfg.x_lo if fam_cfg.x_lo is not None else 0.0,
-        fam_cfg.x_hi if fam_cfg.x_hi is not None else 1.0,
-    )
-    return family_from_expression(
-        fam_cfg.expression, domain=dom, x_range=x_range, k=fam_cfg.k,
-    )
+        lo, hi = fam.x_range
+    x_range = (float(fam_cfg.x_lo) if fam_cfg.x_lo is not None else lo,
+               float(fam_cfg.x_hi) if fam_cfg.x_hi is not None else hi)
+    if not x_range[0] < x_range[1]:
+        raise ConfigurationError(f"family parameter range X=[{x_range[0]:g}, {x_range[1]:g}] "
+                                 f"is empty or reversed")
+    if fam is None:
+        return family_from_expression(fam_cfg.expression, domain=dom, x_range=x_range,
+                                      k=fam_cfg.k)
+    fam.x_range = x_range
+    return fam
 
 
 def build_envelope(cfg):

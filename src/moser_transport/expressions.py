@@ -12,8 +12,11 @@ Identifiers are the declared variables (``x, m`` for interval families,
 ``x, a, t`` in collar form), the constants ``pi`` and ``e``, and the
 functions ``sin cos exp log sqrt abs min max``.  Evaluation accepts numpy
 arrays and raises EvaluationDomainError where the mathematical domain is
-left (log of a non-positive value, division by zero, sqrt of a negative,
-0 raised to a negative power).
+left (log of a non-positive value, division by zero, sqrt or a fractional
+power of a negative, 0 raised to a negative power).  ``ExpressionAst``
+reads these from numpy's floating-point flags, once per evaluation, not
+from a check at every node; a NaN made from finite operands (``0 * inf``,
+``inf - inf``) raises too.
 
 ``Node.diff(var)`` differentiates a tree symbolically (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008): closed-form rules for every
@@ -133,28 +136,12 @@ class Neg(Node):
         return f"-{_paren(self.operand, 25)}"
 
 
-def _safe_divide(num, den):
-    den_arr = np.asarray(den)
-    if np.any(den_arr == 0):
-        raise EvaluationDomainError("division by zero")
-    return num / den
-
-def _safe_pow(base, exponent):
-    base_arr = np.asarray(base, dtype=float)
-    exp_arr = np.asarray(exponent, dtype=float)
-    if np.any((base_arr == 0) & (exp_arr < 0)):
-        raise EvaluationDomainError("zero raised to a negative power")
-    if np.any((base_arr < 0) & (exp_arr != np.round(exp_arr))):
-        raise EvaluationDomainError("negative base with non-integer exponent")
-    return np.power(base, exponent)
-
-
 _BINOPS = {
     "+": (10, lambda a, b: a + b),
     "-": (10, lambda a, b: a - b),
     "*": (20, lambda a, b: a * b),
-    "/": (20, _safe_divide),
-    "^": (30, _safe_pow),
+    "/": (20, np.divide),
+    "^": (30, np.power),
 }
 
 
@@ -190,25 +177,12 @@ class BinOp(Node):
         return f"{left} {self.op} {right}"
 
 
-def _safe_log(v):
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0):
-        raise EvaluationDomainError("log of a non-positive value")
-    return np.log(v)
-
-def _safe_sqrt(v):
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0):
-        raise EvaluationDomainError("sqrt of a negative value")
-    return np.sqrt(v)
-
-
 _FUNC_IMPL = {
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
-    "log": _safe_log,
-    "sqrt": _safe_sqrt,
+    "log": np.log,
+    "sqrt": np.sqrt,
     "abs": np.abs,
     "min": np.minimum,
     "max": np.maximum,
@@ -401,7 +375,11 @@ class ExpressionAst:
         missing = set(self.variables) - set(env)
         if missing:
             raise EvaluationDomainError(f"missing variables {sorted(missing)}")
-        out = self.root.evaluate(env)
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                out = self.root.evaluate(env)
+        except FloatingPointError as exc:
+            raise EvaluationDomainError(str(exc)) from None
         if np.ndim(out) == 0:
             shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
             if shape:

@@ -291,7 +291,7 @@ def build_representation(
         bump = _bump_profile(k)
 
         def rho0_fn(m):
-            return ref.value_at(m) + deficit * bump(m)
+            return ref.profile(m) + deficit * bump(m)
 
         collar_t = np.geomspace(1e-6, 1.0, collar_t_nodes)
         collar_t[-1] = 1.0

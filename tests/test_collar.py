@@ -271,7 +271,6 @@ def test_collar_rays_cylinder():
     ref = reference_from_profile(
         lambda s: 0.4 * np.ones_like(np.asarray(s, dtype=float)),
         lambda t: 0.4 * np.asarray(t, dtype=float),
-        domain=dom,
     )
     for a in (0.0, 0.25, 0.5):
         cm = build_collar_map(fam, ref, 0.0, a=a)

@@ -137,6 +137,46 @@ def test_invariant_validation():
         parse_config("[domain]\nkind = disk\n\n[family]\nname = constant\n")
 
 
+def test_a_lone_bound_replaces_that_end_of_a_builtin_range():
+    # a lone x_hi was dropped, and the checker probed x up to 0.98 of [0, 1]
+    for bounds, want in (("x_hi = 0.5", (0.0, 0.5)), ("x_lo = 0.25", (0.25, 1.0)),
+                         ("x_lo = 0.25\nx_hi = 0.5", (0.25, 0.5))):
+        cfg = parse_config(f"[family]\nname = h_power\nalpha = 2\n{bounds}\n")
+        assert build_family(cfg).x_range == want
+    cfg = parse_config("[family]\nname = h_power\nx_lo = 1.5\n")
+    with pytest.raises(ConfigurationError, match="empty or reversed"):
+        build_family(cfg)
+
+
+def test_cli_check_assumptions_honours_a_lone_x_hi(tmp_path):
+    cfg_path = _write(tmp_path, """
+[family]
+name = h_power
+alpha = 2
+x_hi = 0.5
+
+[envelope]
+name = power
+alpha = 2
+""")
+    assert main(["check-assumptions", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    probe = json.loads((tmp_path / "report.json").read_text())["assumptions"]["probe"]
+    assert max(probe["x_nodes"]) == pytest.approx(0.49)
+
+
+def test_a_reversed_range_is_a_configuration_error(tmp_path, capsys):
+    # x_lo > x_hi passed validation and ended in exit 3, "x=0.4 outside X=[0.4, 0.1]"
+    for lo, hi in (("0.4", "0.1"), ("0.3", "0.3")):
+        text = f"[family]\nexpression = 1 + x*(2*m - 1)\nx_lo = {lo}\nx_hi = {hi}\n"
+        with pytest.raises(ConfigurationError, match="x_lo < x_hi"):
+            parse_config(text)
+        cfg_path = _write(tmp_path, text + "\n[envelope]\nname = constant\n")
+        for command in ("check-assumptions", "represent"):
+            assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert "x_lo < x_hi" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_envelope_section_builds():
     cfg = parse_config(
         "[family]\nname = h_power\nalpha = 2\n\n[envelope]\nname = power\nalpha = 2\n"
@@ -224,7 +264,7 @@ report = fail.json
     assert first_order["witness"]["beta"] == 1 and first_order["witness"]["j"] == 0
 
 
-def test_cli_rejects_k_below_one_and_orders_beyond_a_table(tmp_path, capsys):
+def test_cli_rejects_k_below_one_and_runs_k3_on_a_builtin(tmp_path, capsys):
     # k < 1 left the checker nothing to check: it passed with exit 0
     for k in (0, -1):
         cfg_path = _write(tmp_path, f"""
@@ -251,9 +291,10 @@ k = 3
 name = power
 alpha = 2
 """, "k3.cfg")
-    assert main(["check-assumptions", "--config", cfg_path, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "'h_power'" in err and "D_x^0 D_t^3" in err and "expression" in err
+    # every builtin's table comes from its formula, to any order
+    assert main(["check-assumptions", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())["assumptions"]
+    assert rep["verdict"] == "PASS" and "derivative:beta=0:j=3" in rep["margins"]
 
 
 def test_cli_obstruct_example1_finding(tmp_path):

@@ -23,8 +23,8 @@ from moser_transport import (
     make_reference,
     reference_from_profile,
 )
-from moser_transport.density import (_ex2_oscillatory_mass, _x_probe_nodes, probe_integrals,
-                                     symmetric_beta)
+from moser_transport.density import (_base_integrals, _ex2_oscillatory_mass, _x_probe_nodes,
+                                     probe_integrals, symmetric_beta)
 
 
 def test_torus_mass_counts_the_seam_once():
@@ -114,9 +114,84 @@ def test_derivative_consistency_observed_order(pair):
     assert order >= 1.8
 
 
-# the closed forms these builtins carried before their tables came from
+# the closed forms the builtins carried before their tables came from
 # their formula strings; kept as oracles for the symbolic derivatives
 _m = lambda m: np.asarray(m, float)
+
+
+def _modulated_hand(base, d1, d2, s, s1, s2, n0, ns):
+    """The table of (1 + x s(t)) base(t) / (n0 + x ns), to order 2."""
+    N = lambda x: n0 + x * ns
+    fn = lambda x, t: (1 + x * s(t)) * base(t) / N(x)
+    dA = lambda x, t: d1(t) + x * (s1(t) * base(t) + s(t) * d1(t))
+    return {
+        (1, 0): lambda x, t: s(t) * base(t) / N(x) - fn(x, t) * ns / N(x),
+        (2, 0): lambda x, t: (-2 * s(t) * base(t) * ns
+                              + 2 * (1 + x * s(t)) * base(t) * ns * ns / N(x)) / N(x) ** 2,
+        (0, 1): lambda x, t: dA(x, t) / N(x),
+        (0, 2): lambda x, t: (d2(t) + x * (s2(t) * base(t) + 2 * s1(t) * d1(t)
+                                           + s(t) * d2(t))) / N(x),
+        (1, 1): lambda x, t: (s1(t) * base(t) + s(t) * d1(t)) / N(x) - dA(x, t) * ns / N(x) ** 2,
+    }
+
+
+_HALF_T = (lambda t: _m(t) / 2, lambda t: np.full_like(_m(t), 0.5),
+           lambda t: np.zeros_like(_m(t)))
+
+
+def _h_power_hand(a):
+    return _modulated_hand(lambda t: _m(t) ** a, lambda t: a * _m(t) ** (a - 1),
+                           lambda t: a * (a - 1) * _m(t) ** (a - 2), *_HALF_T,
+                           1.0 / (a + 1), 0.5 / (a + 2))
+
+
+def _h_stretched_hand(a):
+    base = lambda t: np.exp(-_m(t) ** (-a))
+    n0, ns = _base_integrals(base, _HALF_T[0])
+    return _modulated_hand(
+        base, lambda t: a * _m(t) ** (-a - 1) * base(t),
+        lambda t: (a * a * _m(t) ** (-2 * a - 2) - a * (a + 1) * _m(t) ** (-a - 2)) * base(t),
+        *_HALF_T, n0, ns)
+
+
+def _h_loglog_hand():
+    L = lambda t: np.log(2.0 / _m(t))
+    mod = (lambda t: _m(t) ** 2 * (1 - _m(t)) ** 3,
+           lambda t: _m(t) * (1 - _m(t)) ** 2 * (2 - 5 * _m(t)),
+           lambda t: (1 - _m(t)) * (2 - 16 * _m(t) + 20 * _m(t) ** 2))
+    base = lambda t: 1.0 / L(t)
+    n0, ns = _base_integrals(base, mod[0])
+    return _modulated_hand(
+        base, lambda t: 1.0 / (_m(t) * L(t) ** 2),
+        lambda t: -1.0 / (_m(t) ** 2 * L(t) ** 2) + 2.0 / (_m(t) ** 2 * L(t) ** 3), *mod, n0, ns)
+
+
+def _example2_hand(q=3):
+    I1 = _ex2_oscillatory_mass()
+    sigma_mass = 0.5 * symmetric_beta(q)
+    c_of_x = lambda x: (1.0 - (2.0 + x) * I1 - 1.0 / 31.0) / sigma_mass
+    c_slope = -I1 / sigma_mass
+    u = lambda m: np.maximum(4.0 * (_m(m) - 0.5) * (1.0 - _m(m)), 0.0)
+    du = lambda m: 6.0 - 8.0 * _m(m)
+    inside = lambda m: (_m(m) > 0.5) & (_m(m) < 1.0)
+    sigma = lambda m: u(m) ** q
+    sigma_d1 = lambda m: np.where(inside(m), q * u(m) ** (q - 1) * du(m), 0.0)
+    sigma_d2 = lambda m: np.where(inside(m), q * (q - 1) * u(m) ** (q - 2) * du(m) * du(m)
+                                  - 8.0 * q * u(m) ** (q - 1), 0.0)
+    osc_t = lambda m: 5 * _m(m) ** 4 * np.sin(1.0 / _m(m)) ** 2 - _m(m) ** 3 * np.sin(2.0 / _m(m))
+    return {
+        (1, 0): lambda x, m: _m(m) ** 5 * np.sin(1.0 / _m(m)) ** 2 + c_slope * sigma(m),
+        (2, 0): lambda x, m: np.zeros_like(_m(m)),
+        (0, 1): lambda x, m: (2.0 + x) * osc_t(m) + 30 * _m(m) ** 29 + c_of_x(x) * sigma_d1(m),
+        (0, 2): lambda x, m: (2.0 + x) * (20 * _m(m) ** 3 * np.sin(1.0 / _m(m)) ** 2
+                                          - 8 * _m(m) ** 2 * np.sin(2.0 / _m(m))
+                                          + 2 * _m(m) * np.cos(2.0 / _m(m)))
+                             + 870 * _m(m) ** 28 + c_of_x(x) * sigma_d2(m),
+        (1, 1): lambda x, m: osc_t(m) + c_slope * sigma_d1(m),
+        (2, 1): lambda x, m: np.zeros_like(_m(m)),
+    }
+
+
 _HAND_TABLES = {
     "example1": {
         (1, 0): lambda x, m: 4 * x * _m(m) - 10 * x * _m(m) ** 4,
@@ -139,33 +214,48 @@ _HAND_TABLES = {
                  for b in range(4) for j in range(4) if 0 < b + j <= 3},
 }
 
+# (name, params, hand table); the polynomial families above are
+# compared at 1e-13 relative, the four below at 1e-12 relative with an
+# absolute floor where an entry crosses zero: 1e-15 of the entry's largest
+# magnitude on the sweep (at least 1e-15), since the terms that cancel there
+# (h_stretched, alpha = 2, D_t^2 near t = 0.87: both forms are 1e-12 off
+# an mpmath value) are that large
+_BUILTIN_CASES = [pytest.param(name, {}, table, id=name)
+                  for name, table in sorted(_HAND_TABLES.items())] + [
+    *[pytest.param("h_power", {"alpha": a}, _h_power_hand(a), id=f"h_power-{a}")
+      for a in (0.7, 2.0, 2.5)],
+    *[pytest.param("h_stretched", {"alpha": a}, _h_stretched_hand(a), id=f"h_stretched-{a}")
+      for a in (1.0, 2.0)],
+    pytest.param("h_loglog", {}, _h_loglog_hand(), id="h_loglog"),
+    pytest.param("example2", {}, _example2_hand(), id="example2"),
+]
+# the checker's t nodes and a uniform sweep; sin(1/m) is probed no closer
+# to m = 0 than 1e-6
+_TABLE_TS = np.concatenate([np.geomspace(1e-6, 1.0, 12), np.linspace(0.01, 0.99, 99)])
 
-@pytest.mark.parametrize("name", sorted(_HAND_TABLES))
-def test_symbolic_tables_match_the_hand_derivatives(name):
-    fam = builtin_family(name)
-    ts = np.geomspace(1e-6, 1.0, 12)
+
+@pytest.mark.parametrize("name,params,hand_table", _BUILTIN_CASES)
+def test_symbolic_tables_match_the_hand_derivatives(name, params, hand_table):
+    fam = builtin_family(name, k=2, **params)
+    rel, floor = (1e-13, 0.0) if name in _HAND_TABLES else (1e-12, 1e-15)
+    ts = _TABLE_TS
     for x in _x_probe_nodes(fam.x_range):
-        for (b, j), hand in _HAND_TABLES[name].items():
+        for (b, j), hand in hand_table.items():
             got, want = fam.derivative(x, (ts,), b, j), hand(x, ts)
             assert got.shape == ts.shape
-            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (name, x, b, j)
+            atol = floor * max(1.0, np.max(np.abs(want)))
+            assert np.all(np.abs(got - want) <= np.maximum(rel * np.abs(want), atol)), \
+                (name, x, b, j)
 
 
-def test_example2_hand_table_matches_its_expression_twin():
-    # the same density as a formula tree, its table differentiated symbolically;
-    # sin(1/m) is probed no closer to m = 0 than 1e-6
-    I1, sigma_mass = _ex2_oscillatory_mass(), 0.5 * symmetric_beta(3)
-    twin = family_from_expression(
-        f"(2 + x)*m^5*sin(1/m)^2 + m^30"
-        f" + (1 - (2 + x)*{I1!r} - 1/31)/{sigma_mass!r}*max(4*(m - 0.5)*(1 - m), 0)^3",
-        x_range=(-1.0, 1.0), k=2, normalize=False)
-    fam = builtin_family("example2", k=2)
-    ts = np.concatenate([np.geomspace(1e-6, 1.0, 12), np.linspace(0.01, 0.99, 99)])
+@pytest.mark.parametrize("name,params,hand_table", _BUILTIN_CASES)
+def test_formula_tree_matches_the_hand_evaluator(name, params, hand_table):
+    # each builtin keeps a hand fn (its formula has no value at m = 0); away
+    # from 0 the tree its derivatives come from is the same density
+    fam = builtin_family(name, k=2, **params)
     for x in _x_probe_nodes(fam.x_range):
-        for b, j in fam.exact_derivs:
-            want = fam.derivative(x, (ts,), b, j)
-            assert np.all(np.abs(twin.derivative(x, (ts,), b, j) - want)
-                          <= 1e-12 * np.abs(want)), (x, b, j)
+        got, want = fam.exact_derivs[0, 0](x, _TABLE_TS), fam.fn(x, _TABLE_TS)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (name, x)
 
 
 def test_expression_twin_of_h_power_matches_the_builtin():
@@ -198,31 +288,42 @@ def test_k_below_one_is_rejected_for_every_family():
         builtin_family("example2", k=-2)
 
 
-def test_orders_beyond_a_hand_table_stop_the_check_before_probing():
+def test_every_builtin_table_reaches_any_order():
+    # no order limit: k = 3 on a builtin that once carried a hand table to order 2
     fam = builtin_family("h_power", k=3)
     env = make_envelope("power", k=3, alpha=2.0)
-    with pytest.raises(ConfigurationError, match=r"'h_power'.*D_x\^0 D_t\^3"):
-        check_decay_assumptions(fam, None, env, k=3)
-    # the symbolic tables reach any order
-    builtin_family("example1", k=3).require_orders(6)
-    family_from_expression("(1 + x*m/2)*m^2", k=3).require_orders(6)
+    rep = check_decay_assumptions(fam, make_reference(fam, margin=0.5), env, k=3, t_nodes=8)
+    assert rep.verdict == "PASS"
+    assert ("derivative", 0, 3) in rep.margins and ("integrated", 3, 0) in rep.margins
+    for name in ("example2", "h_loglog", "h_stretched"):
+        assert np.all(np.isfinite(builtin_family(name, k=3).derivative(0.5, (_TABLE_TS,), 2, 4)))
+
+
+def test_a_partial_hand_table_raises_key_error():
+    zero = lambda x, m: np.zeros_like(np.asarray(m, dtype=float))
+    fam = DensityFamily(domain=make_domain("interval"), x_range=(0.0, 1.0), k=1,
+                        name="partial", fn=lambda x, m: np.ones_like(np.asarray(m, float)),
+                        exact_derivs={(1, 0): zero})
+    assert np.all(fam.derivative(0.5, (_TABLE_TS,), 1, 0) == 0.0)
+    with pytest.raises(KeyError, match=r"\(0, 1\)"):
+        fam.derivative(0.5, (_TABLE_TS,), 0, 1)
 
 
 def test_make_reference_constant():
     ref = make_reference(builtin_family("constant"), margin=0.5)
-    assert ref.value_at(0.37) == pytest.approx(0.5)
+    assert ref.profile(0.37) == pytest.approx(0.5)
     assert ref.mass == pytest.approx(0.5, rel=1e-6)
 
 
 def test_make_reference_affine_flat_quarter():
     ref = make_reference(builtin_family("affine"), margin=0.5)
     for m in (0.05, 0.3, 0.77, 0.99):
-        assert ref.value_at(m) == pytest.approx(0.25, rel=1e-9)
+        assert ref.profile(m) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_make_reference_example1_endpoint():
     ref = make_reference(builtin_family("example1"), margin=0.5)
-    assert ref.value_at(1.0) == pytest.approx(1.0, rel=1e-9)
+    assert ref.profile(1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,7 +331,7 @@ def test_make_reference_example1_endpoint():
 def test_reference_domination(x, m):
     fam = builtin_family("example1")
     ref = _EX1_REF
-    assert fam.rho(x, m) > ref.value_at(m)
+    assert fam.rho(x, m) > ref.profile(m)
 
 
 _EX1_REF = make_reference(builtin_family("example1"), margin=0.5)
@@ -311,6 +412,31 @@ def test_check_example1_fails_with_first_order_witness():
     rec = rep.margins[("derivative", 1, 0)]
     assert rec["margin"] > 1.0
     assert rec["witness"]["beta"] == 1 and rec["witness"]["j"] == 0
+
+
+def test_check_on_the_cylinder_matches_a_pointwise_loop():
+    # the checker evaluates each table entry once per (x, a); the margins are
+    # those of one scalar evaluation per probe point
+    dom = make_domain("cylinder")
+    fam = family_from_expression("(1 + 0.5*x*cos(2*pi*a))*(1 + t^2) + x*t", domain=dom,
+                                 x_range=(-0.5, 0.5), k=2)
+    env = make_envelope("constant", k=2, E0=2.0, B0=3.0)
+    rep = check_decay_assumptions(fam, None, env, k=2, x_nodes=3, t_nodes=5)
+    want = {}
+    for x in rep.probe_meta["x_nodes"]:
+        for a in np.linspace(0.0, dom.circumference, 5)[:-1]:
+            for t in np.geomspace(1e-6, 1.0, 5):
+                rho = float(fam.fn(x, a, t))
+                for b in range(3):
+                    for j in range(3 - b):
+                        dv = float(fam.derivative(x, (a, t), b, j))
+                        ratio = abs(dv) / rho / (2.0 ** b * 3.0 ** j)
+                        want[b, j] = max(want.get((b, j), 0.0), ratio)
+    got = {(b, j): rec["margin"] for (eq, b, j), rec in rep.margins.items() if eq == "derivative"}
+    assert got.keys() == want.keys()
+    for key, margin in want.items():
+        assert got[key] == pytest.approx(margin, rel=1e-12, abs=0), key
+    assert got[1, 0] > 0 and got[0, 1] > 0 and got[1, 1] > 0
 
 
 def test_expression_family_normalises():

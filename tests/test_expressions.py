@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from moser_transport import (
     EvaluationDomainError,
+    ExpressionAst,
     ExpressionSyntaxError,
     parse_density_expression,
 )
@@ -71,6 +73,44 @@ def test_domain_errors():
         parse_density_expression("0^(0-1)", variables=()).evaluate()
 
 
+@pytest.mark.parametrize("text", ["1/0", "0^(0-1)", "log(0)", "log(0-1)", "sqrt(0-1)",
+                                  "(0-8)^(1/3)"])
+def test_domain_errors_come_from_the_floating_point_flags(text):
+    # Python-float operands get numpy semantics too: no ZeroDivisionError, no complex power
+    with pytest.raises(EvaluationDomainError):
+        parse_density_expression(text, variables=()).evaluate()
+    with pytest.raises(EvaluationDomainError):
+        parse_density_expression(text.replace("0", "(0*m)", 1)).evaluate(x=0.0, m=np.ones(3))
+
+
+def test_integer_power_of_a_negative_is_in_the_domain():
+    assert parse_density_expression("(0-8)^2", variables=()).evaluate() == 64.0
+
+
+def test_nan_from_finite_input_raises():
+    # m^-2 overflows to inf and exp(-1/m) underflows to 0: their product was a NaN
+    ast = parse_density_expression("m^(-2)*exp(-1/m)")
+    with np.errstate(over="ignore"), pytest.raises(EvaluationDomainError, match="invalid"):
+        ast.evaluate(x=0.0, m=np.array([0.5, 1e-200]))
+
+
+def test_domain_errors_raise_inside_worker_threads():
+    # np.errstate is per thread: a worker starts from numpy's default (warn)
+    # state, and evaluate sets the raising flags in whichever thread runs it
+    ast = parse_density_expression("log(m)")
+
+    def run(m):
+        try:
+            return float(ast.evaluate(x=0.0, m=np.full(4, m))[0])
+        except EvaluationDomainError as exc:
+            return str(exc)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(run, [0.0, 1.0, -1.0, math.e]))
+    assert got == ["divide by zero encountered in log", 0.0,
+                   "invalid value encountered in log", 1.0]
+
+
 def test_array_evaluation_matches_scalar():
     ast = parse_density_expression("2*x^2*m + 5*(1-x^2)*m^4")
     ms = np.linspace(0.0, 1.0, 7)
@@ -114,7 +154,7 @@ def test_pretty_print_reparses_to_same_ast(root):
 def test_pretty_print_preserves_value(root, x, m):
     env = {"x": x, "m": m}
     try:
-        expected = root.evaluate(env)
+        expected = ExpressionAst(root=root, variables=("x", "m"), source="").evaluate(**env)
     except EvaluationDomainError:
         return
     if not math.isfinite(float(np.asarray(expected))):

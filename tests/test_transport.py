@@ -210,7 +210,7 @@ def test_reference_mass_is_probability(affine_tf):
     # the completion bump lives away from the collar: rho0 = f on [0, 0.4]
     assert np.abs(
         affine_tf.rho0_fn(np.linspace(0, 0.39, 50))
-        - affine_tf.ref.value_at(np.linspace(0, 0.39, 50))
+        - affine_tf.ref.profile(np.linspace(0, 0.39, 50))
     ).max() == 0.0
 
 
