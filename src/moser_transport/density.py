@@ -953,11 +953,12 @@ def check_decay_assumptions(
         if ratio > worst[0]:
             worst = (float(ratio), witness)
 
+    if dom.dim == 1 and dom.has_boundary:
+        # the chart of side 0 is the identity: check the probe t once, then pass t through
+        collar_chart(dom, 0.0, ts, side=0)
+
     def coords(a, t):
-        if dom.dim == 1:
-            m = collar_chart(dom, 0.0, t, side=0) if dom.has_boundary else t
-            return (m,)
-        return (a, t)
+        return (t,) if dom.dim == 1 else (a, t)
 
     for x in xs:
         for a in a_nodes:

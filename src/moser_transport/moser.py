@@ -16,25 +16,31 @@ of the even extension, and a periodic axis takes a real FFT and its
 Hermitian fill.  On the interval and the cylinder this is scipy.fft's
 arithmetic bit for bit; on the torus (two periodic axes) scipy fills the
 self-conjugate columns in its own way, so the two differ in the last bit
-(about 5e-16 relative).  RK4 runs once per build, over the grid nodes,
-through one multilinear interpolator; map queries interpolate the node
-images (PCHIP in 1D, the multilinear node displacement in 2D).
+(about 5e-16 relative).  RK4 runs over grid nodes, never over query
+points, through one multilinear interpolator; map queries interpolate the
+node images (PCHIP in 1D, the multilinear node displacement in 2D).
 
 ``moser_map_from_values`` is the one build path.  It takes a plan: one or
-more parameter values whose densities are known up front, and returns one
-MoserMap per value, each carrying its potential.  Each value gets its own
-mass balance, Poisson solve and velocity floor.  In 1D one RK4 sweep then
-runs over the node seeds of every value, stacked side by side by
+more parameter values whose densities are known up front, and optionally
+the points the maps will be queried at.  It returns one MoserMap per
+value, each carrying its potential.  Each value gets its own mass balance,
+Poisson solve and velocity floor.  In 1D one RK4 sweep then runs over the
+node seeds of every value, stacked side by side by
 ``VelocityProvider.stack``; each block of seeds reads its own value's node
 data through an index offset, so its arithmetic, and its images bit for
-bit, are those of a sweep on its own.  2D runs one sweep per value: its
-node data outgrows the cache once stacked, which made a stacked sweep
-slower.  ``TransportFamily.prefetch`` makes these plans, so its caches are
-full before any worker thread reads them.
+bit, are those of a sweep on its own.  PCHIP needs every node image, so 1D
+ignores the points.  2D runs one sweep per value (stacked, its node data
+outgrows the cache), and only from the nodes the planned points read
+(``_corners``); a later query that reads a missing node integrates it
+first, under the map's lock.  RK4 moves each point on its own, so an image
+is the same bit for bit whichever sweep computed it.
+``TransportFamily.prefetch`` makes these plans, so its caches are full
+before any worker thread reads them.
 """
 
 import copy
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,13 +230,13 @@ def gradient(grid, values):
 _CORNERS = np.array([[0], [1]], dtype=np.intp)
 
 
-def _multilinear(grid, F, points, offset=None):
-    """Interpolate fields-major node data F (nf, n_nodes) at (N,) or (N, 2) points.
+def _corners(grid, points):
+    """(flat, fracs): the flat node indices, (2,) * dim + (N,), and the per-axis
+    fractions that multilinear interpolation at (N,) or (N, 2) points reads.
 
-    Returns (nf, N).  Cell and fraction follow from the uniform spacing;
-    periodic axes wrap, bounded axes hold their end values outside the grid.
-    ``offset`` (one entry per point) is added to the flat node index, so F
-    may hold the node data of several same-shaped grids side by side.
+    Cell and fraction follow from the uniform spacing; periodic axes wrap,
+    bounded axes hold their end values outside the grid.  A periodic leading
+    axis is left unwrapped: the flat index is read modulo the node count.
     """
     pts = points.reshape(-1, grid.dim)
     flat, fracs, stride = None, [], 1
@@ -251,8 +257,11 @@ def _multilinear(grid, F, points, offset=None):
         corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
         flat = corner if flat is None else flat + corner * stride
         stride *= ax.n
-    if offset is not None:
-        flat += offset
+    return flat, fracs
+
+
+def _blend(F, flat, fracs):
+    """Fields-major node data F (nf, n_nodes) blended over the corners of ``_corners``: (nf, N)."""
     vals = F.take(flat, axis=1, mode="wrap")
     for frac in reversed(fracs):
         # in place: fresh temporaries of this size cost more than the arithmetic
@@ -261,6 +270,19 @@ def _multilinear(grid, F, points, offset=None):
         lerp += vals[:, 0]
         vals = lerp
     return vals
+
+
+def _multilinear(grid, F, points, offset=None):
+    """Interpolate fields-major node data F (nf, n_nodes) at (N,) or (N, 2) points.
+
+    Returns (nf, N).  ``offset`` (one entry per point) is added to the flat
+    node index, so F may hold the node data of several same-shaped grids
+    side by side.
+    """
+    flat, fracs = _corners(grid, points)
+    if offset is not None:
+        flat += offset
+    return _blend(F, flat, fracs)
 
 
 class VelocityProvider:
@@ -392,32 +414,92 @@ def integrate_flow(provider, points, steps=256, clamps=None):
     return _wrap_periodic(grid, pts), int(counter.sum())
 
 
-@dataclass
 class MoserMap:
     """Time-one flow map for one parameter value.
 
     Queries interpolate the RK4 images of the grid nodes: PCHIP in 1D,
     which keeps the map strictly monotone and inside the interval, and
     the multilinear node displacement in 2D.
+
+    A 1D map holds every node image from its build.  A 2D map may hold only
+    some: ``done`` marks the nodes integrated so far (None once all are),
+    and ``evaluate`` first integrates the missing nodes its points read.
+    RK4 moves each point on its own, so every image a query reads is the one
+    a full build gives, bit for bit.  Fills run under the map's lock, so
+    threads may share a map.  ``clamp_events`` counts the clamps of the
+    nodes integrated so far; ``node_images`` completes the map first.
     """
 
-    x: float
-    grid: Grid
-    potential: PotentialField
-    provider: VelocityProvider
-    steps: int
-    node_images: np.ndarray
-    clamp_events: int
-    interpolant: object = field(repr=False)  # PCHIP (1D) or fields-major displacement (2D)
+    def __init__(self, x, grid, potential, provider, steps, images, interpolant,
+                 clamp_events, done=None):
+        self.x = float(x)
+        self.grid = grid
+        self.potential = potential
+        self.provider = provider
+        self.steps = steps
+        self.clamp_events = int(clamp_events)
+        self.interpolant = interpolant  # PCHIP (1D) or fields-major displacement (2D)
+        self.done = done
+        self._images = images
+        self._lock = threading.Lock()
+
+    @property
+    def node_images(self):
+        """RK4 images of all grid nodes, (n,) in 1D or (n_nodes, 2) in 2D; completes the map."""
+        self.fill()
+        return self._images
+
+    def fill(self, points=None):
+        """Integrate the nodes that ``points`` read (every node when None) not integrated yet.
+
+        Errors name their stage and x; the map keeps only the fills that completed.
+        """
+        if self.done is not None:
+            self._fill_nodes(None if points is None
+                             else _corners(self.grid, np.asarray(points, dtype=float))[0])
+
+    def _fill_nodes(self, nodes):
+        """``fill`` of flat node indices, read modulo the node count as ``_corners`` gives them."""
+        with self._lock:
+            done = self.done
+            if done is None:
+                return
+            if nodes is None:
+                todo = ~done
+            else:
+                todo = np.zeros(done.size, dtype=bool)
+                todo[np.ravel(nodes) % done.size] = True
+                todo &= ~done
+            todo = np.flatnonzero(todo)
+            if todo.size:
+                seeds = np.stack([ax.nodes[i] for ax, i in
+                                  zip(self.grid.axes, np.unravel_index(todo, self.grid.shape))],
+                                 axis=-1)
+                stage = "RK4 sweep"
+                try:
+                    images, clamps = integrate_flow(self.provider, seeds, steps=self.steps)
+                    stage = "node displacement"
+                    disp = _node_displacement(self.grid, seeds, images)
+                except IntegrationError as exc:
+                    raise _stage_error(exc, stage, self.x) from exc
+                self._images[todo] = images
+                self.interpolant[:, todo] = disp
+                self.clamp_events += clamps
+                done[todo] = True
+            if done.all():
+                self.done = None
 
     def evaluate(self, points):
         """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
         pts = _clamp_bounded(self.grid, np.asarray(points, dtype=float), slack=1e-12)
         if self.grid.dim == 1:
             # PCHIP through monotone data stays within it; the clip only removes rounding
-            return np.clip(self.interpolant(pts), self.node_images[0], self.node_images[-1])
+            return np.clip(self.interpolant(pts), self._images[0], self._images[-1])
+        corners = _corners(self.grid, pts)
+        if self.done is not None:
+            self._fill_nodes(corners[0])
         # bounded coordinates are convex combinations of node images; the clamp is rounding
-        moved = pts + _multilinear(self.grid, self.interpolant, pts).T.reshape(pts.shape)
+        moved = pts + _blend(self.interpolant, *corners).T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
 
@@ -465,16 +547,8 @@ def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
         raise _stage_error(exc, stage, x) from exc
 
 
-def _sweep(grid, providers, xs, seeds, steps):
-    """(node images, clamp events) per x: one stacked RK4 sweep in 1D, one per x in 2D."""
-    if grid.dim == 2:
-        out = []
-        for provider, x in zip(providers, xs):
-            try:
-                out.append(integrate_flow(provider, seeds, steps=steps))
-            except IntegrationError as exc:
-                raise _stage_error(exc, "RK4 sweep", x) from exc
-        return out
+def _sweep_1d(grid, providers, xs, seeds, steps):
+    """(node images, clamp events) per x, from one stacked RK4 sweep."""
     n = seeds.size
     clamps = np.zeros(n * len(providers), dtype=np.intp)
     try:
@@ -486,30 +560,30 @@ def _sweep(grid, providers, xs, seeds, steps):
 
 
 def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
-                          tol=1e-10, tol_mass=1e-4, c_floor=None):
+                          tol=1e-10, tol_mass=1e-4, c_floor=None, points=None):
     """Flow maps of a plan: one MoserMap per value of ``xs``, in plan order.
 
     ``rhox_values`` holds one grid density per value, each positive and of
     the mass of ``rho0_values``; the maps are built as the module docstring
-    describes.  Errors name their stage and the x they belong to; the first
-    failing value stops the plan.
+    describes.  In 2D only the nodes that ``points`` read are integrated
+    (every node when None); 1D ignores ``points``.  Errors name their stage
+    and the x they belong to; the first failing value stops the plan.
     """
     rho0_values = np.asarray(rho0_values, dtype=float)
     setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass, c_floor)
               for x, rhox in zip(xs, rhox_values)]
-    providers = [provider for _, provider in setups]
-    seeds = (grid.nodes(0) if grid.dim == 1
-             else np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1))
+    if grid.dim == 1:
+        seeds = grid.nodes(0)
+        return [MoserMap(x, grid, potential, provider, steps, images,
+                         Pchip(seeds, images, extrapolate=False), clamps)
+                for x, (potential, provider), (images, clamps) in zip(
+                    xs, setups, _sweep_1d(grid, [pv for _, pv in setups], xs, seeds, steps))]
+    nodes = None if points is None else _corners(grid, np.asarray(points, dtype=float))[0]
+    n = grid.axes[0].n * grid.axes[1].n
     built = []
-    for x, (potential, provider), (images, clamps) in zip(
-            xs, setups, _sweep(grid, providers, xs, seeds, steps)):
-        try:
-            interpolant = (Pchip(seeds, images, extrapolate=False) if grid.dim == 1
-                           else _node_displacement(grid, seeds, images))
-        except IntegrationError as exc:
-            raise _stage_error(exc, "node displacement", x) from exc
-        built.append(MoserMap(x=float(x), grid=grid, potential=potential, provider=provider,
-                              steps=steps, node_images=images, clamp_events=int(clamps),
-                              interpolant=interpolant))
+    for x, (potential, provider) in zip(xs, setups):
+        mm = MoserMap(x, grid, potential, provider, steps, np.empty((n, 2)), np.empty((2, n)),
+                      0, done=np.zeros(n, dtype=bool))
+        mm._fill_nodes(nodes)
+        built.append(mm)
     return built
-

@@ -48,14 +48,17 @@ def _bump_profile(k, lo=0.4, hi=0.9):
 
 @dataclass
 class TransportFamily:
-    """Lazily built family of composed transport maps, immutable once built.
+    """Lazily built family of composed transport maps.
 
     Per-parameter collar and interior maps are cached under the exact
     value of x.  Callers that know their parameter values up front
     (``verify``, the C^k floor scan) plan them with ``prefetch``: the maps
     are built together, in 1D from one stacked RK4 sweep, and the caches
     are full before any worker thread starts, so the workers only read
-    them.  A value outside a plan is built on first use, as a plan of one.
+    them.  The scan also plans its query points, and a 2D map then
+    integrates only the nodes those read; a later query that reads more
+    fills them under the map's lock.  A value outside a plan is built on
+    first use, as a plan of one.
     Evaluation pushes the query points through the stages in the order
     they come; both stages accept any order.
     """
@@ -98,18 +101,23 @@ class TransportFamily:
             self.prefetch([x])
         return self._mosers[key]
 
-    def prefetch(self, xs):
+    def prefetch(self, xs, points=None):
         """Build the collar and interior maps of every x in ``xs`` not cached yet.
 
         The values are planned first: each gets its collar, ``nu`` and Poisson
         solve, and in 1D their interior flows then come from one stacked RK4
-        sweep (see ``moser``).  Errors name the x they belong to.
+        sweep (see ``moser``).  A 2D map integrates only the nodes that
+        ``points`` read (all nodes when None), and a cached one is filled up to
+        them, so workers that query only ``points`` start no fill.  Errors
+        name the x they belong to.
         """
         plan = {}
         for x in xs:
             key = float(x)
             if key not in self._mosers:
                 plan.setdefault(key, x)
+            else:
+                self._mosers[key].fill(points)
         if not plan:
             return
         xs = list(plan.values())
@@ -126,7 +134,7 @@ class TransportFamily:
                 rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
         built = moser_map_from_values(
             self.rho0_fn(*coords), rhox, grid, xs, steps=self.steps,
-            tol=self.tol_solver, tol_mass=self.tol_mass,
+            tol=self.tol_solver, tol_mass=self.tol_mass, points=points,
         )
         self._mosers.update(zip(plan, built))
 
@@ -468,11 +476,12 @@ def _ck_probes(x_range, x_grid, j):
             yield x, h
 
 
-def _prefetch(family, xs):
-    """Plan the builds of xs on a family that has any (QuantileTransport has none)."""
+def _prefetch(family, xs, points=None):
+    """Plan the builds of xs, to be queried at ``points``, on a family that has
+    any (QuantileTransport has none)."""
     prefetch = getattr(family, "prefetch", None)
     if prefetch is not None:
-        prefetch(xs)
+        prefetch(xs, points)
 
 
 def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
@@ -567,26 +576,30 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
 
     UNBOUNDED-SUSPECT when every refinement grows some order's sup by at
     least the threshold; STABLE otherwise.  Every difference node of every
-    floor and order is prefetched before the first probe.
+    floor and order is prefetched before the first probe, planned for the
+    union of the floors' m grids.
     """
     if len(floors) < 2:
         raise ConfigurationError("floor scan needs at least two floors")
     x_grids = [make_x_grid(map_family.x_range, floor_mode, floor, n=x_nodes)
                for floor in floors]
-    _prefetch(map_family, [node for x_grid in x_grids for j in range(1, k + 1)
-                           for x, h in _ck_probes(map_family.x_range, x_grid, j)
-                           for step in (h, h / 2) for node in difference_nodes(x, j, step)])
-    sups = {j: [] for j in range(1, k + 1)}
-    reports = []
     domain = getattr(map_family, "domain", None)
-    for floor, x_grid in zip(floors, x_grids):
+    m_grids = []
+    for floor in floors:
         ts = np.geomspace(floor, 1.0, m_per_floor)
         if domain is not None and domain.dim == 2:
             a_nodes = np.linspace(0.0, domain.circumference, 5)[:-1]
             aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
-            m_grid = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
+            m_grids.append(np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1))
         else:
-            m_grid = ts
+            m_grids.append(ts)
+    _prefetch(map_family, [node for x_grid in x_grids for j in range(1, k + 1)
+                           for x, h in _ck_probes(map_family.x_range, x_grid, j)
+                           for step in (h, h / 2) for node in difference_nodes(x, j, step)],
+              points=np.concatenate(m_grids))
+    sups = {j: [] for j in range(1, k + 1)}
+    reports = []
+    for x_grid, m_grid in zip(x_grids, m_grids):
         rep = estimate_uniform_Ck(map_family, m_grid, x_grid, k=k)
         reports.append(rep)
         for j in range(1, k + 1):

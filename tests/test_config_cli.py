@@ -468,3 +468,33 @@ def test_cli_import_loads_no_scipy(tmp_path):
         report = next((tmp_path / "scipy" / name).glob("*.json")).name
         assert ((tmp_path / "blocked" / name / report).read_bytes()
                 == (tmp_path / "scipy" / name / report).read_bytes())
+
+
+def test_cli_exits_3_when_a_node_the_scan_reads_leaves_the_cylinder(tmp_path, capsys):
+    # the checked x = -1, 1 leave the density uniform; at interior x one RK4 step
+    # carries nodes near t = 1 more than a cell past the rim
+    cfg_path = _write(tmp_path, """
+[domain]
+kind = cylinder
+circumference = 1
+
+[family]
+expression = 1 + 0.4*(1 - x^2)*(1 + cos(2*pi*a))/2*(exp(20*(t - 1))*20/(1 - exp(-20)) - 1)
+x_lo = -1
+x_hi = 1
+k = 1
+
+[pipeline]
+grid = 24
+steps = 1
+mode = moser_only
+floor = 0.5
+tol_mass = 2e-2
+x_samples = 2
+floors = 1e-1, 1e-2
+samples = 1024
+bins = 8
+tol_push = 1
+""", "rim.cfg")
+    assert main(["represent", "--config", cfg_path, "--out", str(tmp_path / "rim")]) == 3
+    assert "construction error: RK4 sweep at x=" in capsys.readouterr().err

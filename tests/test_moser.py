@@ -1,3 +1,5 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from moser_transport import (
     solve_neumann_poisson,
     torus_grid,
 )
+from moser_transport import moser
 from moser_transport.moser import (
     VelocityProvider,
     apply_stiffness,
@@ -636,3 +639,124 @@ def test_stack_rejects_a_periodic_leading_axis():
                  for s in (1, 2)]
     with pytest.raises(ValueError, match="bounded leading axis"):
         VelocityProvider.stack(providers)
+
+
+# -- 2D maps integrate only the grid nodes their queries read ------------------
+
+
+def _boundary_heavy(grid, level):
+    """A cylinder density that shifts mass onto the t = 1 circle near a = 0."""
+    aa, _ = grid.meshes()
+    w = grid.axes[1].weights
+    g = np.full(grid.axes[1].n, -level)
+    g[-1] = level * (1 - w[-1]) / w[-1]
+    return 1 + (1 + np.cos(2 * np.pi * aa)) / 2 * g
+
+
+def _pushes_to_the_rim(grid):
+    """A smooth cylinder density whose flow clamps at t = 1 when integrated in two steps."""
+    aa, tt = grid.meshes()
+    bulge = np.exp(20 * (tt - 1)) * 20 / (1 - np.exp(-20)) - 1
+    return 1 + 0.4 * (1 + np.cos(2 * np.pi * aa)) / 2 * bulge
+
+
+def _seam_rim_node_points(grid):
+    """Query points on the seam (a = 0, a = L, unwrapped a < 0), the rows t = 0
+    and t = 1, grid nodes and points between nodes."""
+    L = grid.axes[0].length
+    ha, ht = grid.axes[0].spacing, grid.axes[1].spacing
+    return np.array([
+        [0.0, 0.37], [L, 0.37], [-0.3 * L, 0.52], [-L - ha / 3, 0.81],
+        [0.41 * L, 0.0], [0.63 * L, 1.0], [0.0, 0.0], [L, 1.0],
+        [3 * ha, 5 * ht], [7 * ha, 0.0], [0.123 * L, 0.456], [0.9 * L, 0.987],
+    ])
+
+
+def _cases():
+    cyl = cylinder_grid(24, 24)
+    tor = torus_grid(24, 20)
+    aa, tt = tor.meshes()
+    wavy = 1 + 0.4 * np.cos(2 * np.pi * aa) * np.cos(2 * np.pi * tt) + 0.2 * np.sin(2 * np.pi * tt)
+    return {"cylinder": (cyl, _pushes_to_the_rim(cyl), 2), "torus": (tor, wavy, 8)}
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "torus"])
+def test_partial_2d_map_matches_the_full_build_bit_for_bit(kind):
+    grid, rhox, steps = _cases()[kind]
+    n_nodes = rhox.size
+
+    def build(points):
+        return moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
+                                     tol_mass=2e-2, points=points)[0]
+
+    full = build(None)
+    assert full.done is None
+    if kind == "cylinder":
+        assert full.clamp_events > 0
+    pts = _seam_rim_node_points(grid)
+    partial = build(pts[:6])
+    planned = int(partial.done.sum())
+    assert 0 < planned < n_nodes // 4
+    # the plan's points read only planned nodes; the others fill on demand
+    assert np.array_equal(partial.evaluate(pts[:6]), full.evaluate(pts[:6]))
+    assert int(partial.done.sum()) == planned
+    assert np.array_equal(partial.evaluate(pts), full.evaluate(pts))
+    assert planned < int(partial.done.sum()) < n_nodes
+    assert partial.clamp_events <= full.clamp_events
+    assert np.array_equal(partial.node_images, full.node_images)
+    assert partial.done is None
+    assert partial.clamp_events == full.clamp_events
+    assert np.array_equal(partial.interpolant, full.interpolant)
+
+
+def test_a_2d_node_no_query_reads_is_never_integrated():
+    grid = cylinder_grid(8, 11)  # t spacing 0.1
+    rhox = _boundary_heavy(grid, 0.5)
+    # in two RK4 steps the node (a, t) = (0, 0.7) leaves the grid by more than a cell
+    with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+        moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=2)
+    far = np.array([[0.5, 0.1], [0.45, 0.35]])
+    [mm] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=2, points=far)
+    images, done = mm.evaluate(far), mm.done.copy()
+    with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+        mm.evaluate(np.array([[0.01, 0.69]]))
+    # the failed fill changed nothing
+    assert np.array_equal(mm.done, done)
+    assert np.array_equal(mm.evaluate(far), images)
+    with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+        mm.node_images
+
+
+def test_threads_fill_a_shared_partial_map_once(monkeypatch):
+    grid, rhox, steps = _cases()["cylinder"]
+    [full] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
+                                   tol_mass=2e-2)
+    integrated = []
+    real = moser.integrate_flow
+
+    def spy(provider, points, **kw):
+        integrated.append(len(points))
+        return real(provider, points, **kw)
+
+    monkeypatch.setattr(moser, "integrate_flow", spy)
+    rng = np.random.default_rng(5)
+    for trial in range(4):
+        [mm] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
+                                     tol_mass=2e-2, points=np.array([[0.5, 0.5]]))
+        first = rng.uniform(0.0, 1.0, (300, 2))
+        second = np.concatenate([first[150:], rng.uniform(0.0, 1.0, (300, 2))])
+        barrier = threading.Barrier(2)
+
+        def query(pts):
+            barrier.wait()
+            return mm.evaluate(pts)
+
+        integrated.clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(query, [first, second]))
+        assert np.array_equal(got[0], full.evaluate(first))
+        assert np.array_equal(got[1], full.evaluate(second))
+        mm.node_images
+        # every node not planned was integrated exactly once, and counted once
+        assert sum(integrated) == rhox.size - 4
+        assert mm.clamp_events == full.clamp_events

@@ -282,3 +282,49 @@ def test_sobol_net_matches_scipy_bit_for_bit(m):
     got = transport._sobol_net_2d(m)
     assert got.dtype == expect.dtype and got.shape == expect.shape
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def _cylinder_flow_tf(grid_n=24, steps=8):
+    fam = family_from_expression(
+        "1 + 0.3*x*cos(2*pi*a)*cos(pi*t) + 0.2*x*sin(2*pi*a)*(t^2 - 1/3)",
+        domain=make_domain("cylinder", circumference=1.0), x_range=(-1.0, 1.0), k=2,
+        normalize=False,
+    )
+    return build_representation(fam, mode="moser_only", grid_n=grid_n, steps=steps, floor=0.5)
+
+
+def test_cylinder_floor_scan_integrates_only_the_nodes_it_reads(monkeypatch):
+    from moser_transport import moser
+
+    integrated = []
+    real_flow = moser.integrate_flow
+
+    def spy(provider, points, **kw):
+        integrated.append(len(points))
+        return real_flow(provider, points, **kw)
+
+    monkeypatch.setattr(moser, "integrate_flow", spy)
+    tf = _cylinder_flow_tf()
+    scan = ck_floor_scan(tf, [1e-1, 1e-2], k=2)
+    n_nodes = 24 * 24
+    assert sum(integrated) < len(tf._mosers) * n_nodes // 2
+    assert all(mm.done is not None for mm in tf._mosers.values())
+
+    real_build = transport.moser_map_from_values
+    monkeypatch.setattr(transport, "moser_map_from_values",
+                        lambda *args, points=None, **kw: real_build(*args, **kw))
+    full = _cylinder_flow_tf()
+    assert ck_floor_scan(full, [1e-1, 1e-2], k=2) == scan
+    assert all(mm.done is None for mm in full._mosers.values())
+
+
+def test_prefetch_completes_a_cached_partial_map():
+    tf = _cylinder_flow_tf(grid_n=16, steps=4)
+    tf.prefetch([0.3], points=np.array([[0.2, 0.7]]))
+    mm = tf.moser_at(0.3)
+    assert int(mm.done.sum()) == 4
+    tf.prefetch([0.3], points=np.array([[0.6, 0.1], [0.2, 0.7]]))
+    assert tf.moser_at(0.3) is mm and int(mm.done.sum()) == 8
+    # verify plans every node of its values before its workers start
+    tf.prefetch([0.3])
+    assert mm.done is None
