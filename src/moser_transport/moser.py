@@ -24,21 +24,20 @@ node images (PCHIP in 1D, the multilinear node displacement in 2D).
 more parameter values whose densities are known up front, and optionally
 the points the maps will be queried at.  It returns one MoserMap per
 value, each carrying its potential.  Each value gets its own mass balance,
-Poisson solve and velocity floor.  In 1D one RK4 sweep then runs over the
-node seeds of every value, stacked side by side by
-``VelocityProvider.stack``; each block of seeds reads its own value's node
-data through an index offset, so its arithmetic, and its images bit for
-bit, are those of a sweep on its own.  PCHIP needs every node image, so 1D
-ignores the points.  2D runs one sweep per value (stacked, its node data
-outgrows the cache), and only from the nodes the planned points read
-(``_corners``); a later query that reads a missing node integrates it
-first, under the map's lock.  RK4 moves each point on its own, so an image
-is the same bit for bit whichever sweep computed it.
+Poisson solve and velocity floor.  RK4 then sweeps the node seeds of
+several values at once (``_sweep``, about ``_SWEEP_POINTS`` points a
+sweep), side by side: each block reads its own value's node data through
+an index offset (``VelocityProvider.stack``).  1D seeds every node, since
+PCHIP needs every image; 2D seeds only the nodes the planned points read,
+and a later query that reads a missing node integrates it first, in a
+sweep of its map alone, under the map's lock.  RK4 moves each point on its
+own, so an image is the same bit for bit whichever sweep computed it.
 ``TransportFamily.prefetch`` makes these plans, so its caches are full
 before any worker thread reads them.
 """
 
 import copy
+import math
 import threading
 from dataclasses import dataclass
 
@@ -182,7 +181,7 @@ def solve_neumann_poisson(rhs_values, grid, tol=1e-10):
     w = grid.weight_field()
     b = w * rhs
     b = b - b.mean()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(float(np.sum(b * b)))  # no BLAS call: its threads cost more than the sum
     if bnorm == 0.0:
         return PotentialField(grid=grid, values=np.zeros(grid.shape), residual=0.0,
                               iterations=0)
@@ -195,7 +194,7 @@ def solve_neumann_poisson(rhs_values, grid, tol=1e-10):
         u = u + _spectral_solve(grid, lam, r / w)
         u = u - grid.integrate(u) / volume
         r = b - apply_stiffness(grid, u)
-        residual = float(np.linalg.norm(r)) / bnorm
+        residual = math.sqrt(float(np.sum(r * r))) / bnorm
         if residual <= tol:
             break
     else:
@@ -235,8 +234,8 @@ def _corners(grid, points):
     fractions that multilinear interpolation at (N,) or (N, 2) points reads.
 
     Cell and fraction follow from the uniform spacing; periodic axes wrap,
-    bounded axes hold their end values outside the grid.  A periodic leading
-    axis is left unwrapped: the flat index is read modulo the node count.
+    bounded axes hold their end values outside the grid, so every flat index
+    lies in [0, n_nodes) and an offset moves it into another grid's block.
     """
     pts = points.reshape(-1, grid.dim)
     flat, fracs, stride = None, [], 1
@@ -246,8 +245,7 @@ def _corners(grid, points):
         if ax.periodic:
             cell = np.floor(rel)
             corner = cell.astype(np.intp) + _CORNERS
-            if i > 0:  # take(mode="wrap") below wraps the leading axis
-                corner %= ax.n
+            corner %= ax.n
         else:
             np.minimum(np.maximum(rel, 0.0, out=rel), ax.n - 1, out=rel)
             cell = np.minimum(rel.astype(np.intp), ax.n - 2)
@@ -262,7 +260,7 @@ def _corners(grid, points):
 
 def _blend(F, flat, fracs):
     """Fields-major node data F (nf, n_nodes) blended over the corners of ``_corners``: (nf, N)."""
-    vals = F.take(flat, axis=1, mode="wrap")
+    vals = F.take(flat, axis=1)
     for frac in reversed(fracs):
         # in place: fresh temporaries of this size cost more than the arithmetic
         lerp = vals[:, 1] - vals[:, 0]
@@ -270,19 +268,6 @@ def _blend(F, flat, fracs):
         lerp += vals[:, 0]
         vals = lerp
     return vals
-
-
-def _multilinear(grid, F, points, offset=None):
-    """Interpolate fields-major node data F (nf, n_nodes) at (N,) or (N, 2) points.
-
-    Returns (nf, N).  ``offset`` (one entry per point) is added to the flat
-    node index, so F may hold the node data of several same-shaped grids
-    side by side.
-    """
-    flat, fracs = _corners(grid, points)
-    if offset is not None:
-        flat += offset
-    return _blend(F, flat, fracs)
 
 
 class VelocityProvider:
@@ -314,26 +299,27 @@ class VelocityProvider:
         self.offset = None
 
     @classmethod
-    def stack(cls, providers):
-        """The providers of one grid as one provider over their node seeds, side by side.
+    def stack(cls, providers, n_seeds):
+        """The providers of one grid as one, over blocks of ``n_seeds`` points side by side.
 
-        Point block b (one point per grid node) reads provider b's node data,
-        with the same arithmetic per point as that provider.  The grid's
-        leading axis must be bounded: ``_multilinear`` wraps a periodic one
-        over the whole node array, which would cross into the next block.
+        Block b reads provider b's node data through an offset of b node counts
+        (``_corners`` wraps every periodic axis, so no index leaves its block),
+        with that provider's arithmetic per point.  One provider stacks as itself.
         """
-        if providers[0].grid.axes[0].periodic:
-            raise ValueError("stacked providers need a bounded leading axis; a periodic "
-                             "one would wrap into the neighbouring block")
+        if len(providers) == 1:
+            return providers[0]
         stacked = copy.copy(providers[0])
         n = stacked.node_data.shape[1]
         stacked.node_data = np.concatenate([p.node_data for p in providers], axis=1)
-        stacked.offset = np.repeat(np.arange(len(providers)) * n, n)
+        stacked.offset = np.repeat(np.arange(len(providers)) * n, n_seeds)
         return stacked
 
     def __call__(self, t, points):
         dim = self.grid.dim
-        vals = _multilinear(self.grid, self.node_data, points, self.offset)
+        flat, fracs = _corners(self.grid, points)
+        if self.offset is not None:
+            flat += self.offset
+        vals = _blend(self.node_data, flat, fracs)
         v = vals[:dim] / (vals[dim] + t * vals[dim + 1])
         return (v[0] if dim == 1 else v.T).reshape(np.shape(points))
 
@@ -459,35 +445,10 @@ class MoserMap:
                              else _corners(self.grid, np.asarray(points, dtype=float))[0])
 
     def _fill_nodes(self, nodes):
-        """``fill`` of flat node indices, read modulo the node count as ``_corners`` gives them."""
+        """``fill`` of flat node indices as ``_corners`` gives them, in sweeps of this map alone."""
         with self._lock:
-            done = self.done
-            if done is None:
-                return
-            if nodes is None:
-                todo = ~done
-            else:
-                todo = np.zeros(done.size, dtype=bool)
-                todo[np.ravel(nodes) % done.size] = True
-                todo &= ~done
-            todo = np.flatnonzero(todo)
-            if todo.size:
-                seeds = np.stack([ax.nodes[i] for ax, i in
-                                  zip(self.grid.axes, np.unravel_index(todo, self.grid.shape))],
-                                 axis=-1)
-                stage = "RK4 sweep"
-                try:
-                    images, clamps = integrate_flow(self.provider, seeds, steps=self.steps)
-                    stage = "node displacement"
-                    disp = _node_displacement(self.grid, seeds, images)
-                except IntegrationError as exc:
-                    raise _stage_error(exc, stage, self.x) from exc
-                self._images[todo] = images
-                self.interpolant[:, todo] = disp
-                self.clamp_events += clamps
-                done[todo] = True
-            if done.all():
-                self.done = None
+            if self.done is not None:
+                _fill_2d([self], nodes)
 
     def evaluate(self, points):
         """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
@@ -547,16 +508,56 @@ def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
         raise _stage_error(exc, stage, x) from exc
 
 
-def _sweep_1d(grid, providers, xs, seeds, steps):
-    """(node images, clamp events) per x, from one stacked RK4 sweep."""
-    n = seeds.size
-    clamps = np.zeros(n * len(providers), dtype=np.intp)
-    try:
-        images, _ = integrate_flow(VelocityProvider.stack(providers),
-                                   np.tile(seeds, len(providers)), steps=steps, clamps=clamps)
-    except IntegrationError as exc:
-        raise _stage_error(exc, "RK4 sweep", xs[exc.point // n]) from exc
-    return list(zip(images.reshape(-1, n), clamps.reshape(-1, n).sum(axis=1)))
+# Points per stacked RK4 sweep: enough to spread each step's fixed cost, few enough
+# to keep its temporaries small (4,096 raised the 48^2 cylinder scan's peak RSS 5 %).
+_SWEEP_POINTS = 2048
+
+
+def _sweep(grid, providers, xs, seeds, steps):
+    """(images of ``seeds``, clamp events) per x, from stacked RK4 sweeps in plan order.
+
+    Each sweep stacks ``max(1, _SWEEP_POINTS // len(seeds))`` values.  An
+    IntegrationError stops at the first chunk that raises it and names the
+    x of the point that raised it.
+    """
+    m, out = len(seeds), []
+    per = max(1, _SWEEP_POINTS // m)
+    for start in range(0, len(providers), per):
+        chunk = providers[start:start + per]
+        k = len(chunk)
+        clamps = np.zeros(m * k, dtype=np.intp)
+        try:
+            images, _ = integrate_flow(VelocityProvider.stack(chunk, m),
+                                       np.concatenate([seeds] * k), steps=steps, clamps=clamps)
+        except IntegrationError as exc:
+            raise _stage_error(exc, "RK4 sweep", xs[start + exc.point // m]) from exc
+        out += zip(np.split(images, k), clamps.reshape(k, m).sum(axis=1))
+    return out
+
+
+def _fill_2d(maps, nodes):
+    """Integrate, in stacked sweeps, the flat nodes ``nodes`` (as ``_corners`` gives them;
+    every node when None) that the 2D ``maps`` lack: maps of one grid, steps and ``done``."""
+    grid, done = maps[0].grid, maps[0].done
+    todo = np.zeros(done.size, dtype=bool)
+    todo[slice(None) if nodes is None else nodes] = True
+    todo = np.flatnonzero(todo & ~done)
+    if not todo.size:
+        return
+    seeds = np.stack([ax.nodes[i] for ax, i in zip(grid.axes, np.unravel_index(todo, grid.shape))],
+                     axis=-1)
+    swept = _sweep(grid, [mm.provider for mm in maps], [mm.x for mm in maps], seeds, maps[0].steps)
+    for mm, (images, clamps) in zip(maps, swept):
+        try:
+            disp = _node_displacement(grid, seeds, images)
+        except IntegrationError as exc:
+            raise _stage_error(exc, "node displacement", mm.x) from exc
+        mm._images[todo] = images
+        mm.interpolant[:, todo] = disp
+        mm.clamp_events += int(clamps)
+        mm.done[todo] = True
+        if mm.done.all():
+            mm.done = None
 
 
 def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
@@ -567,7 +568,10 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
     the mass of ``rho0_values``; the maps are built as the module docstring
     describes.  In 2D only the nodes that ``points`` read are integrated
     (every node when None); 1D ignores ``points``.  Errors name their stage
-    and the x they belong to; the first failing value stops the plan.
+    and the x they belong to.  A plan stops at its first failing setup, else
+    at its first failing sweep, naming the value whose point left the grid
+    first (in a chunk, not necessarily its first failing value), else, in 2D,
+    at its first failing node displacement.
     """
     rho0_values = np.asarray(rho0_values, dtype=float)
     setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass, c_floor)
@@ -577,13 +581,9 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
         return [MoserMap(x, grid, potential, provider, steps, images,
                          Pchip(seeds, images, extrapolate=False), clamps)
                 for x, (potential, provider), (images, clamps) in zip(
-                    xs, setups, _sweep_1d(grid, [pv for _, pv in setups], xs, seeds, steps))]
-    nodes = None if points is None else _corners(grid, np.asarray(points, dtype=float))[0]
+                    xs, setups, _sweep(grid, [pv for _, pv in setups], xs, seeds, steps))]
     n = grid.axes[0].n * grid.axes[1].n
-    built = []
-    for x, (potential, provider) in zip(xs, setups):
-        mm = MoserMap(x, grid, potential, provider, steps, np.empty((n, 2)), np.empty((2, n)),
-                      0, done=np.zeros(n, dtype=bool))
-        mm._fill_nodes(nodes)
-        built.append(mm)
+    built = [MoserMap(x, grid, potential, provider, steps, np.empty((n, 2)), np.empty((2, n)), 0,
+                      done=np.zeros(n, dtype=bool)) for x, (potential, provider) in zip(xs, setups)]
+    _fill_2d(built, None if points is None else _corners(grid, np.asarray(points, dtype=float))[0])
     return built

@@ -53,12 +53,12 @@ class TransportFamily:
     Per-parameter collar and interior maps are cached under the exact
     value of x.  Callers that know their parameter values up front
     (``verify``, the C^k floor scan) plan them with ``prefetch``: the maps
-    are built together, in 1D from one stacked RK4 sweep, and the caches
-    are full before any worker thread starts, so the workers only read
-    them.  The scan also plans its query points, and a 2D map then
-    integrates only the nodes those read; a later query that reads more
-    fills them under the map's lock.  A value outside a plan is built on
-    first use, as a plan of one.
+    are built together, from stacked RK4 sweeps, and the caches are full
+    before any worker thread starts, so the workers only read them.  The
+    scan also plans its query points, and a 2D map then integrates only the
+    nodes those read; a later query that reads more fills them under the
+    map's lock.  A value outside a plan is built on first use, as a plan
+    of one.
     Evaluation pushes the query points through the stages in the order
     they come; both stages accept any order.
     """
@@ -105,11 +105,10 @@ class TransportFamily:
         """Build the collar and interior maps of every x in ``xs`` not cached yet.
 
         The values are planned first: each gets its collar, ``nu`` and Poisson
-        solve, and in 1D their interior flows then come from one stacked RK4
-        sweep (see ``moser``).  A 2D map integrates only the nodes that
-        ``points`` read (all nodes when None), and a cached one is filled up to
-        them, so workers that query only ``points`` start no fill.  Errors
-        name the x they belong to.
+        solve, and their interior flows come from stacked RK4 sweeps (``moser``).
+        A 2D map integrates only the nodes that ``points`` read (all nodes when
+        None), and a cached one is filled up to them, so workers that query
+        only ``points`` start no fill.  Errors name the x they belong to.
         """
         plan = {}
         for x in xs:

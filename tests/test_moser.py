@@ -1,6 +1,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -629,16 +630,27 @@ def test_spectral_solve_on_torus_matches_scipy_to_rounding():
     assert np.abs(got - expect).max() <= 4 * np.finfo(float).eps * np.abs(expect).max()
 
 
-def test_stack_rejects_a_periodic_leading_axis():
-    # _multilinear wraps the leading axis over the whole stacked node array,
-    # so the seam of block 0 would read block 1's nodes
-    grid = cylinder_grid(8, 8)
+@pytest.mark.parametrize("make_grid", [cylinder_grid, torus_grid], ids=["cylinder", "torus"])
+def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
+    # _corners wraps the periodic leading axis itself, so the seam nodes of a
+    # block (a = 0 and a = 1 - h) read only their own block's node data
+    grid = make_grid(8, 7)
     aa, tt = grid.meshes()
-    providers = [VelocityProvider(grid, solve_neumann_poisson(np.cos(2 * np.pi * s * aa), grid),
-                                  np.ones(grid.shape), np.ones(grid.shape), 0.5)
-                 for s in (1, 2)]
-    with pytest.raises(ValueError, match="bounded leading axis"):
-        VelocityProvider.stack(providers)
+    n, nt = aa.size, grid.axes[1].n
+    setups = [moser._flow_setup(np.ones(grid.shape),
+                                1 + 0.3 * np.sin(2 * np.pi * (s * aa + 0.1)) * np.cos(np.pi * s * tt),
+                                grid, s, 1e-10, 1e-4, None) for s in (1, 2, 3)]
+    providers = [pv for _, pv in setups]
+    seam = np.concatenate([np.arange(nt), np.arange(n - nt, n), [nt + 3, 2 * nt + 5]])
+    seeds = np.stack([aa.ravel(), tt.ravel()], axis=-1)[seam]
+    assert set(seeds[:, 0]) == {0.0, grid.axes[0].nodes[-1], *grid.axes[0].nodes[1:3]}
+    stacked = VelocityProvider.stack(providers, len(seeds))
+    images, _ = integrate_flow(stacked, np.concatenate([seeds] * 3), steps=8)
+    blocks = np.split(images, 3)
+    for block, provider in zip(blocks, providers):
+        alone, _ = integrate_flow(provider, seeds, steps=8)
+        assert np.array_equal(block, alone)
+    assert not np.array_equal(blocks[0], blocks[1])
 
 
 # -- 2D maps integrate only the grid nodes their queries read ------------------
@@ -727,6 +739,27 @@ def test_a_2d_node_no_query_reads_is_never_integrated():
         mm.node_images
 
 
+def test_a_later_chunk_rk4_failure_names_its_own_x():
+    grid = cylinder_grid(8, 11)
+    per = moser._SWEEP_POINTS // grid.axes[0].n // grid.axes[1].n
+    xs = [round(0.01 * (i + 1), 2) for i in range(per + 2)]
+    # only the second value of the second chunk leaves the grid, as in the test above
+    plan = [np.ones(grid.shape)] * (per + 1) + [_boundary_heavy(grid, 0.5)]
+    with pytest.raises(IntegrationError, match=rf"^RK4 sweep at x={xs[-1]!r}: point"):
+        moser_map_from_values(np.ones(grid.shape), plan, grid, xs, steps=2)
+    moser_map_from_values(np.ones(grid.shape), plan[:-1], grid, xs[:-1], steps=2)
+
+
+def test_a_stacked_node_displacement_failure_names_its_own_x():
+    grid = torus_grid(16, 8)
+    aa, _ = grid.meshes()
+    peaked = np.exp(4 * np.cos(2 * np.pi * aa))
+    plan = [np.ones(grid.shape), np.ones(grid.shape), peaked / grid.integrate(peaked)]
+    # the three values share one sweep; only the last moves a node beyond a quarter period
+    with pytest.raises(IntegrationError, match=r"^node displacement at x=0\.3: node"):
+        moser_map_from_values(np.ones(grid.shape), plan, grid, [0.1, 0.2, 0.3], steps=16)
+
+
 def test_threads_fill_a_shared_partial_map_once(monkeypatch):
     grid, rhox, steps = _cases()["cylinder"]
     [full] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
@@ -760,3 +793,47 @@ def test_threads_fill_a_shared_partial_map_once(monkeypatch):
         # every node not planned was integrated exactly once, and counted once
         assert sum(integrated) == rhox.size - 4
         assert mm.clamp_events == full.clamp_events
+
+
+def _wave_and_rim(grid, amp, phase, rim):
+    """A density of the grid's mass one: a wave of amplitude ``amp`` and, scaled by
+    ``rim``, mass shifted towards the t = 1 circle (or a second wave on the torus)."""
+    aa, tt = grid.meshes()
+    wave = amp * np.cos(2 * np.pi * (aa - phase)) * np.cos(np.pi * tt)
+    if grid.axes[1].periodic:
+        return 1 + wave + rim * np.cos(2 * np.pi * aa) * np.sin(2 * np.pi * (tt + phase))
+    bulge = np.exp(20 * (tt - 1)) * 20
+    bulge -= grid.integrate(bulge)  # zero mean: the axis a has length one
+    return 1 + wave + rim * (1 + np.cos(2 * np.pi * aa)) / 2 * bulge
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cylinder", "torus"]),
+       plan=st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(0.0, 1.0), st.floats(0.0, 0.5)),
+                     min_size=1, max_size=12),
+       named=st.lists(st.integers(0, 11), max_size=6),
+       off=st.lists(st.tuples(st.floats(-1.5, 2.5), st.floats(0.0, 1.0)), max_size=6),
+       sweep_points=st.sampled_from([moser._SWEEP_POINTS, 60, 1]))
+def test_chunked_plan_matches_per_value_sweeps(kind, plan, named, off, sweep_points):
+    # any plan, any chunk size and any planned points (seam, rim, nodes, between
+    # nodes): each map's images, displacement and clamp count are those of
+    # integrate_flow over that value alone, bit for bit
+    grid = cylinder_grid(12, 10) if kind == "cylinder" else torus_grid(12, 10)
+    steps = 2 if kind == "cylinder" else 6
+    pts = np.concatenate([_seam_rim_node_points(grid)[named], np.reshape(off, (-1, 2))])
+    with mock.patch.object(moser, "_SWEEP_POINTS", sweep_points):
+        built = moser_map_from_values(
+            np.ones(grid.shape), [_wave_and_rim(grid, *p) for p in plan], grid,
+            [0.1 * i for i in range(len(plan))], steps=steps, tol_mass=1e-8, points=pts)
+    seeds = np.stack([c.ravel() for c in grid.meshes()], axis=-1)
+    planned = np.unique(moser._corners(grid, pts)[0])
+    for mm in built:
+        clamps = np.zeros(len(seeds), dtype=np.intp)
+        images, total = integrate_flow(mm.provider, seeds, steps=steps, clamps=clamps)
+        disp = moser._node_displacement(grid, seeds, images)
+        assert mm.done is None or np.array_equal(np.flatnonzero(mm.done), planned)
+        assert mm.clamp_events == clamps[planned].sum()
+        assert np.array_equal(mm.interpolant[:, planned], disp[:, planned])
+        assert np.array_equal(mm.node_images, images)
+        assert np.array_equal(mm.interpolant, disp)
+        assert mm.clamp_events == total
