@@ -8,13 +8,7 @@ and observable-average smoothness.
 
 __version__ = "0.1.0"
 
-from .collar import (
-    BoundReport,
-    CollarMap,
-    Cutoff,
-    build_collar_map,
-    check_lemma_bound,
-)
+from .collar import CollarMap, Cutoff, build_collar_map
 from .density import (
     AssumptionReport,
     DecayEnvelope,
@@ -45,7 +39,6 @@ from .errors import (
     IntegrationError,
     MassMismatchError,
     MoserTransportError,
-    NoCollarError,
     ResolutionError,
     SolverError,
 )
@@ -53,7 +46,6 @@ from .expressions import ExpressionAst, parse_density_expression
 from .geometry import (
     Domain,
     Grid,
-    collar_chart,
     cylinder_grid,
     default_grid,
     interval_grid,

@@ -63,6 +63,8 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
             tf, p.floors, k=p.ck_order, floor_mode=p.x_floor_mode,
             growth_threshold=p.growth_threshold,
         )
+    except ConfigurationError:
+        raise
     except MoserTransportError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return 3
@@ -168,6 +170,8 @@ def cmd_check_assumptions(cfg, out_dir=None, verbose=False):
     try:
         ref = make_reference(fam, margin=cfg.pipeline.margin)
         result = check_decay_assumptions(fam, ref, env, k=cfg.family.k)
+    except ConfigurationError:
+        raise
     except MoserTransportError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return 3
@@ -201,6 +205,8 @@ def cmd_obstruct(cfg, out_dir=None, verbose=False):
             pad = 0.05 * (hi - lo)
             x_grid = np.linspace(lo + pad, hi - pad, ob.h_x_nodes)
             exp_report = expectation_curve(fam, h_ast, x_grid, k=cfg.family.k)
+    except ConfigurationError:
+        raise
     except MoserTransportError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return 3

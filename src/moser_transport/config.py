@@ -16,6 +16,7 @@ sections and unknown keys are rejected with the offending line.  The
 keys, which are handed to the family/envelope constructor as parameters.
 """
 
+import math
 from dataclasses import dataclass, field, asdict
 
 from .density import builtin_family, family_from_expression, make_envelope
@@ -113,6 +114,7 @@ _STR_KEYS = {"kind", "name", "expression", "mode", "x_floor_mode", "report",
 _LIST_KEYS = {"floors", "xs"}
 _INT_KEYS = {"k", "grid", "steps", "seed", "x_samples", "ck_order",
              "samples", "bins", "n_fine", "collar_nodes", "h_x_nodes", "dump_fields"}
+_POSITIVE_KEYS = {"steps", "x_samples", "ck_order", "n_fine"}  # counts that 0 leaves empty
 
 _SECTIONS = {
     "domain": DomainSection,
@@ -148,8 +150,11 @@ def _assign(section_name, obj, key, raw, line_no, col):
         setattr(obj, key, [_eval_scalar(p, line_no, col) for p in parts])
     elif key in _INT_KEYS:
         val = _eval_scalar(raw, line_no, col)
-        if val != int(val):
+        if not math.isfinite(val) or val != int(val):
             raise ConfigurationError(f"key {key!r} needs an integer, got {raw!r}",
+                                     line_no, col)
+        if key in _POSITIVE_KEYS and val < 1:
+            raise ConfigurationError(f"key {key!r} needs an integer >= 1, got {raw!r}",
                                      line_no, col)
         setattr(obj, key, int(val))
     else:
@@ -216,14 +221,10 @@ def validate_config(cfg):
     return cfg
 
 
-def build_domain(cfg):
-    return make_domain(cfg.domain.kind, cfg.domain.circumference)
-
-
 def build_family(cfg):
     """The configured family; x_lo or x_hi, given alone, replaces that end of
     the family's own X (a builtin's, or [0, 1] for an expression)."""
-    dom = build_domain(cfg)
+    dom = make_domain(cfg.domain.kind, cfg.domain.circumference)
     fam_cfg = cfg.family
     fam = None
     lo, hi = 0.0, 1.0

@@ -1,15 +1,15 @@
 """Parametrised density families, reference densities, and decay envelopes.
 
 A family is an evaluator rho(x, .) over a model domain together with a table
-of exact partial derivatives D_x^beta D_t^j rho to any order, and an
-optional closed CDF for 1D domains (kept as a test oracle: the library
-integrates rho through MassTable).  Every table, builtin or user expression,
-comes from one formula tree differentiated symbolically (Node.diff); the
-builtins keep a hand evaluator of rho itself, which also serves t = 0,
-where some of their formulas have no value.  One pair-refined Gauss rule,
-pair_refine, serves every integral on [0, 1]: MassTable, the one cumulative
-mass and its inverse (collar, CDFs, quantiles), and probe_integrals, the
-signed integrals of the masses, normalisers, E_h and the decay checker.
+of exact partial derivatives D_x^beta D_t^j rho to any order; its masses
+come from integrating rho through MassTable.  Every table, builtin or user
+expression, comes from one formula tree differentiated symbolically
+(Node.diff); the builtins keep a hand evaluator of rho itself, which also
+serves t = 0, where some of their formulas have no value.  One pair-refined
+Gauss rule, pair_refine, serves every integral on [0, 1]: MassTable, the one
+cumulative mass and its inverse (collar, CDFs, quantiles), and
+probe_integrals, the signed integrals of the masses, normalisers, E_h and
+the decay checker.
 
 The decay machinery consists of envelope pairs (E, B) with a closure
 constant A, a small library of candidate envelopes, and a sampling-based
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (ConfigurationError, DegeneracyError, InfeasibilityError,
                      MoserTransportError, ResolutionError)
 from .expressions import parse_density_expression
-from .geometry import INTERVAL, Domain, Pchip, collar_chart, default_grid, make_domain
+from .geometry import INTERVAL, Domain, Pchip, default_grid, make_domain
 
 _X_EPS = 1e-9
 
@@ -256,7 +256,6 @@ class DensityFamily:
     name: str
     fn: object
     exact_derivs: dict = field(default_factory=dict)
-    cdf_fn: object = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -415,7 +414,6 @@ def _constant_family(k):
         name="constant",
         fn=lambda x, m: np.ones_like(np.asarray(m, dtype=float)),
         exact_derivs=_expression_derivatives(parse_density_expression("1")),
-        cdf_fn=lambda x, m: np.asarray(m, dtype=float),
     )
 
 
@@ -424,15 +422,10 @@ def _example1_family(k):
         m = np.asarray(m, dtype=float)
         return 2 * x * x * m + 5 * (1 - x * x) * m ** 4
 
-    def cdf(x, m):
-        m = np.asarray(m, dtype=float)
-        return x * x * m * m + (1 - x * x) * m ** 5
-
     return DensityFamily(
         domain=_interval(), x_range=(-1.0, 1.0), k=k, name="example1", fn=fn,
         exact_derivs=_expression_derivatives(
             parse_density_expression("2*x^2*m + 5*(1 - x^2)*m^4")),
-        cdf_fn=cdf,
     )
 
 
@@ -447,7 +440,6 @@ def _affine_family(k, c=0.5):
     return DensityFamily(
         domain=_interval(), x_range=(-c, c), k=k, name="affine", fn=fn,
         exact_derivs=_expression_derivatives(parse_density_expression("1 + x*(2*m - 1)")),
-        cdf_fn=lambda x, m: np.asarray(m, float) + x * (np.asarray(m, float) ** 2 - np.asarray(m, float)),
     )
 
 
@@ -455,7 +447,7 @@ def _half(t):
     return t / 2
 
 
-def _modulated_family(name, k, base, numerator, n0, ns, s=_half, cdf_base=None):
+def _modulated_family(name, k, base, numerator, n0, ns, s=_half):
     """Family (1 + x s(t)) base(t) / (n0 + x ns) on [0,1], X = [0,1].
 
     base and s act on float arrays; the default s(t) is t/2.  n0 is the
@@ -464,27 +456,16 @@ def _modulated_family(name, k, base, numerator, n0, ns, s=_half, cdf_base=None):
     formula value at t = 0, which meshes reach; the derivative table
     differentiates ``numerator``, the text of (1 + x s(m)) base(m), over
     n0 + x ns, both written with repr so that they parse back to the same
-    doubles.  cdf_base, when given, maps t to the partial integrals
-    (int_0^t base, int_0^t s * base).
+    doubles.
     """
-    def N(x):
-        return n0 + x * ns
-
     def fn(x, t):
         t = np.asarray(t, dtype=float)
-        return (1 + x * s(t)) * base(t) / N(x)
-
-    cdf_fn = None
-    if cdf_base is not None:
-        def cdf_fn(x, m):
-            b0, bs = cdf_base(np.asarray(m, dtype=float))
-            return (b0 + x * bs) / N(x)
+        return (1 + x * s(t)) * base(t) / (n0 + x * ns)
 
     formula = f"{numerator}/({n0!r} + x*{ns!r})"
     return DensityFamily(
         domain=_interval(), x_range=(0.0, 1.0), k=k, name=name, fn=fn,
         exact_derivs=_expression_derivatives(parse_density_expression(formula)),
-        cdf_fn=cdf_fn,
     )
 
 
@@ -492,12 +473,8 @@ def _h_power_family(k, alpha=2.0):
     if not alpha > 0:
         raise ConfigurationError(f"h_power needs alpha > 0, got {alpha}")
     a = float(alpha)
-
-    def cdf_base(m):
-        return m ** (a + 1) / (a + 1), m ** (a + 2) / (2 * (a + 2))
-
     return _modulated_family("h_power", k, lambda t: t ** a, f"(1 + x*m/2)*m^{a!r}",
-                             1.0 / (a + 1), 0.5 / (a + 2), cdf_base=cdf_base)
+                             1.0 / (a + 1), 0.5 / (a + 2))
 
 
 def _base_integrals(base, s_fn):
@@ -636,9 +613,9 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
 class ReferenceDensity:
     """Sub-probability reference density dominated by the family.
 
-    The profile is a function of the collar coordinate t of boundary side
-    0, where t = m on the interval; in the collar it does not depend on the
-    boundary coordinate a.  ``integral(t)`` is the exact antiderivative
+    The profile is a function of the collar coordinate t, which is m itself
+    on the interval; in the collar it does not depend on the boundary
+    coordinate a.  ``integral(t)`` is the exact antiderivative
     int_0^t f.
     """
 
@@ -683,8 +660,7 @@ def make_reference(fam, margin=0.5, t_floor=1e-8):
     xs = np.linspace(lo, hi, 41)
 
     if dom.dim == 1:
-        pts = collar_chart(dom, 0.0, ts, side=0) if dom.has_boundary else ts
-        raw = np.min(np.stack([np.asarray(fam.fn(x, pts), dtype=float) for x in xs]), axis=0)
+        raw = np.min(np.stack([np.asarray(fam.fn(x, ts), dtype=float) for x in xs]), axis=0)
     else:
         a_nodes = np.linspace(0.0, dom.circumference, 17)[:-1]
         aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
@@ -753,8 +729,7 @@ def make_reference(fam, margin=0.5, t_floor=1e-8):
     fvals = ref.profile(check_t)
     for x in check_x:
         if dom.dim == 1:
-            pts = collar_chart(dom, 0.0, check_t, side=0)
-            rv = np.asarray(fam.fn(x, pts), dtype=float)
+            rv = np.asarray(fam.fn(x, check_t), dtype=float)
         else:
             a_nodes = np.linspace(0.0, dom.circumference, 9)[:-1]
             aa, tt = np.meshgrid(a_nodes, check_t, indexing="ij")
@@ -952,10 +927,6 @@ def check_decay_assumptions(
             margins[key] = {"margin": float(ratio), "witness": witness}
         if ratio > worst[0]:
             worst = (float(ratio), witness)
-
-    if dom.dim == 1 and dom.has_boundary:
-        # the chart of side 0 is the identity: check the probe t once, then pass t through
-        collar_chart(dom, 0.0, ts, side=0)
 
     def coords(a, t):
         return (t,) if dom.dim == 1 else (a, t)

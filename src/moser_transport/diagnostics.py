@@ -32,7 +32,7 @@ def difference_nodes(x, j, h):
 def central_difference(f, x, j, h):
     """j-th difference quotient of f at difference_nodes(x, j, h); second order.
 
-    The parameter-derivative probe of E_h, the C^k scan and the lemma bound.
+    The parameter-derivative probe of E_h and of the C^k scan.
     A scalar NaN (an inconclusive node) stops the sum and gives NaN.
     """
     total = 0.0

@@ -28,10 +28,6 @@ class EvaluationDomainError(MoserTransportError):
     """Expression evaluated outside its mathematical domain (log of <= 0, x/0, ...)."""
 
 
-class NoCollarError(MoserTransportError):
-    """Collar operation requested on a domain without boundary."""
-
-
 class MassMismatchError(MoserTransportError):
     """Two densities that should carry equal mass do not, beyond tolerance."""
 

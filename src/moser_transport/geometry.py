@@ -1,4 +1,4 @@
-"""Model domains, grids, the boundary collar parametrisation, and PCHIP.
+"""Model domains, grids, and PCHIP.
 
 Three flat model domains are supported:
 
@@ -7,11 +7,8 @@ Three flat model domains are supported:
   boundary circles at t = 0 and t = 1;
 * ``torus``     -- S^1 x S^1 (unit periods, no boundary).
 
-The collar chart Q(a, t) maps (boundary coordinate, inward coordinate) pairs
-into the domain, restricts to the identity at t = 0 and has unit Jacobian on
-all flat domains.  The collar depth is normalised to 1, so for the interval
-the chart from one side covers the whole domain; charts from distinct sides
-overlap, and injectivity holds per side.
+The collar stage works on the interval only, from the boundary point m = 0,
+where its coordinate t is m itself.
 
 ``Pchip`` is the monotone cubic interpolant that the 1D Moser map, the
 log-log reference profile and the pushforward CDF share.
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NoCollarError
+from .errors import ConfigurationError
 
 INTERVAL = "interval"
 CYLINDER = "cylinder"
@@ -64,42 +61,6 @@ def make_domain(kind, circumference=1.0):
     if kind != CYLINDER:
         circumference = 1.0
     return Domain(kind=kind, circumference=float(circumference))
-
-
-def _check_collar_args(domain, t):
-    if not domain.has_boundary:
-        raise NoCollarError(f"domain {domain.kind!r} has no boundary, hence no collar")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > 1):
-        raise ConfigurationError("collar coordinate t must lie in [0, 1]")
-    return t
-
-
-def _interval_side(a, side):
-    if side is None:
-        side = int(round(float(a)))
-    if side not in (0, 1):
-        raise ConfigurationError(f"interval boundary coordinate must be 0 or 1, got {a}")
-    return side
-
-
-def collar_chart(domain, a, t, side=None):
-    """Map collar coordinates (a, t) to a point of the domain.
-
-    For the interval, ``a`` itself names the boundary point (0 or 1).  For
-    the cylinder ``a`` is the circle coordinate and ``side`` selects the
-    boundary circle (default 0, the t=0 circle).  At t=0 the chart is the
-    identity on the boundary.
-    """
-    t = _check_collar_args(domain, t)
-    if domain.kind == INTERVAL:
-        side = _interval_side(a, side)
-        return t if side == 0 else 1.0 - t
-    a = np.asarray(a, dtype=float) % domain.circumference
-    side = 0 if side is None else side
-    if side not in (0, 1):
-        raise ConfigurationError(f"cylinder boundary side must be 0 or 1, got {side}")
-    return (a, t) if side == 0 else (a, 1.0 - t)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,58 @@
+"""Closed-form oracles shared by several test modules.
+
+``CDF`` holds the cumulative mass int_0^m rho(x, s) ds of the four builtins
+that have one in closed form; ``CDF["h_power"]`` takes the builtin's alpha.
+``tent_axis_weights`` integrates the tent weight functions of the 2D
+pushforward deposit along one axis.
+"""
+
+import numpy as np
+
+
+def _affine_cdf(x, m):
+    m = np.asarray(m, dtype=float)
+    return m + x * (m ** 2 - m)
+
+
+def _example1_cdf(x, m):
+    m = np.asarray(m, dtype=float)
+    return x * x * m * m + (1 - x * x) * m ** 5
+
+
+def _h_power_cdf(x, m, alpha=2.0):
+    # (1 + x m/2) m^a over its mass 1/(a+1) + x/(2(a+2))
+    m, a = np.asarray(m, dtype=float), float(alpha)
+    return (m ** (a + 1) / (a + 1) + x * (m ** (a + 2) / (2 * (a + 2)))) / (
+        1.0 / (a + 1) + x * (0.5 / (a + 2)))
+
+
+CDF = {
+    "constant": lambda x, m: np.asarray(m, dtype=float),
+    "affine": _affine_cdf,
+    "example1": _example1_cdf,
+    "h_power": _h_power_cdf,
+}
+
+
+def tent_axis_weights(bins, periodic, omega, fine_n=2 ** 15):
+    """1D integrals of the tent weight functions against 1 and cos(omega s).
+
+    Tent j is centred on cell centre (j + 1/2) / bins of [0, 1]: periodic
+    tents wrap, bounded ones are clamped at the ends so they still sum to
+    one.  Trapezoid rule on fine_n cells.
+    """
+    h = 1.0 / bins
+    fine = np.linspace(0.0, 1.0, fine_n + 1)
+    w0, w1 = [], []
+    for j in range(bins):
+        if periodic:
+            d = np.abs(((fine - (j + 0.5) * h) + 0.5) % 1.0 - 0.5)
+            w = np.maximum(0.0, 1.0 - d / h)
+        else:
+            r = np.clip(fine / h - 0.5, 0.0, bins - 1.0)
+            i0 = np.clip(np.floor(r), 0, bins - 2)
+            f = r - i0
+            w = np.where(i0 == j, 1.0 - f, np.where(i0 + 1 == j, f, 0.0))
+        w0.append(np.trapezoid(w, fine))
+        w1.append(np.trapezoid(w * np.cos(omega * fine), fine))
+    return np.array(w0), np.array(w1)

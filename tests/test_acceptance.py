@@ -30,6 +30,7 @@ from moser_transport import (
     reference_from_profile,
 )
 from moser_transport.cli import main as cli_main
+from oracles import tent_axis_weights
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -243,25 +244,6 @@ def test_criterion_08_assumption_dichotomy():
     )
 
 
-def _tent_axis_weights(bins, periodic, omega, fine_n=2 ** 15):
-    """1D integrals of the linear-binning weight functions against 1 and cos."""
-    h = 1.0 / bins
-    fine = np.linspace(0.0, 1.0, fine_n + 1)
-    w0, w1 = [], []
-    for j in range(bins):
-        if periodic:
-            d = np.abs(((fine - (j + 0.5) * h) + 0.5) % 1.0 - 0.5)
-            w = np.maximum(0.0, 1.0 - d / h)
-        else:
-            r = np.clip(fine / h - 0.5, 0.0, bins - 1.0)
-            i0 = np.clip(np.floor(r), 0, bins - 2)
-            f = r - i0
-            w = np.where(i0 == j, 1.0 - f, np.where(i0 + 1 == j, f, 0.0))
-        w0.append(np.trapezoid(w, fine))
-        w1.append(np.trapezoid(w * np.cos(omega * fine), fine))
-    return np.array(w0), np.array(w1)
-
-
 def test_criterion_09_cylinder_smoke():
     t0 = time.perf_counter()
     dom = make_domain("cylinder", circumference=1.0)
@@ -272,14 +254,14 @@ def test_criterion_09_cylinder_smoke():
     tf = build_representation(fam, mode="moser_only", grid_n=128, steps=64, floor=0.5)
     x = 0.8
     pot = tf.moser_at(x).potential
-    # linear binning keeps the quasi-random integrand continuous; sharp box
+    # tent weights keep the quasi-random integrand continuous; sharp box
     # counting saturates near the tolerance at this sample count
     hist = pushforward_histogram_2d(
         lambda pts: tf.map_values(x, pts), dom,
-        n_samples=2 ** 20, bins=64, binning="linear",
+        n_samples=2 ** 20, bins=64,
     )
-    A0, A1 = _tent_axis_weights(64, periodic=True, omega=2 * np.pi)
-    T0, T1 = _tent_axis_weights(64, periodic=False, omega=np.pi)
+    A0, A1 = tent_axis_weights(64, periodic=True, omega=2 * np.pi)
+    T0, T1 = tent_axis_weights(64, periodic=False, omega=np.pi)
     target = np.outer(A0, T0) + 0.3 * x * np.outer(A1, T1)
     l1 = float(np.abs(hist["probs"] - target).sum())
     elapsed = time.perf_counter() - t0

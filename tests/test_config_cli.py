@@ -297,6 +297,52 @@ alpha = 2
     assert rep["verdict"] == "PASS" and "derivative:beta=0:j=3" in rep["margins"]
 
 
+OBSTRUCT_CFG = """
+[family]
+name = constant
+
+[obstruct]
+xs = 1e-1, 3e-2, 1e-2
+base = 0
+"""
+PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "cylinder_flow.cfg"
+
+
+@pytest.mark.parametrize("command, base, old, new, at_parse", [
+    # raised while a command ran, these exited 3 as construction errors
+    pytest.param("represent", "cylinder", "mode = moser_only", "mode = full", False,
+                 id="full-mode-on-the-cylinder"),
+    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = 1e-2", False,
+                 id="one-floor"),
+    pytest.param("obstruct", "obstruct", "xs = 1e-1, 3e-2, 1e-2", "xs = 1e-1, 1e-2", False,
+                 id="two-obstruct-xs"),
+    pytest.param("obstruct", "obstruct", "xs = 1e-1, 3e-2, 1e-2", "xs = 1e-1, 0, 1e-2", False,
+                 id="obstruct-xs-containing-base"),
+    # counts below one: a traceback, an empty vacuous scan, or a false finding
+    pytest.param("represent", "constant", "steps = 64", "steps = 0", True, id="steps-0"),
+    pytest.param("represent", "constant", "x_samples = 3", "x_samples = 0", True,
+                 id="x_samples-0"),
+    pytest.param("represent", "constant", "seed = 7", "seed = 7\nck_order = 0", True,
+                 id="ck_order-0"),
+    pytest.param("represent", "constant", "seed = 7", "seed = 7\nn_fine = 0", True,
+                 id="n_fine-0"),
+    # an infinite integer ended in an OverflowError traceback
+    pytest.param("represent", "constant", "steps = 64", "steps = 1e400", True,
+                 id="steps-inf"),
+])
+def test_cli_configuration_errors_exit_1_without_a_report(tmp_path, capsys, command, base,
+                                                          old, new, at_parse):
+    text = {"constant": CONSTANT_CFG, "obstruct": OBSTRUCT_CFG,
+            "cylinder": PERFBENCH_CYLINDER.read_text(encoding="utf-8")}[base]
+    assert old in text
+    cfg_path = _write(tmp_path, text.replace(old, new))
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert ("line " in err and ", column " in err) == at_parse
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_obstruct_example1_finding(tmp_path):
     cfg_path = _write(tmp_path, """
 [family]

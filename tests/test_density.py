@@ -25,6 +25,7 @@ from moser_transport import (
 )
 from moser_transport.density import (_base_integrals, _ex2_oscillatory_mass, _x_probe_nodes,
                                      probe_integrals, symmetric_beta)
+from oracles import CDF
 
 
 def test_torus_mass_counts_the_seam_once():
@@ -466,15 +467,16 @@ def test_reference_integral_consistency():
 def test_mass_table_matches_closed_form_cdf(name, x, alpha, log_q):
     # the closed-form CDFs, root-solved in log m, are the oracle for the
     # Gauss table and its Newton inverse, with targets down to 1e-30 of the mass
-    fam = (builtin_family("h_power", alpha=alpha) if name == "h_power"
-           else builtin_family("example1"))
+    params = {"alpha": alpha} if name == "h_power" else {}
+    fam = builtin_family(name, **params)
+    cdf = lambda x, m: CDF[name](x, m, **params)
     table = fam.mass_table(x)
     q = 10.0 ** np.asarray(log_q)
-    assert table.total == pytest.approx(float(fam.cdf_fn(x, 1.0)), rel=1e-12)
+    assert table.total == pytest.approx(float(cdf(x, 1.0)), rel=1e-12)
     m = table.invert(q * table.total)
     for qi, mi in zip(q, m):
-        target = qi * float(fam.cdf_fn(x, 1.0))
-        exact = np.exp(brentq(lambda s: np.log(fam.cdf_fn(x, np.exp(s))) - np.log(target),
+        target = qi * float(cdf(x, 1.0))
+        exact = np.exp(brentq(lambda s: np.log(cdf(x, np.exp(s))) - np.log(target),
                               np.log(1e-40), 0.0, xtol=1e-15, rtol=4 * np.finfo(float).eps))
         assert abs(mi - exact) <= 1e-10 * exact
         assert abs(table.cdf(exact) - target) <= 1e-10 * target

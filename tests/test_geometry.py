@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from moser_transport import (
     ConfigurationError,
-    NoCollarError,
-    collar_chart,
     cylinder_grid,
     interval_grid,
     make_domain,
@@ -25,49 +23,6 @@ def test_make_domain_errors():
         make_domain("square")
     with pytest.raises(ConfigurationError):
         make_domain("cylinder", circumference=0.0)
-
-
-def test_collar_chart_interval_fixtures():
-    dom = make_domain("interval")
-    assert collar_chart(dom, 0, 0.25) == pytest.approx(0.25)
-    assert collar_chart(dom, 1, 0.25) == pytest.approx(0.75)
-
-
-def test_collar_chart_cylinder_identity_on_boundary():
-    dom = make_domain("cylinder", circumference=1.0)
-    a, t = collar_chart(dom, 0.5, 0.0)
-    assert (a, t) == (0.5, 0.0)
-
-
-def test_collar_chart_torus_errors():
-    dom = make_domain("torus")
-    with pytest.raises(NoCollarError):
-        collar_chart(dom, 0.0, 0.1)
-
-
-@given(t=st.floats(min_value=0.0, max_value=1.0))
-def test_chart_identity_at_zero_and_range(t):
-    dom = make_domain("interval")
-    assert collar_chart(dom, 0, 0.0) == 0.0
-    assert collar_chart(dom, 1, 0.0) == 1.0
-    m = collar_chart(dom, 0, t)
-    assert 0.0 <= m <= 1.0
-
-
-def test_chart_injective_per_side():
-    dom = make_domain("interval")
-    ts = np.linspace(0.0, 0.999, 64)
-    for side in (0, 1):
-        vals = collar_chart(dom, side, ts)
-        assert len(np.unique(np.round(vals, 14))) == len(ts)
-    dom2 = make_domain("cylinder", circumference=2.0)
-    a_nodes = np.linspace(0.0, 2.0, 9)[:-1]
-    seen = set()
-    for a in a_nodes:
-        for t in ts[::8]:
-            av, tv = collar_chart(dom2, a, t, side=0)
-            seen.add((round(float(av), 12), round(float(tv), 12)))
-    assert len(seen) == len(a_nodes) * len(ts[::8])
 
 
 @given(n=st.integers(min_value=2, max_value=400))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 
 from moser_transport import transport
 from moser_transport import (
     ConfigurationError,
+    DegeneracyError,
     IntegrationError,
     QuantileTransport,
+    ResolutionError,
     build_representation,
     builtin_family,
     ck_floor_scan,
@@ -17,6 +20,7 @@ from moser_transport import (
     pushforward_histogram_2d,
     sample_random_maps,
 )
+from oracles import CDF, tent_axis_weights
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,24 +60,23 @@ def test_auto_mode_on_torus_is_moser_only():
     assert tf.mode == "moser_only"
 
 
-def _rearrangement_oracle(tf, fam, x, m):
+def _rearrangement_oracle(tf, x, m):
     nodes = np.unique(np.concatenate([
         np.linspace(0, 1, 2 ** 16 + 1), np.geomspace(1e-9, 1e-2, 200)
     ]))
     r0 = tf.rho0_fn(nodes)
     F0 = si.cumulative_trapezoid(r0, nodes, initial=0.0)
     F0 /= F0[-1]
-    Fx = fam.cdf_fn(x, nodes)
+    Fx = CDF["affine"](x, nodes)
     p = np.interp(m, nodes, F0)
     return np.interp(p, Fx, nodes)
 
 
 def test_affine_full_mode_matches_rearrangement(affine_tf):
-    fam = affine_tf.fam
     m = np.linspace(0.0, 1.0, 257)
     for x in (0.5, -0.25, 0.0):
         vals = affine_tf.map_values(x, m)
-        oracle = _rearrangement_oracle(affine_tf, fam, x, m)
+        oracle = _rearrangement_oracle(affine_tf, x, m)
         assert np.abs(vals - oracle).max() <= 2e-4
 
 
@@ -100,9 +103,14 @@ def test_pushforward_affine_recovers_density():
 
 
 def test_pushforward_rejects_non_monotone():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ResolutionError):
         pushforward_density_1d(lambda m: np.asarray(m) ** 2 - np.asarray(m),
                                lambda m: np.ones_like(m))
+
+
+def test_pushforward_rejects_a_massless_source():
+    with pytest.raises(DegeneracyError, match="no mass"):
+        pushforward_density_1d(lambda m: m, np.zeros_like)
 
 
 def test_pushforward_verification_full_pipeline(affine_tf):
@@ -121,13 +129,41 @@ def test_pushforward_2d_smoke():
     hist = pushforward_histogram_2d(
         lambda pts: tf.map_values(x, pts), dom, n_samples=2 ** 16, bins=16,
     )
-    ea, et = hist["a_edges"], hist["t_edges"]
-    Sa = np.sin(2 * np.pi * ea) / (2 * np.pi)
-    St = np.sin(np.pi * et) / np.pi
-    P = np.outer(np.diff(ea), np.diff(et)) + 0.3 * x * np.outer(np.diff(Sa), np.diff(St))
+    # the target's tent-weighted cell masses in closed form, axis by axis
+    A0, A1 = tent_axis_weights(16, periodic=True, omega=2 * np.pi)
+    T0, T1 = tent_axis_weights(16, periodic=False, omega=np.pi)
+    P = np.outer(A0, T0) + 0.3 * x * np.outer(A1, T1)
     l1 = np.abs(hist["probs"] - P).sum()
     assert l1 <= 0.05
-    assert hist["err_bars"].shape == hist["probs"].shape
+    assert hist["n_samples"] == 2 ** 16
+
+
+_EDGE_T = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(deadline=None)
+@given(bins=st.integers(2, 40), L=st.floats(0.25, 4.0), c=st.floats(0.1, 10.0),
+       images=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _EDGE_T),
+                       max_size=60),
+       cell=st.tuples(st.integers(0, 39), st.integers(0, 39)))
+def test_tent_deposit_keeps_weight_nonnegative_and_in_place(bins, L, c, images, cell):
+    # every image lands in bins >= 0 and all of it is kept, t = 0, t = 1 and
+    # a just below L included; an image on a cell centre stays in that cell
+    below_L = np.nextafter(L, 0.0)
+    pts = np.array([(u * L, t) for u, t in images]
+                   + [(below_L, 0.0), (below_L, 1.0), (0.0, 1.0)])
+    counts = transport._cic_deposit(pts, bins, L)
+    assert counts.shape == (bins, bins) and np.all(counts >= 0.0)
+    assert abs(counts.sum() - len(pts)) <= 1e-12 * len(pts)
+    i, j = cell[0] % bins, cell[1] % bins
+    centre = np.array([[(i + 0.5) * L / bins, (j + 0.5) / bins]])
+    assert transport._cic_deposit(centre, bins, L)[i, j] >= 1.0 - 1e-12
+    # the target deposit of a constant density keeps its mass c L the same way
+    dom = make_domain("cylinder", circumference=L)
+    target = transport.binned_target_2d(lambda a, t: np.full_like(a, c), dom, bins=bins,
+                                        oversample=2)
+    assert np.all(target >= 0.0)
+    assert abs(target.sum() - c * L) <= 1e-12 * c * L
 
 
 def test_quantile_transport_spot_value():
@@ -183,8 +219,7 @@ def test_sample_random_maps_ks_distance(affine_tf):
     omegas = np.array([s.omega for s in samples])
     images = affine_tf.map_values(x, omegas)
     images.sort()
-    fam = affine_tf.fam
-    cdf_vals = fam.cdf_fn(x, images)
+    cdf_vals = CDF["affine"](x, images)
     n = len(images)
     emp_hi = np.arange(1, n + 1) / n
     emp_lo = np.arange(0, n) / n
