@@ -8,8 +8,8 @@ scripts/bench_pairs.py exports it, into ``.bench_build/base-<sha>/``.  Both
 sides run the working tree's configs: ``represent --threads 1`` on every
 config in ``scripts/configs/`` and ``perfbench/configs/``, plus
 ``check-assumptions`` where a config has an ``[envelope]`` section and
-``obstruct`` where it has an ``[obstruct]`` section, and the library demo
-``scripts/run_demo.py`` (``verify``, ``estimate_uniform_Ck``,
+``obstruct`` where it has an ``[obstruct]`` section, and each side's own
+library demo ``scripts/run_demo.py`` (``verify``, ``estimate_uniform_Ck``,
 ``sample_random_maps`` and ``map_values`` outside the CLI).  Outputs go under
 ``.bench_build/reports/{base,change}/``.  Prints a unified diff of every
 output file that differs (and any differing exit code), and exits 1 if
@@ -30,8 +30,9 @@ CONFIG_DIRS = ("scripts/configs", "perfbench/configs")
 OUT = ROOT / ".bench_build" / "reports"
 
 
-def runs():
-    """(run name, interpreter arguments before the output directory), in a fixed order."""
+def runs(tree):
+    """(run name, interpreter arguments before the output directory), in a fixed order;
+    the demo is the one in ``tree``, since it calls the package it runs against."""
     out = []
     for directory in CONFIG_DIRS:
         for cfg in sorted((ROOT / directory).glob("*.cfg")):
@@ -45,7 +46,7 @@ def runs():
                 out.append((f"{directory}/{cfg.stem}/{command}",
                             ["-m", "moser_transport.cli", command, "--config", str(cfg),
                              "--threads", "1", "--out"]))
-    out.append(("scripts/run_demo", [str(ROOT / "scripts" / "run_demo.py")]))
+    out.append(("scripts/run_demo", [str(tree / "scripts" / "run_demo.py")]))
     return out
 
 
@@ -53,7 +54,7 @@ def run_side(tree, side):
     """Run every command against the package under ``tree``; exit code per run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     codes = {}
-    for name, argv in runs():
+    for name, argv in runs(tree):
         out = OUT / side / name
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir(parents=True)

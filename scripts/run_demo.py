@@ -45,8 +45,7 @@ def main():
     write_json(os.path.join(out, "demo_report.json"),
                {"verify": log, "ck_sup_order1": ck.sups[1]})
     m = np.linspace(0, 1, 257)
-    write_csv(os.path.join(out, "map_x_half.csv"), ["m", "T"],
-              list(zip(m, tf.map_values(0.5, m))))
+    write_csv(os.path.join(out, "map_x_half.csv"), {"m": m, "T": tf.map_values(0.5, m)})
     print(f"wrote {out}/demo_report.json and {out}/map_x_half.csv")
 
 

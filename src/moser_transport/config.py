@@ -9,18 +9,18 @@ Grammar (EBNF):
     comment  = "#" , { any character } ;
 
 Values are parsed with the same expression parser as densities (so
-``v = 1/4`` or ``tol = 1e-3`` both work); string-valued keys (names,
-paths, expressions) keep the raw text.  Parsing is strict: unknown
-sections and unknown keys are rejected with the offending line.  The
-``[family]`` and ``[envelope]`` sections accept arbitrary extra numeric
-keys, which are handed to the family/envelope constructor as parameters.
+``v = 1/4`` or ``tol = 1e-3`` both work); a key's kind is its field's
+type, and string-valued keys keep the raw text.  Parsing is strict: unknown
+sections and keys, and syntax errors in ``[family] expression`` and
+``[obstruct] h``, are rejected with line and column.  The ``[family]`` and
+``[envelope]`` sections pass extra numeric keys on as parameters.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
-from .density import builtin_family, family_from_expression, make_envelope
-from .errors import ConfigurationError
+from .density import builtin_family, expression_variables, family_from_expression, make_envelope
+from .errors import ConfigurationError, ExpressionSyntaxError
 from .expressions import parse_density_expression
 from .geometry import make_domain
 
@@ -97,33 +97,12 @@ class RunConfig:
     outputs: OutputsSection = field(default_factory=OutputsSection)
 
     def to_dict(self):
-        out = {
-            "domain": asdict(self.domain),
-            "family": asdict(self.family),
-            "pipeline": asdict(self.pipeline),
-            "obstruct": asdict(self.obstruct),
-            "outputs": asdict(self.outputs),
-        }
-        if self.envelope is not None:
-            out["envelope"] = asdict(self.envelope)
-        return out
+        return {f.name: asdict(getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
-_STR_KEYS = {"kind", "name", "expression", "mode", "x_floor_mode", "report",
-             "csv_dir", "h"}
-_LIST_KEYS = {"floors", "xs"}
-_INT_KEYS = {"k", "grid", "steps", "seed", "x_samples", "ck_order",
-             "samples", "bins", "n_fine", "collar_nodes", "h_x_nodes", "dump_fields"}
 _POSITIVE_KEYS = {"steps", "x_samples", "ck_order", "n_fine"}  # counts that 0 leaves empty
-
-_SECTIONS = {
-    "domain": DomainSection,
-    "family": FamilySection,
-    "envelope": EnvelopeSection,
-    "pipeline": PipelineSection,
-    "obstruct": ObstructSection,
-    "outputs": OutputsSection,
-}
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _eval_scalar(text, line_no, col):
@@ -135,20 +114,20 @@ def _eval_scalar(text, line_no, col):
 
 
 def _assign(section_name, obj, key, raw, line_no, col):
-    known = hasattr(obj, key) and key != "params"
-    if not known:
+    kind = {f.name: f.type for f in fields(obj)}.get(key)
+    if kind in (None, dict):
         if section_name in ("family", "envelope"):
             obj.params[key] = _eval_scalar(raw, line_no, col)
             return
         raise ConfigurationError(
             f"unknown key {key!r} in section [{section_name}]", line_no, col
         )
-    if key in _STR_KEYS:
+    if kind is str:
         setattr(obj, key, raw)
-    elif key in _LIST_KEYS:
+    elif kind is list:
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         setattr(obj, key, [_eval_scalar(p, line_no, col) for p in parts])
-    elif key in _INT_KEYS:
+    elif kind is int:
         val = _eval_scalar(raw, line_no, col)
         if not math.isfinite(val) or val != int(val):
             raise ConfigurationError(f"key {key!r} needs an integer, got {raw!r}",
@@ -164,9 +143,9 @@ def _assign(section_name, obj, key, raw, line_no, col):
 def parse_config(text):
     """Parse and validate the config text; strict about sections and keys."""
     cfg = RunConfig()
-    cfg.envelope = None
     current_name = None
     current = None
+    spots = {}  # (section, key) -> (line, column) of the value
     for line_no, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -178,8 +157,8 @@ def parse_config(text):
             if name not in _SECTIONS:
                 raise ConfigurationError(f"unknown section [{name}]", line_no, 1)
             current_name = name
-            if name == "envelope" and cfg.envelope is None:
-                cfg.envelope = EnvelopeSection()
+            if getattr(cfg, name) is None:
+                setattr(cfg, name, _SECTIONS[name]())
             current = getattr(cfg, name)
             continue
         if "=" not in line:
@@ -190,8 +169,21 @@ def parse_config(text):
         key = key.strip()
         raw = raw.strip()
         col = rawline.index("=") + 2
+        spots[current_name, key] = (line_no, col + rawline[col - 1:].index(raw))
         _assign(current_name, current, key, raw, line_no, col)
     validate_config(cfg)
+    domain = make_domain(cfg.domain.kind, cfg.domain.circumference)
+    for section, key, variables in (("family", "expression", expression_variables(domain)),
+                                    ("obstruct", "h", ("m",))):
+        source = getattr(getattr(cfg, section), key)
+        if source is None:
+            continue
+        try:
+            parse_density_expression(source, variables=variables)
+        except ExpressionSyntaxError as exc:
+            line_no, col = spots[section, key]
+            raise ConfigurationError(f"cannot parse [{section}] {key} {source!r}: {exc}",
+                                     line_no, col + exc.offset) from None
     return cfg
 
 
@@ -214,6 +206,9 @@ def validate_config(cfg):
         raise ConfigurationError("family section needs a name or an expression")
     if cfg.family.name is not None and cfg.family.expression is not None:
         raise ConfigurationError("family section takes a name or an expression, not both")
+    if cfg.family.name is not None and cfg.domain.kind != "interval":
+        raise ConfigurationError(f"builtin family {cfg.family.name!r} lives on the interval, "
+                                 f"not on the {cfg.domain.kind}")
     lo, hi = cfg.family.x_lo, cfg.family.x_hi
     if lo is not None and hi is not None and not lo < hi:
         raise ConfigurationError(f"family needs x_lo < x_hi, got x_lo = {lo:g}, x_hi = {hi:g}")

@@ -18,6 +18,7 @@ resolution, not a proof, and the report says so.
 """
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -569,7 +570,16 @@ def builtin_family(name, k=2, **params):
         raise ConfigurationError(
             f"unknown builtin family {name!r}; available: {sorted(_BUILTINS)}"
         )
+    try:
+        inspect.signature(_BUILTINS[name]).bind(k, **params)
+    except TypeError as exc:
+        raise ConfigurationError(f"builtin family {name!r}: {exc}") from None
     return _BUILTINS[name](k, **params)
+
+
+def expression_variables(domain):
+    """The variables of a family expression on ``domain``: x, then its coordinates."""
+    return ("x", "m") if domain.dim == 1 else ("x", "a", "t")
 
 
 def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize=True):
@@ -582,8 +592,8 @@ def family_from_expression(text, domain=None, x_range=(0.0, 1.0), k=2, normalize
     the rule of ``mass``, cached per (b, x).
     """
     domain = domain or _interval()
-    variables = ("x", "m") if domain.dim == 1 else ("x", "a", "t")
-    raw = _expression_derivatives(parse_density_expression(text, variables=variables))
+    raw = _expression_derivatives(parse_density_expression(
+        text, variables=expression_variables(domain)))
     fam = DensityFamily(
         domain=domain, x_range=tuple(x_range), k=k,
         name=f"expression({text})", fn=raw[0, 0], exact_derivs=raw,
@@ -779,6 +789,8 @@ def make_envelope(name, k=2, **params):
     * ``loglog(C1=4, C2=2)``             -- E = C2*(1+log(2/t)), B = C1/t
     * ``constant(E0=1, B0=1)``           -- constants
     """
+    if name in ("power", "stretched") and "alpha" not in params:
+        raise ConfigurationError(f"envelope {name!r} needs the parameter 'alpha'")
     if name == "power":
         alpha = float(params.pop("alpha"))
         E0 = float(params.pop("E0", 2.0))

@@ -4,12 +4,7 @@ import json
 import os
 import tempfile
 
-
-def fmt17(value):
-    """Full-precision numeral for CSV cells."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+import numpy as np
 
 
 def canonical_json(obj):
@@ -35,8 +30,15 @@ def write_json(path, obj):
     write_text_atomic(path, canonical_json(obj))
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt17(v) for v in row))
+def write_csv(path, columns):
+    """CSV of named float columns at full precision (``%.17g``).
+
+    ``columns`` maps each header to a sequence or to a scalar that repeats
+    down the rows; a missing value (None) is written as nan.
+    """
+    cells = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                  for v in columns.values()))
+    lines = [",".join(columns)]
+    for row in zip(*(c.tolist() for c in cells)):
+        lines.append(",".join(format(v, ".17g") for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")

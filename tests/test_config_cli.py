@@ -117,6 +117,17 @@ def test_unknown_key_rejected():
         assert err.value.line == 2
 
 
+def test_expression_syntax_errors_point_at_the_offending_character():
+    # here the parser stops at the end of the value
+    for text, where in (("[family]\nexpression = 1 + (m\n", "line 2, column 20"),
+                        ("[family]\nname = constant\n[obstruct]\nh   =   m *  # c\n",
+                         "line 4, column 12")):
+        with pytest.raises(ConfigurationError, match=where):
+            parse_config(text)
+    # a domain given after the family still decides the expression's variables
+    parse_config("[family]\nexpression = 1 + a*t\n[domain]\nkind = torus\n")
+
+
 def test_family_extra_keys_become_params():
     cfg = parse_config("[family]\nname = h_power\nalpha = 2\n")
     assert cfg.family.params == {"alpha": 2.0}
@@ -305,6 +316,15 @@ name = constant
 xs = 1e-1, 3e-2, 1e-2
 base = 0
 """
+ENVELOPE_CFG = """
+[family]
+name = h_power
+k = 2
+
+[envelope]
+name = power
+alpha = 2
+"""
 PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "cylinder_flow.cfg"
 
 
@@ -329,10 +349,23 @@ PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "con
     # an infinite integer ended in an OverflowError traceback
     pytest.param("represent", "constant", "steps = 64", "steps = 1e400", True,
                  id="steps-inf"),
+    # parameters a builtin family or envelope lacks or does not take ended in tracebacks
+    pytest.param("check-assumptions", "envelope", "alpha = 2\n", "", False,
+                 id="power-envelope-without-alpha"),
+    pytest.param("check-assumptions", "envelope", "k = 2", "k = 2\nbeta = 3", False,
+                 id="h_power-with-beta"),
+    # a builtin ran on the interval and reported the configured torus
+    pytest.param("obstruct", "obstruct", "[family]", "[domain]\nkind = torus\n\n[family]",
+                 False, id="builtin-on-a-torus"),
+    # syntax errors: a traceback from [family] expression, exit 3 from [obstruct] h
+    pytest.param("represent", "constant", "name = constant", "expression = 1 + (m", True,
+                 id="expression-syntax-error"),
+    pytest.param("obstruct", "obstruct", "base = 0", "base = 0\nh = m *", True,
+                 id="h-syntax-error"),
 ])
 def test_cli_configuration_errors_exit_1_without_a_report(tmp_path, capsys, command, base,
                                                           old, new, at_parse):
-    text = {"constant": CONSTANT_CFG, "obstruct": OBSTRUCT_CFG,
+    text = {"constant": CONSTANT_CFG, "obstruct": OBSTRUCT_CFG, "envelope": ENVELOPE_CFG,
             "cylinder": PERFBENCH_CYLINDER.read_text(encoding="utf-8")}[base]
     assert old in text
     cfg_path = _write(tmp_path, text.replace(old, new))
