@@ -101,7 +101,9 @@ class RunConfig:
                 if getattr(self, f.name) is not None}
 
 
-_POSITIVE_KEYS = {"steps", "x_samples", "ck_order", "n_fine"}  # counts that 0 leaves empty
+# the least value of each count below which a run is empty, divides by zero or
+# checks nothing (one tent bin holds all the mass)
+_MIN_COUNTS = {"steps": 1, "x_samples": 1, "ck_order": 1, "n_fine": 1, "samples": 1, "bins": 2}
 _SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -132,8 +134,9 @@ def _assign(section_name, obj, key, raw, line_no, col):
         if not math.isfinite(val) or val != int(val):
             raise ConfigurationError(f"key {key!r} needs an integer, got {raw!r}",
                                      line_no, col)
-        if key in _POSITIVE_KEYS and val < 1:
-            raise ConfigurationError(f"key {key!r} needs an integer >= 1, got {raw!r}",
+        least = _MIN_COUNTS.get(key, -math.inf)
+        if val < least:
+            raise ConfigurationError(f"key {key!r} needs an integer >= {least}, got {raw!r}",
                                      line_no, col)
         setattr(obj, key, int(val))
     else:

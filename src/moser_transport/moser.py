@@ -244,8 +244,10 @@ def _corners(grid, points):
         rel = (pts[:, i] - ax.lo) / ax.spacing
         if ax.periodic:
             cell = np.floor(rel)
-            corner = cell.astype(np.intp) + _CORNERS
-            corner %= ax.n
+            lower = cell.astype(np.intp)
+            lower %= ax.n  # one wrap a point: the upper corner is lower + 1 or 0
+            corner = lower + _CORNERS
+            np.copyto(corner[1], 0, where=corner[1] == ax.n)
         else:
             np.minimum(np.maximum(rel, 0.0, out=rel), ax.n - 1, out=rel)
             cell = np.minimum(rel.astype(np.intp), ax.n - 2)

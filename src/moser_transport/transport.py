@@ -404,12 +404,13 @@ def _cic_deposit(imgs, bins, L, weights=None):
     rt = np.clip(imgs[:, 1] / ht - 0.5, 0.0, bins - 1.0)
     it = np.clip(np.floor(rt).astype(np.intp), 0, bins - 2)
     ft = rt - it
-    counts = np.zeros((bins, bins))
-    np.add.at(counts, (ia0, it), w * (1 - fa) * (1 - ft))
-    np.add.at(counts, (ia0, it + 1), w * (1 - fa) * ft)
-    np.add.at(counts, (ia1, it), w * fa * (1 - ft))
-    np.add.at(counts, (ia1, it + 1), w * fa * ft)
-    return counts
+    # one bincount over the four corners in turn: each bin adds its terms in
+    # the order of four np.add.at calls, one a corner, from 0.0
+    flat = np.concatenate([ia0 * bins + it, ia0 * bins + it + 1,
+                           ia1 * bins + it, ia1 * bins + it + 1])
+    terms = np.concatenate([w * (1 - fa) * (1 - ft), w * (1 - fa) * ft,
+                            w * fa * (1 - ft), w * fa * ft])
+    return np.bincount(flat, weights=terms, minlength=bins * bins).reshape(bins, bins)
 
 
 def binned_target_2d(density_fn, domain, bins=64, oversample=8):
@@ -458,18 +459,21 @@ def _prefetch(family, xs, points=None):
         prefetch(xs, points)
 
 
-def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
-    """Finite-difference sups of |d^j/dx^j T_x(m)| over (m, x), j = 1..k.
-
-    Each probe is computed at steps h and h/2 (Richardson pair); a pair
-    whose magnitudes differ by more than a factor 2 marks the probe
-    unstable.  Divergence is a finding for the caller, not an error.
-    """
-    m_grid = np.asarray(m_grid, dtype=float)
+def _node_images(map_family, points):
+    """x -> T_x(points) as a float array; each distinct x is queried once."""
+    cache = {}
 
     def images(x):
-        return np.asarray(map_family.map_values(x, m_grid), dtype=float)
+        key = float(x)
+        if key not in cache:
+            cache[key] = np.asarray(map_family.map_values(x, points), dtype=float)
+        return cache[key]
 
+    return images
+
+
+def _ck_report(images, x_range, x_grid, k):
+    """The CkReport of the order-1..k probes of x_grid, read through images(x)."""
     def magnitude(x, j, h):
         # maps into 2D domains: the euclidean norm of the differenced components
         d = central_difference(images, x, j, h)
@@ -482,7 +486,7 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
         best = 0.0
         n_stable = 0
         n_tot = 0
-        for x, h in _ck_probes(map_family.x_range, x_grid, j):
+        for x, h in _ck_probes(x_range, x_grid, j):
             d_h = magnitude(x, j, h)
             mags = np.abs(magnitude(x, j, h / 2))
             best = max(best, float(mags.max()))  # a NaN in mags leaves best as it was
@@ -493,6 +497,17 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
         stable[j] = bool(n_tot > 0 and n_stable == n_tot)
         frac[j] = (n_stable / n_tot) if n_tot else 1.0
     return CkReport(k=k, sups=sups, richardson_stable=stable, stable_fraction=frac)
+
+
+def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
+    """Finite-difference sups of |d^j/dx^j T_x(m)| over (m, x), j = 1..k.
+
+    Each probe is computed at steps h and h/2 (Richardson pair); a pair
+    whose magnitudes differ by more than a factor 2 marks the probe
+    unstable.  Divergence is a finding for the caller, not an error.
+    """
+    images = _node_images(map_family, np.asarray(m_grid, dtype=float))
+    return _ck_report(images, map_family.x_range, x_grid, k)
 
 
 @dataclass
@@ -542,7 +557,8 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
     UNBOUNDED-SUSPECT when every refinement grows some order's sup by at
     least the threshold; STABLE otherwise.  Every difference node of every
     floor and order is prefetched before the first probe, planned for the
-    union of the floors' m grids.
+    union of the floors' m grids, and queried once, at that union; each
+    floor reads its own rows of the images.
     """
     if len(floors) < 2:
         raise ConfigurationError("floor scan needs at least two floors")
@@ -558,14 +574,18 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
             m_grids.append(np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1))
         else:
             m_grids.append(ts)
+    union = np.concatenate(m_grids)
     _prefetch(map_family, [node for x_grid in x_grids for j in range(1, k + 1)
                            for x, h in _ck_probes(map_family.x_range, x_grid, j)
                            for step in (h, h / 2) for node in difference_nodes(x, j, step)],
-              points=np.concatenate(m_grids))
+              points=union)
+    images = _node_images(map_family, union)
+    ends = np.cumsum([0] + [len(m_grid) for m_grid in m_grids])
     sups = {j: [] for j in range(1, k + 1)}
     reports = []
-    for x_grid, m_grid in zip(x_grids, m_grids):
-        rep = estimate_uniform_Ck(map_family, m_grid, x_grid, k=k)
+    for x_grid, lo, hi in zip(x_grids, ends[:-1], ends[1:]):
+        rep = _ck_report(lambda x, rows=slice(lo, hi): images(x)[rows],
+                         map_family.x_range, x_grid, k)
         reports.append(rep)
         for j in range(1, k + 1):
             sups[j].append(rep.sups[j])

@@ -2,11 +2,15 @@
 
 ``CDF`` holds the cumulative mass int_0^m rho(x, s) ds of the four builtins
 that have one in closed form; ``CDF["h_power"]`` takes the builtin's alpha.
-``tent_axis_weights`` integrates the tent weight functions of the 2D
-pushforward deposit along one axis.
+``DENSITY`` holds the one-line formulas of the example1 and example2 hand
+evaluators, with every power taken by pow.  ``tent_axis_weights`` integrates
+the tent weight functions of the 2D pushforward deposit along one axis, and
+``cic_deposit_add_at`` is that deposit as four np.add.at calls, one a corner.
 """
 
 import numpy as np
+
+from moser_transport.density import _ex2_oscillatory_mass, symmetric_beta
 
 
 def _affine_cdf(x, m):
@@ -34,6 +38,27 @@ CDF = {
 }
 
 
+def _example1_density(x, m):
+    m = np.asarray(m, dtype=float)
+    return 2 * x * x * m + 5 * (1 - x * x) * m ** 4
+
+
+def _example2_density(x, m, k=2):
+    q = k + 1
+    m = np.asarray(m, dtype=float)
+    osc = np.zeros_like(m)
+    pos = m > 0
+    osc[pos] = np.sin(1.0 / m[pos]) ** 2
+    sigma = np.where((m >= 0.5) & (m <= 1.0), np.maximum(4.0 * (m - 0.5) * (1.0 - m), 0.0) ** q,
+                     0.0)
+    c_of_x = (1.0 - (2.0 + x) * _ex2_oscillatory_mass() - 1.0 / 31.0) / (0.5 * symmetric_beta(q))
+    with np.errstate(under="ignore"):
+        return (2.0 + x) * m ** 5 * osc + m ** 30 + c_of_x * sigma
+
+
+DENSITY = {"example1": _example1_density, "example2": _example2_density}
+
+
 def tent_axis_weights(bins, periodic, omega, fine_n=2 ** 15):
     """1D integrals of the tent weight functions against 1 and cos(omega s).
 
@@ -56,3 +81,24 @@ def tent_axis_weights(bins, periodic, omega, fine_n=2 ** 15):
         w0.append(np.trapezoid(w, fine))
         w1.append(np.trapezoid(w * np.cos(omega * fine), fine))
     return np.array(w0), np.array(w1)
+
+
+def cic_deposit_add_at(imgs, bins, L, weights=None):
+    """The tent-weight deposit of ``transport._cic_deposit``, one np.add.at a corner."""
+    ha = L / bins
+    ht = 1.0 / bins
+    w = np.ones(len(imgs)) if weights is None else np.asarray(weights, dtype=float)
+    ra = imgs[:, 0] / ha - 0.5
+    ia = np.floor(ra).astype(np.intp)
+    fa = ra - ia
+    ia0 = ia % bins
+    ia1 = (ia + 1) % bins
+    rt = np.clip(imgs[:, 1] / ht - 0.5, 0.0, bins - 1.0)
+    it = np.clip(np.floor(rt).astype(np.intp), 0, bins - 2)
+    ft = rt - it
+    counts = np.zeros((bins, bins))
+    np.add.at(counts, (ia0, it), w * (1 - fa) * (1 - ft))
+    np.add.at(counts, (ia0, it + 1), w * (1 - fa) * ft)
+    np.add.at(counts, (ia1, it), w * fa * (1 - ft))
+    np.add.at(counts, (ia1, it + 1), w * fa * ft)
+    return counts

@@ -346,6 +346,12 @@ PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "con
                  id="ck_order-0"),
     pytest.param("represent", "constant", "seed = 7", "seed = 7\nn_fine = 0", True,
                  id="n_fine-0"),
+    # degenerate 2D pushforward counts: a ZeroDivisionError traceback, a one-bin
+    # check that cannot fail, and an l1_error of NaN
+    pytest.param("represent", "cylinder", "bins = 24", "bins = 0", True, id="bins-0"),
+    pytest.param("represent", "cylinder", "bins = 24", "bins = 1", True, id="bins-1"),
+    pytest.param("represent", "cylinder", "samples = 16384", "samples = 0", True,
+                 id="samples-0"),
     # an infinite integer ended in an OverflowError traceback
     pytest.param("represent", "constant", "steps = 64", "steps = 1e400", True,
                  id="steps-inf"),

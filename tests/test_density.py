@@ -23,9 +23,10 @@ from moser_transport import (
     make_reference,
     reference_from_profile,
 )
-from moser_transport.density import (_base_integrals, _ex2_oscillatory_mass, _x_probe_nodes,
-                                     probe_integrals, symmetric_beta)
-from oracles import CDF
+from moser_transport.density import (_base_integrals, _ex2_oscillatory_mass, _power,
+                                     _x_probe_nodes, gauss_segments, probe_integrals,
+                                     symmetric_beta)
+from oracles import CDF, DENSITY
 
 
 def test_torus_mass_counts_the_seam_once():
@@ -257,6 +258,64 @@ def test_formula_tree_matches_the_hand_evaluator(name, params, hand_table):
     for x in _x_probe_nodes(fam.x_range):
         got, want = fam.exact_derivs[0, 0](x, _TABLE_TS), fam.fn(x, _TABLE_TS)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (name, x)
+
+
+def _mass_table_gauss_nodes():
+    """The Gauss nodes at which a MassTable's initial layout evaluates fn, [0, 1e-300] too."""
+    seen = []
+    layout = np.concatenate([[0.0], np.geomspace(1e-300, 1.0 / 64.0, 991),
+                             np.linspace(1.0 / 64.0, 1.0, 65)[1:]])
+    gauss_segments(lambda m: seen.append(m) or np.zeros_like(m), layout[:-1], layout[1:])
+    return np.concatenate(seen).ravel()
+
+
+_GAUSS_NODES = _mass_table_gauss_nodes()
+_POWER_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-300, 1.0, -1.0, 2.0]
+
+
+def _same_power(m, p):
+    got, want = _power(m, p), np.asarray(m) ** p
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True), (m, p)
+    assert np.array_equal(np.signbit(got), np.signbit(want)), (m, p)
+
+
+_POWERS = st.sampled_from([4, 5, 30]) | st.floats(0.0, 64.0, exclude_min=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(p=_POWERS, ms=st.lists(st.floats(allow_subnormal=True) | st.sampled_from(_POWER_EDGES),
+                              max_size=40))
+def test_power_is_pow_bit_for_bit(p, ms):
+    # entries whose power rounds to zero skip pow; every other bit is pow's
+    with np.errstate(all="ignore"):
+        threshold = 2.0 ** (-1076.0 / p)
+        edges = [threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)]
+        for m in ms + edges:
+            _same_power(np.float64(m), p)
+        _same_power(np.array(ms + edges, dtype=float), p)
+        _same_power(_GAUSS_NODES, p)
+
+
+def test_power_on_the_mass_table_nodes_and_their_negatives():
+    assert np.count_nonzero(_GAUSS_NODES < 1e-30) > 20_000  # where pow underflows
+    with np.errstate(all="ignore"):
+        for p in (4, 5, 30, 0.5, 1.0, 2.0, 63.9):
+            _same_power(_GAUSS_NODES, p)
+            _same_power(-_GAUSS_NODES, p)
+            _same_power(_GAUSS_NODES.reshape(-1, 24), p)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_hand_evaluators_match_their_pow_formulas_bit_for_bit(name):
+    fam = builtin_family(name, k=2)
+    for x in _x_probe_nodes(fam.x_range):
+        for m in (_GAUSS_NODES, _TABLE_TS, np.float64(0.3), np.float64(0.0)):
+            got, want = fam.fn(x, m), DENSITY[name](x, m)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), (name, x)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name, x)
 
 
 def test_expression_twin_of_h_power_matches_the_builtin():

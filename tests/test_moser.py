@@ -630,6 +630,37 @@ def test_spectral_solve_on_torus_matches_scipy_to_rounding():
     assert np.abs(got - expect).max() <= 4 * np.finfo(float).eps * np.abs(expect).max()
 
 
+def _corners_flat_by_remainder(grid, points):
+    """The flat corner indices of ``moser._corners`` with both periodic corners taken % n."""
+    pts = points.reshape(-1, grid.dim)
+    flat, stride = None, 1
+    for i in reversed(range(grid.dim)):
+        ax = grid.axes[i]
+        rel = (pts[:, i] - ax.lo) / ax.spacing
+        if ax.periodic:
+            corner = (np.floor(rel).astype(np.intp) + np.array([[0], [1]])) % ax.n
+        else:
+            rel = np.minimum(np.maximum(rel, 0.0), ax.n - 1)
+            corner = np.minimum(rel.astype(np.intp), ax.n - 2) + np.array([[0], [1]])
+        corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
+        flat = corner if flat is None else flat + corner * stride
+        stride *= ax.n
+    return flat
+
+
+@settings(deadline=None)
+@given(make_grid=st.sampled_from([cylinder_grid, torus_grid]), n=st.integers(2, 40),
+       pts=st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)), min_size=1,
+                    max_size=60))
+def test_corners_wrap_each_periodic_cell_once(make_grid, n, pts):
+    # cells below 0 and at or above n included: the upper corner is the lower + 1, or 0
+    grid = make_grid(n, n + 1)
+    points = np.array(pts + [(1.0 - 1.0 / n, 0.5), (-1.0 / n, 0.5), (1.0, 1.0)])
+    flat, _ = moser._corners(grid, points)
+    assert flat.dtype == np.intp
+    assert np.array_equal(flat, _corners_flat_by_remainder(grid, points))
+
+
 @pytest.mark.parametrize("make_grid", [cylinder_grid, torus_grid], ids=["cylinder", "torus"])
 def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
     # _corners wraps the periodic leading axis itself, so the seam nodes of a

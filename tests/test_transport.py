@@ -16,11 +16,12 @@ from moser_transport import (
     estimate_uniform_Ck,
     make_domain,
     family_from_expression,
+    make_x_grid,
     pushforward_density_1d,
     pushforward_histogram_2d,
     sample_random_maps,
 )
-from oracles import CDF, tent_axis_weights
+from oracles import CDF, cic_deposit_add_at, tent_axis_weights
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -164,6 +165,29 @@ def test_tent_deposit_keeps_weight_nonnegative_and_in_place(bins, L, c, images, 
                                         oversample=2)
     assert np.all(target >= 0.0)
     assert abs(target.sum() - c * L) <= 1e-12 * c * L
+
+
+@settings(deadline=None)
+@given(bins=st.integers(2, 40), L=st.floats(0.25, 4.0),
+       images=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=200),
+       weighted=st.booleans())
+def test_tent_deposit_is_the_four_add_at_deposit_bit_for_bit(bins, L, images, weighted):
+    # one bincount adds each bin's terms in the order of the four add.at calls
+    pts = np.array(images + [(0.0, 0.0), (np.nextafter(L, 0.0), 1.0)], dtype=float)
+    pts[:, 0] *= L
+    weights = np.cos(np.arange(len(pts))) if weighted else None
+    got = transport._cic_deposit(pts, bins, L, weights=weights)
+    want = cic_deposit_add_at(pts, bins, L, weights=weights)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_tent_deposit_is_the_four_add_at_deposit_at_benchmark_sizes():
+    rng = np.random.default_rng(19)
+    for n, bins in ((16_384, 24), (36_864, 64), (2 ** 18, 64)):
+        pts = np.stack([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)], axis=-1)
+        assert np.array_equal(transport._cic_deposit(pts, bins, 1.0),
+                              cic_deposit_add_at(pts, bins, 1.0))
 
 
 def test_quantile_transport_spot_value():
@@ -326,6 +350,63 @@ def _cylinder_flow_tf(grid_n=24, steps=8):
         normalize=False,
     )
     return build_representation(fam, mode="moser_only", grid_n=grid_n, steps=steps, floor=0.5)
+
+
+def _scan_grids(tf, floors, floor_mode, m_per_floor, x_nodes):
+    """Each floor's (x grid, m grid) as ck_floor_scan lays them out."""
+    out = []
+    for floor in floors:
+        ts = np.geomspace(floor, 1.0, m_per_floor)
+        domain = getattr(tf, "domain", None)  # QuantileTransport has none
+        if domain is not None and domain.dim == 2:
+            a_nodes = np.linspace(0.0, domain.circumference, 5)[:-1]
+            aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
+            ts = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
+        out.append((make_x_grid(tf.x_range, floor_mode, floor, n=x_nodes), ts))
+    return out
+
+
+@pytest.mark.parametrize("make, floors, k, floor_mode, m_per_floor, x_nodes", [
+    pytest.param(lambda: build_representation(builtin_family("h_power", k=2, alpha=2.0),
+                                              mode="full", grid_n=128, steps=32,
+                                              collar_t_nodes=160),
+                 [1e-2, 1e-3, 1e-4], 1, "fixed", 9, 4, id="h_power-full"),
+    pytest.param(lambda: QuantileTransport(builtin_family("example1"), ref_x=0.0),
+                 [1e-2, 1e-3, 1e-4], 1, "match", 15, 6, id="quantile-example1"),
+    pytest.param(_cylinder_flow_tf, [1e-1, 1e-2], 2, "fixed", 25, 10, id="cylinder"),
+])
+def test_floor_scan_reports_equal_each_floors_own_estimate(make, floors, k, floor_mode,
+                                                           m_per_floor, x_nodes):
+    # the scan queries each map once, at the union of the floors' points; each
+    # floor's rows give the report estimate_uniform_Ck gives on that floor alone
+    scan = ck_floor_scan(make(), floors, k=k, floor_mode=floor_mode,
+                         m_per_floor=m_per_floor, x_nodes=x_nodes)
+    alone = make()
+    grids = _scan_grids(alone, floors, floor_mode, m_per_floor, x_nodes)
+    assert len(scan.reports) == len(floors)
+    for rep, (x_grid, m_grid) in zip(scan.reports, grids):
+        assert rep == estimate_uniform_Ck(alone, m_grid, x_grid, k=k)
+
+
+def test_floor_scan_queries_each_difference_node_once(monkeypatch):
+    qt = QuantileTransport(builtin_family("example1"), ref_x=0.0)
+    real = qt.map_values
+    calls = []
+
+    def spy(x, points):
+        calls.append((float(x), len(points)))
+        return real(x, points)
+
+    monkeypatch.setattr(qt, "map_values", spy)
+    floors, m_per_floor = [1e-2, 1e-3, 1e-4], 15
+    ck_floor_scan(qt, floors, k=2, floor_mode="match", m_per_floor=m_per_floor, x_nodes=6)
+    nodes = {float(node) for floor in floors for j in (1, 2)
+             for x, h in transport._ck_probes(qt.x_range,
+                                              make_x_grid(qt.x_range, "match", floor, n=6), j)
+             for step in (h, h / 2) for node in transport.difference_nodes(x, j, step)}
+    xs = [x for x, _ in calls]
+    assert len(xs) == len(set(xs)) and set(xs) == nodes
+    assert {n for _, n in calls} == {len(floors) * m_per_floor}
 
 
 def test_cylinder_floor_scan_integrates_only_the_nodes_it_reads(monkeypatch):
