@@ -102,8 +102,9 @@ class RunConfig:
 
 
 # the least value of each count below which a run is empty, divides by zero or
-# checks nothing (one tent bin holds all the mass)
-_MIN_COUNTS = {"steps": 1, "x_samples": 1, "ck_order": 1, "n_fine": 1, "samples": 1, "bins": 2}
+# checks nothing (one tent bin holds all the mass, one collar node is no table)
+_MIN_COUNTS = {"steps": 1, "x_samples": 1, "ck_order": 1, "n_fine": 1, "samples": 1, "bins": 2,
+               "collar_nodes": 2, "h_x_nodes": 1}
 _SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -128,7 +129,11 @@ def _assign(section_name, obj, key, raw, line_no, col):
         setattr(obj, key, raw)
     elif kind is list:
         parts = [p.strip() for p in raw.split(",") if p.strip()]
-        setattr(obj, key, [_eval_scalar(p, line_no, col) for p in parts])
+        values = [_eval_scalar(p, line_no, col) for p in parts]
+        if key == "floors" and not (len(values) >= 2 and all(0 < f < 1 for f in values)):
+            raise ConfigurationError(f"key 'floors' needs at least two values in (0, 1), "
+                                     f"got {raw!r}", line_no, col)
+        setattr(obj, key, values)
     elif kind is int:
         val = _eval_scalar(raw, line_no, col)
         if not math.isfinite(val) or val != int(val):

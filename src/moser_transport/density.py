@@ -780,12 +780,6 @@ class DecayEnvelope:
     A: float
     params: dict
 
-    def E(self, a, t):
-        return self.E_fn(np.asarray(t, dtype=float))
-
-    def B(self, a, t):
-        return self.B_fn(np.asarray(t, dtype=float))
-
 
 def _sized_A(E_fn, B_fn, k):
     ts = np.geomspace(1e-8, 1.0, 400)
@@ -937,6 +931,7 @@ def check_decay_assumptions(
     xs = _x_probe_nodes(fam.x_range, n=x_nodes)
     ts = np.geomspace(t_floor, 1.0, t_nodes)
     a_nodes = [0.0] if dom.dim == 1 else list(np.linspace(0, dom.circumference, 5)[:-1])
+    Es, Bs = env.E_fn(ts), env.B_fn(ts)  # the envelopes depend on t alone
 
     margins = {}
     inconclusive = []
@@ -978,8 +973,7 @@ def check_decay_assumptions(
                                          "reason": "vanishing density"})
                     continue
                 n += 1
-                E = float(env.E(a, t))
-                B = float(env.B(a, t))
+                E, B = float(Es[i]), float(Bs[i])
                 rho_val = float(rho[i])
                 for (b, j), dv in derivs.items():
                     ratio = abs(float(dv[n])) / rho_val / (E ** b * B ** j)
@@ -997,9 +991,7 @@ def check_decay_assumptions(
                                    "beta": b, "j": 0})
 
     for a in a_nodes:
-        for t in ts:
-            E = float(env.E(a, t))
-            B = float(env.B(a, t))
+        for t, E, B in zip(ts, Es.tolist(), Bs.tolist()):
             ratio = E ** k / (env.A * B)
             record("closure", k, 0, ratio, {"a": float(a), "t": float(t), "beta": k, "j": 0})
 

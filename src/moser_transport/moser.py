@@ -29,16 +29,13 @@ several values at once (``_sweep``, about ``_SWEEP_POINTS`` points a
 sweep), side by side: each block reads its own value's node data through
 an index offset (``VelocityProvider.stack``).  1D seeds every node, since
 PCHIP needs every image; 2D seeds only the nodes the planned points read,
-and a later query that reads a missing node integrates it first, in a
-sweep of its map alone, under the map's lock.  RK4 moves each point on its
-own, so an image is the same bit for bit whichever sweep computed it.
-``TransportFamily.prefetch`` makes these plans, so its caches are full
-before any worker thread reads them.
+and such a partial map raises for a query that reads any other node.  RK4
+moves each point on its own, so an image is the same bit for bit whichever
+sweep computed it.  A map never changes once built.
 """
 
 import copy
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,13 +406,11 @@ class MoserMap:
     which keeps the map strictly monotone and inside the interval, and
     the multilinear node displacement in 2D.
 
-    A 1D map holds every node image from its build.  A 2D map may hold only
-    some: ``done`` marks the nodes integrated so far (None once all are),
-    and ``evaluate`` first integrates the missing nodes its points read.
-    RK4 moves each point on its own, so every image a query reads is the one
-    a full build gives, bit for bit.  Fills run under the map's lock, so
-    threads may share a map.  ``clamp_events`` counts the clamps of the
-    nodes integrated so far; ``node_images`` completes the map first.
+    A 1D map holds every node image.  A 2D map may hold only the nodes its
+    plan's points read: ``done`` marks them (None when it holds all), and a
+    query that reads any other node, or ``node_images``, raises
+    IntegrationError.  ``clamp_events`` counts the clamps of the nodes it
+    holds.  A map never changes once built, so threads may share it.
     """
 
     def __init__(self, x, grid, potential, provider, steps, images, interpolant,
@@ -429,28 +424,18 @@ class MoserMap:
         self.interpolant = interpolant  # PCHIP (1D) or fields-major displacement (2D)
         self.done = done
         self._images = images
-        self._lock = threading.Lock()
+
+    def _require(self, nodes=slice(None)):
+        """Raise IntegrationError unless the flat ``nodes`` were integrated."""
+        if self.done is not None and not self.done[nodes].all():
+            raise IntegrationError(f"query at x={self.x!r}: reads grid nodes that this "
+                                   f"map's plan never integrated")
 
     @property
     def node_images(self):
-        """RK4 images of all grid nodes, (n,) in 1D or (n_nodes, 2) in 2D; completes the map."""
-        self.fill()
+        """RK4 images of all grid nodes, (n,) in 1D or (n_nodes, 2) in 2D."""
+        self._require()
         return self._images
-
-    def fill(self, points=None):
-        """Integrate the nodes that ``points`` read (every node when None) not integrated yet.
-
-        Errors name their stage and x; the map keeps only the fills that completed.
-        """
-        if self.done is not None:
-            self._fill_nodes(None if points is None
-                             else _corners(self.grid, np.asarray(points, dtype=float))[0])
-
-    def _fill_nodes(self, nodes):
-        """``fill`` of flat node indices as ``_corners`` gives them, in sweeps of this map alone."""
-        with self._lock:
-            if self.done is not None:
-                _fill_2d([self], nodes)
 
     def evaluate(self, points):
         """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
@@ -459,8 +444,7 @@ class MoserMap:
             # PCHIP through monotone data stays within it; the clip only removes rounding
             return np.clip(self.interpolant(pts), self._images[0], self._images[-1])
         corners = _corners(self.grid, pts)
-        if self.done is not None:
-            self._fill_nodes(corners[0])
+        self._require(corners[0])
         # bounded coordinates are convex combinations of node images; the clamp is rounding
         moved = pts + _blend(self.interpolant, *corners).T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
@@ -478,7 +462,7 @@ def _node_displacement(grid, seeds, images):
             continue
         d = disp[i]
         d -= ax.length * np.ceil(d / ax.length - 0.5)
-        worst = float(np.max(np.abs(d)))
+        worst = float(np.max(np.abs(d), initial=0.0))
         if worst > ax.length / 4:
             raise IntegrationError(
                 f"node displacement {worst:.3e} on periodic axis {i} exceeds a quarter "
@@ -523,7 +507,7 @@ def _sweep(grid, providers, xs, seeds, steps):
     x of the point that raised it.
     """
     m, out = len(seeds), []
-    per = max(1, _SWEEP_POINTS // m)
+    per = max(1, _SWEEP_POINTS // max(m, 1))
     for start in range(0, len(providers), per):
         chunk = providers[start:start + per]
         k = len(chunk)
@@ -535,31 +519,6 @@ def _sweep(grid, providers, xs, seeds, steps):
             raise _stage_error(exc, "RK4 sweep", xs[start + exc.point // m]) from exc
         out += zip(np.split(images, k), clamps.reshape(k, m).sum(axis=1))
     return out
-
-
-def _fill_2d(maps, nodes):
-    """Integrate, in stacked sweeps, the flat nodes ``nodes`` (as ``_corners`` gives them;
-    every node when None) that the 2D ``maps`` lack: maps of one grid, steps and ``done``."""
-    grid, done = maps[0].grid, maps[0].done
-    todo = np.zeros(done.size, dtype=bool)
-    todo[slice(None) if nodes is None else nodes] = True
-    todo = np.flatnonzero(todo & ~done)
-    if not todo.size:
-        return
-    seeds = np.stack([ax.nodes[i] for ax, i in zip(grid.axes, np.unravel_index(todo, grid.shape))],
-                     axis=-1)
-    swept = _sweep(grid, [mm.provider for mm in maps], [mm.x for mm in maps], seeds, maps[0].steps)
-    for mm, (images, clamps) in zip(maps, swept):
-        try:
-            disp = _node_displacement(grid, seeds, images)
-        except IntegrationError as exc:
-            raise _stage_error(exc, "node displacement", mm.x) from exc
-        mm._images[todo] = images
-        mm.interpolant[:, todo] = disp
-        mm.clamp_events += int(clamps)
-        mm.done[todo] = True
-        if mm.done.all():
-            mm.done = None
 
 
 def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
@@ -584,8 +543,22 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
                          Pchip(seeds, images, extrapolate=False), clamps)
                 for x, (potential, provider), (images, clamps) in zip(
                     xs, setups, _sweep(grid, [pv for _, pv in setups], xs, seeds, steps))]
-    n = grid.axes[0].n * grid.axes[1].n
-    built = [MoserMap(x, grid, potential, provider, steps, np.empty((n, 2)), np.empty((2, n)), 0,
-                      done=np.zeros(n, dtype=bool)) for x, (potential, provider) in zip(xs, setups)]
-    _fill_2d(built, None if points is None else _corners(grid, np.asarray(points, dtype=float))[0])
+    done = np.full(grid.axes[0].n * grid.axes[1].n, points is None)
+    if points is not None:
+        done[_corners(grid, np.asarray(points, dtype=float))[0]] = True
+    todo = np.flatnonzero(done)
+    seeds = np.stack([ax.nodes[i] for ax, i in zip(grid.axes, np.unravel_index(todo, grid.shape))],
+                     axis=-1)
+    built = []
+    for x, (potential, provider), (images, clamps) in zip(
+            xs, setups, _sweep(grid, [pv for _, pv in setups], xs, seeds, steps)):
+        try:
+            disp = _node_displacement(grid, seeds, images)
+        except IntegrationError as exc:
+            raise _stage_error(exc, "node displacement", x) from exc
+        all_images, interpolant = np.empty((done.size, 2)), np.empty((2, done.size))
+        all_images[todo] = images
+        interpolant[:, todo] = disp
+        built.append(MoserMap(x, grid, potential, provider, steps, all_images, interpolant,
+                              clamps, done=None if done.all() else done))
     return built

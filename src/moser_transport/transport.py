@@ -51,14 +51,13 @@ class TransportFamily:
     """Lazily built family of composed transport maps.
 
     Per-parameter collar and interior maps are cached under the exact
-    value of x.  Callers that know their parameter values up front
-    (``verify``, the C^k floor scan) plan them with ``prefetch``: the maps
-    are built together, from stacked RK4 sweeps, and the caches are full
-    before any worker thread starts, so the workers only read them.  The
-    scan also plans its query points, and a 2D map then integrates only the
-    nodes those read; a later query that reads more fills them under the
-    map's lock.  A value outside a plan is built on first use, as a plan
-    of one.
+    value of x, and every cached map is complete.  Callers that know their
+    parameter values up front plan them: ``prefetch`` (``verify``) builds
+    and caches their maps together, from stacked RK4 sweeps, before any
+    worker thread starts, so the workers only read them.  ``images`` (the
+    C^k probes) also names its query points: in 2D its maps integrate only
+    the nodes those read and are dropped once evaluated.  A value outside
+    a plan is built on first use, as a plan of one.
     Evaluation pushes the query points through the stages in the order
     they come; both stages accept any order.
     """
@@ -101,24 +100,24 @@ class TransportFamily:
             self.prefetch([x])
         return self._mosers[key]
 
-    def prefetch(self, xs, points=None):
-        """Build the collar and interior maps of every x in ``xs`` not cached yet.
+    def prefetch(self, xs):
+        """Build and cache the complete maps of every x in ``xs`` not cached yet, as one plan."""
+        self._mosers.update(self._plan(xs))
 
-        The values are planned first: each gets its collar, ``nu`` and Poisson
-        solve, and their interior flows come from stacked RK4 sweeps (``moser``).
-        A 2D map integrates only the nodes that ``points`` read (all nodes when
-        None), and a cached one is filled up to them, so workers that query
-        only ``points`` start no fill.  Errors name the x they belong to.
+    def _plan(self, xs, points=None):
+        """{exact x: interior map} of the values of ``xs`` not cached yet, as one plan.
+
+        Each value gets its collar, ``nu`` and Poisson solve, and their
+        interior flows come from stacked RK4 sweeps (``moser``); a 2D map
+        integrates only the nodes that ``points`` read (all nodes when
+        None).  Errors name the x they belong to.
         """
         plan = {}
         for x in xs:
-            key = float(x)
-            if key not in self._mosers:
-                plan.setdefault(key, x)
-            else:
-                self._mosers[key].fill(points)
+            if float(x) not in self._mosers:
+                plan.setdefault(float(x), x)
         if not plan:
-            return
+            return {}
         xs = list(plan.values())
         if self.mode == "moser_only":
             grid = default_grid(self.domain, self.grid_n)
@@ -131,24 +130,40 @@ class TransportFamily:
             for x in xs:
                 cm = self.collar_at(x)
                 rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
-        built = moser_map_from_values(
+        return dict(zip(plan, moser_map_from_values(
             self.rho0_fn(*coords), rhox, grid, xs, steps=self.steps,
             tol=self.tol_solver, tol_mass=self.tol_mass, points=points,
-        )
-        self._mosers.update(zip(plan, built))
+        )))
 
     # -- evaluation ------------------------------------------------------------
     def map_values(self, x, points):
         """T_x at the given points (1D array of m, or (N, 2) for 2D modes), in any order."""
+        return self._compose(x, self.moser_at(x), points)
+
+    def images(self, xs, points):
+        """[T_x(points) for x in xs], the uncached values planned together.
+
+        1D maps are complete and cached.  A 2D plan integrates only the nodes
+        that ``points`` read, and its maps are dropped once evaluated.
+        """
+        pts = np.asarray(points, dtype=float)
+        if self.domain.dim == 1:
+            self.prefetch(xs)
+            partial = {}
+        else:
+            partial = self._plan(xs, pts)
+        return [self._compose(x, partial.get(float(x)) or self.moser_at(x), pts) for x in xs]
+
+    def _compose(self, x, mm, points):
+        """T_x at ``points``: the interior map ``mm``, then (full mode) x's collar."""
         pts = np.asarray(points, dtype=float)
         if self.domain.dim == 2:
-            return self.moser_at(x).evaluate(pts)
+            return mm.evaluate(pts)
         m = np.atleast_1d(pts)
         if self.mode == "moser_only":
-            out = self.moser_at(x).evaluate(m)
+            out = mm.evaluate(m)
         else:
             cm = self.collar_at(x)
-            mm = self.moser_at(x)
             out = np.empty_like(m)
             low = m < self.v
             if np.any(low):
@@ -451,25 +466,18 @@ def _ck_probes(x_range, x_grid, j):
             yield x, h
 
 
-def _prefetch(family, xs, points=None):
-    """Plan the builds of xs, to be queried at ``points``, on a family that has
-    any (QuantileTransport has none)."""
-    prefetch = getattr(family, "prefetch", None)
-    if prefetch is not None:
-        prefetch(xs, points)
-
-
-def _node_images(map_family, points):
-    """x -> T_x(points) as a float array; each distinct x is queried once."""
-    cache = {}
-
-    def images(x):
-        key = float(x)
-        if key not in cache:
-            cache[key] = np.asarray(map_family.map_values(x, points), dtype=float)
-        return cache[key]
-
-    return images
+def _probe_images(map_family, x_grids, k, points):
+    """x -> T_x(points) at every difference node of the order-1..k probes of
+    ``x_grids``, from one ``images`` query of the distinct nodes."""
+    nodes = {}
+    for x_grid in x_grids:
+        for j in range(1, k + 1):
+            for x, h in _ck_probes(map_family.x_range, x_grid, j):
+                for step in (h, h / 2):
+                    for node in difference_nodes(x, j, step):
+                        nodes.setdefault(float(node), node)
+    table = dict(zip(nodes, map_family.images(list(nodes.values()), points)))
+    return lambda x: table[float(x)]
 
 
 def _ck_report(images, x_range, x_grid, k):
@@ -506,7 +514,7 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
     whose magnitudes differ by more than a factor 2 marks the probe
     unstable.  Divergence is a finding for the caller, not an error.
     """
-    images = _node_images(map_family, np.asarray(m_grid, dtype=float))
+    images = _probe_images(map_family, [x_grid], k, np.asarray(m_grid, dtype=float))
     return _ck_report(images, map_family.x_range, x_grid, k)
 
 
@@ -556,9 +564,8 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
 
     UNBOUNDED-SUSPECT when every refinement grows some order's sup by at
     least the threshold; STABLE otherwise.  Every difference node of every
-    floor and order is prefetched before the first probe, planned for the
-    union of the floors' m grids, and queried once, at that union; each
-    floor reads its own rows of the images.
+    floor and order is planned and queried once, in one ``images`` query at
+    the union of the floors' m grids; each floor reads its own rows.
     """
     if len(floors) < 2:
         raise ConfigurationError("floor scan needs at least two floors")
@@ -574,12 +581,7 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
             m_grids.append(np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1))
         else:
             m_grids.append(ts)
-    union = np.concatenate(m_grids)
-    _prefetch(map_family, [node for x_grid in x_grids for j in range(1, k + 1)
-                           for x, h in _ck_probes(map_family.x_range, x_grid, j)
-                           for step in (h, h / 2) for node in difference_nodes(x, j, step)],
-              points=union)
-    images = _node_images(map_family, union)
+    images = _probe_images(map_family, x_grids, k, np.concatenate(m_grids))
     ends = np.cumsum([0] + [len(m_grid) for m_grid in m_grids])
     sups = {j: [] for j in range(1, k + 1)}
     reports = []
@@ -629,6 +631,10 @@ class QuantileTransport:
     @property
     def x_range(self):
         return self.fam.x_range
+
+    def images(self, xs, points):
+        """[T_x(points) for x in xs]."""
+        return [self.map_values(x, points) for x in xs]
 
     def map_values(self, x, points):
         m = np.atleast_1d(np.asarray(points, dtype=float))

@@ -332,7 +332,7 @@ PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "con
     # raised while a command ran, these exited 3 as construction errors
     pytest.param("represent", "cylinder", "mode = moser_only", "mode = full", False,
                  id="full-mode-on-the-cylinder"),
-    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = 1e-2", False,
+    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = 1e-2", True,
                  id="one-floor"),
     pytest.param("obstruct", "obstruct", "xs = 1e-1, 3e-2, 1e-2", "xs = 1e-1, 1e-2", False,
                  id="two-obstruct-xs"),
@@ -352,6 +352,18 @@ PERFBENCH_CYLINDER = Path(__file__).resolve().parent.parent / "perfbench" / "con
     pytest.param("represent", "cylinder", "bins = 24", "bins = 1", True, id="bins-1"),
     pytest.param("represent", "cylinder", "samples = 16384", "samples = 0", True,
                  id="samples-0"),
+    # an IndexError traceback, and an E_h verdict on no x at all
+    pytest.param("represent", "constant", "mode = moser_only", "mode = full\ncollar_nodes = 0",
+                 True, id="collar_nodes-0"),
+    pytest.param("obstruct", "obstruct", "base = 0", "base = 0\nh = m\nh_x_nodes = 0", True,
+                 id="h_x_nodes-0"),
+    # floors outside (0, 1): a numpy traceback, or construction errors on a NaN point
+    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = 0, 1e-3", True,
+                 id="floors-with-zero"),
+    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = -1e-2, 1e-3", True,
+                 id="floors-negative"),
+    pytest.param("represent", "constant", "floors = 1e-1, 1e-2", "floors = 2, 1e-2", True,
+                 id="floors-above-one"),
     # an infinite integer ended in an OverflowError traceback
     pytest.param("represent", "constant", "steps = 64", "steps = 1e400", True,
                  id="steps-inf"),

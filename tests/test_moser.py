@@ -1,5 +1,3 @@
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -738,18 +736,35 @@ def test_partial_2d_map_matches_the_full_build_bit_for_bit(kind):
         assert full.clamp_events > 0
     pts = _seam_rim_node_points(grid)
     partial = build(pts[:6])
-    planned = int(partial.done.sum())
-    assert 0 < planned < n_nodes // 4
-    # the plan's points read only planned nodes; the others fill on demand
+    planned = np.flatnonzero(partial.done)
+    assert 0 < planned.size < n_nodes // 4
+    # the plan's points read only planned nodes, whose images are the full build's
     assert np.array_equal(partial.evaluate(pts[:6]), full.evaluate(pts[:6]))
-    assert int(partial.done.sum()) == planned
-    assert np.array_equal(partial.evaluate(pts), full.evaluate(pts))
-    assert planned < int(partial.done.sum()) < n_nodes
+    assert np.array_equal(partial.interpolant[:, planned], full.interpolant[:, planned])
     assert partial.clamp_events <= full.clamp_events
-    assert np.array_equal(partial.node_images, full.node_images)
-    assert partial.done is None
-    assert partial.clamp_events == full.clamp_events
-    assert np.array_equal(partial.interpolant, full.interpolant)
+    # any other node was never integrated, and a query that reads one raises
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.5: reads grid nodes"):
+        partial.evaluate(pts)
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.5: reads grid nodes"):
+        partial.node_images
+    assert np.array_equal(np.flatnonzero(partial.done), planned)
+
+
+def test_a_partial_map_raises_for_a_point_that_reads_an_unplanned_node():
+    grid, rhox, steps = _cases()["torus"]
+
+    def build(points):
+        return moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.25], steps=steps,
+                                     tol_mass=2e-2, points=points)[0]
+
+    mm = build(np.array([[0.5, 0.5]]))
+    assert int(mm.done.sum()) == 4
+    # a planned point again, and a point of the same cell, read only planned nodes
+    same_cell = np.array([[0.5, 0.5], [0.51, 0.52]])
+    assert np.array_equal(mm.evaluate(same_cell), build(None).evaluate(same_cell))
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.25: reads grid nodes"):
+        mm.evaluate(np.array([[0.5, 0.5], [0.1, 0.9]]))
+    assert int(mm.done.sum()) == 4
 
 
 def test_a_2d_node_no_query_reads_is_never_integrated():
@@ -761,12 +776,12 @@ def test_a_2d_node_no_query_reads_is_never_integrated():
     far = np.array([[0.5, 0.1], [0.45, 0.35]])
     [mm] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=2, points=far)
     images, done = mm.evaluate(far), mm.done.copy()
-    with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+    # a query that reads the failing node raises the guard's error: nothing is integrated
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.5: reads grid nodes"):
         mm.evaluate(np.array([[0.01, 0.69]]))
-    # the failed fill changed nothing
     assert np.array_equal(mm.done, done)
     assert np.array_equal(mm.evaluate(far), images)
-    with pytest.raises(IntegrationError, match=r"^RK4 sweep at x=0\.5: point"):
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.5: reads grid nodes"):
         mm.node_images
 
 
@@ -789,41 +804,6 @@ def test_a_stacked_node_displacement_failure_names_its_own_x():
     # the three values share one sweep; only the last moves a node beyond a quarter period
     with pytest.raises(IntegrationError, match=r"^node displacement at x=0\.3: node"):
         moser_map_from_values(np.ones(grid.shape), plan, grid, [0.1, 0.2, 0.3], steps=16)
-
-
-def test_threads_fill_a_shared_partial_map_once(monkeypatch):
-    grid, rhox, steps = _cases()["cylinder"]
-    [full] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
-                                   tol_mass=2e-2)
-    integrated = []
-    real = moser.integrate_flow
-
-    def spy(provider, points, **kw):
-        integrated.append(len(points))
-        return real(provider, points, **kw)
-
-    monkeypatch.setattr(moser, "integrate_flow", spy)
-    rng = np.random.default_rng(5)
-    for trial in range(4):
-        [mm] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.5], steps=steps,
-                                     tol_mass=2e-2, points=np.array([[0.5, 0.5]]))
-        first = rng.uniform(0.0, 1.0, (300, 2))
-        second = np.concatenate([first[150:], rng.uniform(0.0, 1.0, (300, 2))])
-        barrier = threading.Barrier(2)
-
-        def query(pts):
-            barrier.wait()
-            return mm.evaluate(pts)
-
-        integrated.clear()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = list(pool.map(query, [first, second]))
-        assert np.array_equal(got[0], full.evaluate(first))
-        assert np.array_equal(got[1], full.evaluate(second))
-        mm.node_images
-        # every node not planned was integrated exactly once, and counted once
-        assert sum(integrated) == rhox.size - 4
-        assert mm.clamp_events == full.clamp_events
 
 
 def _wave_and_rim(grid, amp, phase, rim):
@@ -865,6 +845,7 @@ def test_chunked_plan_matches_per_value_sweeps(kind, plan, named, off, sweep_poi
         assert mm.done is None or np.array_equal(np.flatnonzero(mm.done), planned)
         assert mm.clamp_events == clamps[planned].sum()
         assert np.array_equal(mm.interpolant[:, planned], disp[:, planned])
-        assert np.array_equal(mm.node_images, images)
-        assert np.array_equal(mm.interpolant, disp)
-        assert mm.clamp_events == total
+        assert np.array_equal(mm._images[planned], images[planned])
+        if mm.done is None:
+            assert np.array_equal(mm.node_images, images)
+            assert mm.clamp_events == total

@@ -307,29 +307,36 @@ def test_maps_are_cached_by_exact_x():
     assert tf.moser_at(np.float64(1e-16)) is mm
 
 
-def test_prefetch_builds_only_uncached_values(monkeypatch):
-    tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
-                              steps=16)
+def _plan_spy(monkeypatch):
+    """The xs of each plan built through transport.moser_map_from_values, and its maps."""
     real = transport.moser_map_from_values
     plans = []
 
     def spy(*args, **kwargs):
-        plans.append([float(x) for x in args[3]])
-        return real(*args, **kwargs)
+        built = real(*args, **kwargs)
+        plans.append(([float(x) for x in args[3]], built))
+        return built
 
     monkeypatch.setattr(transport, "moser_map_from_values", spy)
+    return plans
+
+
+def test_prefetch_builds_only_uncached_values(monkeypatch):
+    tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
+                              steps=16)
+    plans = _plan_spy(monkeypatch)
     # verify plans its values before the workers start: one build, none in the workers
     tf.verify([0.1, -0.2, 0.1], threads=2, n_fine=2 ** 10)
-    assert plans == [[0.1, -0.2]]
+    assert [xs for xs, _ in plans] == [[0.1, -0.2]]
     tf.prefetch([-0.2, 0.1])
     tf.moser_at(0.1)
     tf.map_values(-0.2, np.linspace(0.0, 1.0, 5))
-    assert plans == [[0.1, -0.2]]
+    assert [xs for xs, _ in plans] == [[0.1, -0.2]]
     tf.prefetch([0.1, 0.3, 0.3])
-    assert plans == [[0.1, -0.2], [0.3]]
+    assert [xs for xs, _ in plans] == [[0.1, -0.2], [0.3]]
     # the scan plans every floor, order and difference node at once
     ck_floor_scan(tf, [1e-2, 1e-3], k=2, m_per_floor=5, x_nodes=3)
-    assert len(plans) == 3 and len(plans[-1]) > 3
+    assert len(plans) == 3 and len(plans[-1][0]) > 3
 
 
 @pytest.mark.parametrize("m", range(21))
@@ -420,27 +427,51 @@ def test_cylinder_floor_scan_integrates_only_the_nodes_it_reads(monkeypatch):
         return real_flow(provider, points, **kw)
 
     monkeypatch.setattr(moser, "integrate_flow", spy)
+    plans = _plan_spy(monkeypatch)
     tf = _cylinder_flow_tf()
     scan = ck_floor_scan(tf, [1e-1, 1e-2], k=2)
+    [(xs, built)] = plans
     n_nodes = 24 * 24
-    assert sum(integrated) < len(tf._mosers) * n_nodes // 2
-    assert all(mm.done is not None for mm in tf._mosers.values())
+    assert sum(integrated) < len(xs) * n_nodes // 2
+    assert all(mm.done is not None for mm in built)
+    # the partial maps were dropped once evaluated: the cache holds only complete maps
+    assert tf._mosers == {}
 
     real_build = transport.moser_map_from_values
     monkeypatch.setattr(transport, "moser_map_from_values",
                         lambda *args, points=None, **kw: real_build(*args, **kw))
     full = _cylinder_flow_tf()
     assert ck_floor_scan(full, [1e-1, 1e-2], k=2) == scan
-    assert all(mm.done is None for mm in full._mosers.values())
+    assert all(mm.done is None for _, maps in plans[1:] for mm in maps)
 
 
-def test_prefetch_completes_a_cached_partial_map():
+def test_estimate_uniform_ck_plans_all_its_difference_nodes_at_once(monkeypatch):
+    tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
+                              steps=16)
+    plans = _plan_spy(monkeypatch)
+    x_grid = np.linspace(-0.4, 0.4, 4)
+    rep = estimate_uniform_Ck(tf, np.geomspace(1e-3, 1, 5), x_grid, k=2)
+    nodes = {float(node) for j in (1, 2) for x, h in transport._ck_probes(tf.x_range, x_grid, j)
+             for step in (h, h / 2) for node in transport.difference_nodes(x, j, step)}
+    assert len(plans) == 1 and set(plans[0][0]) == nodes and len(plans[0][0]) == len(nodes)
+    # 1D maps are complete, so they stay cached: a second estimate builds nothing
+    assert estimate_uniform_Ck(tf, np.geomspace(1e-3, 1, 5), x_grid, k=2) == rep
+    assert len(plans) == 1
+
+
+def test_cylinder_scan_caches_only_complete_maps(monkeypatch):
     tf = _cylinder_flow_tf(grid_n=16, steps=4)
-    tf.prefetch([0.3], points=np.array([[0.2, 0.7]]))
-    mm = tf.moser_at(0.3)
-    assert int(mm.done.sum()) == 4
-    tf.prefetch([0.3], points=np.array([[0.6, 0.1], [0.2, 0.7]]))
-    assert tf.moser_at(0.3) is mm and int(mm.done.sum()) == 8
-    # verify plans every node of its values before its workers start
-    tf.prefetch([0.3])
-    assert mm.done is None
+    tf.verify([-0.5, 0.5], n_samples=2 ** 8, bins=8)
+    plans = _plan_spy(monkeypatch)
+    ck_floor_scan(tf, [1e-1, 1e-2], k=1, x_nodes=4)
+    assert sorted(tf._mosers) == [-0.5, 0.5]
+    assert all(mm.done is None for mm in tf._mosers.values())
+    # a later query at a scanned x, at points the scan never read, builds a
+    # complete map, whose images a fresh complete build repeats bit for bit
+    [(xs, built)] = plans
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, (64, 2))
+    with pytest.raises(IntegrationError, match="plan never integrated"):
+        built[0].evaluate(pts)
+    got = tf.map_values(xs[0], pts)
+    assert tf._mosers[xs[0]].done is None
+    assert np.array_equal(got, _cylinder_flow_tf(grid_n=16, steps=4).map_values(xs[0], pts))
