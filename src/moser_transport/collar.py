@@ -134,7 +134,7 @@ class CollarMap:
         """Exact derivative: eta'(g - t) + eta g' + 1 - eta with g' by formula."""
         t = np.asarray(t, dtype=float)
         g_values = self.g_batch(t) if g_values is None else g_values
-        rho_g = self.mass.fn(np.asarray(g_values, dtype=float))
+        rho_g = self.mass.density(np.asarray(g_values, dtype=float))
         f_t = np.asarray(self.ref.profile(t), dtype=float)
         gprime = np.where(rho_g > 0, f_t / np.where(rho_g > 0, rho_g, 1.0), np.inf)
         eta = self.cutoff.eta(t)
@@ -146,7 +146,7 @@ class CollarMap:
         t = np.asarray(t, dtype=float)
         g_values = self.g_batch(t) if g_values is None else g_values
         gb = self.gbar(t, g_values)
-        return self.mass.fn(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
+        return self.mass.density(np.asarray(gb, dtype=float)) * self.dgbar_dt(t, g_values)
 
     # -- build-time diagnostics ---------------------------------------------
     def t_star_sample(self):

@@ -9,7 +9,10 @@ serves t = 0, where some of their formulas have no value.  One pair-refined
 Gauss rule, pair_refine, serves every integral on [0, 1]: MassTable, the one
 cumulative mass and its inverse (collar, CDFs, quantiles), and
 probe_integrals, the signed integrals of the masses, normalisers, E_h and
-the decay checker.
+the decay checker.  Each integrates one row, or with ``xs`` one row per x
+of fn(x, .) in the same calls, which the W_inf and E_h diagnostics use;
+invert_tables runs the inversions of several tables as one Newton loop.
+A row's results equal its one-row pass bit for bit.
 
 The decay machinery consists of envelope pairs (E, B) with a closure
 constant A, a small library of candidate envelopes, and a sampling-based
@@ -40,73 +43,120 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(24)
 
 
-def gauss_segments(fn, a, b):
+def gauss_segments(fn, a, b, x=None, end=False):
     """24-node Gauss-Legendre integrals of fn over [a[i], b[i]] for 1D arrays a, b.
 
-    fn is evaluated on (rows, 24) node arrays, one block of rows at a time.
+    fn is evaluated on (rows, 24) node arrays, one block of rows at a time:
+    as fn(m), or as fn(xm, m) when ``x`` gives the segments' parameter, one
+    float or an array of one per segment; xm is then one float where all
+    segments share it, else a column of the rows' x.  With ``end`` fn(b) is
+    returned too.  A batch of one block passes its nodes and then its b as
+    one flat array (xm then one x per point), so the same call gives fn(b),
+    which saves a call where batches are small; a larger batch evaluates
+    fn(b) in a call of its own, which is faster there.
     """
     xg, wg = _gauss_rule()
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    out = np.empty_like(mid)
+    if np.ndim(x) and x.size and np.all(x == x[0]):
+        x = float(x[0])
+    per_node = np.ndim(x) > 0
+    if end and mid.size > _GAUSS_ROWS:
+        return gauss_segments(fn, a, b, x), np.asarray(fn(b) if x is None else fn(x, b),
+                                                       dtype=float)
+    out, at_b = np.empty_like(mid), np.empty_like(mid)
     for lo in range(0, mid.size, _GAUSS_ROWS):
-        blk = slice(lo, lo + _GAUSS_ROWS)
-        vals = np.asarray(fn(mid[blk, None] + half[blk, None] * xg), dtype=float)
-        out[blk] = half[blk] * np.sum(wg * vals, axis=1)
-    return out
+        hi = min(lo + _GAUSS_ROWS, mid.size)
+        n = 24 * (hi - lo)    # Gauss nodes in the block
+        m = np.empty(n + hi - lo if end else n)
+        nodes = m[:n].reshape(-1, 24)
+        np.multiply(half[lo:hi, None], xg, out=nodes)
+        nodes += mid[lo:hi, None]
+        if end:
+            m[n:] = b[lo:hi]
+        pts = m if end else nodes
+        if per_node:    # a column of x, or one x per point where b follows the nodes
+            x_pts = np.concatenate([np.repeat(x[lo:hi], 24), x[lo:hi]]) if end else x[lo:hi, None]
+        vals = np.asarray(fn(pts) if x is None else fn(x_pts if per_node else x, pts), dtype=float)
+        if vals.shape != pts.shape:
+            vals = np.broadcast_to(vals, pts.shape)
+        vals = vals.reshape(-1)
+        if end:
+            at_b[lo:hi] = vals[n:]
+        out[lo:hi] = half[lo:hi] * np.sum(wg * vals[:n].reshape(-1, 24), axis=1)
+    return (out, at_b) if end else out
 
 
 _EPS = np.finfo(float).eps
 _MAX_SPLITS = 40   # halvings of one segment pair before the drift check
 _MAX_PAIRS = 2048  # live segment pairs per halving, about 4x the initial layout
 _MAX_NEWTON = 100  # bisection alone reaches 4 eps from a ratio-2 bracket in ~51
+_STACK_ROWS = 32   # rows per stacked pass, which bounds the per-pair arrays
 
 
-def pair_refine(fn, nodes, bound):
-    """Gauss integrals of fn over the segments of ``nodes`` (an even number).
+def pair_refine(fn, nodes, bound, xs=None):
+    """Gauss integrals of fn over the segments of ``nodes`` (an even number), per row.
 
+    There is one row, of fn(m), or with ``xs`` one row of fn(x, m) for each
+    x; the segments of up to 32 rows go through the same gauss_segments
+    calls.
     Each pair of adjacent segments is integrated with the 24-node Gauss
     rule and compared with one rule over the pair's union.  A pair whose
     drift exceeds its width's share of ``bound`` (plus 4 eps of its value)
-    is halved, to a depth of 40, which resolves steps and kinks.  Halving
-    stops early when it would leave more than 2048 pairs to integrate, as
-    an oscillation that no depth resolves does.  Returns the refined nodes,
-    the segment integrals and each pair's drift, which the caller judges.
+    is halved, to a depth of 40, which resolves steps and kinks.  A row
+    stops halving early when it would leave more than 2048 of its pairs to
+    integrate, as an oscillation that no depth resolves does.  Returns, per
+    row, the refined nodes, the segment integrals and each pair's drift,
+    which the caller judges.
     """
     nodes = np.asarray(nodes, dtype=float)
-    lo, mid, hi = nodes[:-2:2], nodes[1::2], nodes[2::2]
+    n_rows = 1 if xs is None else len(xs)
+    if n_rows > _STACK_ROWS:
+        return [row for lo in range(0, n_rows, _STACK_ROWS)
+                for row in pair_refine(fn, nodes, bound, xs[lo:lo + _STACK_ROWS])]
+    xs = None if xs is None else np.asarray(xs, dtype=float)
+    lo, mid, hi = (np.tile(v, n_rows) for v in (nodes[:-2:2], nodes[1::2], nodes[2::2]))
+    row = np.repeat(np.arange(n_rows), lo.size // n_rows)
     pieces = []
     with np.errstate(under="ignore"):
         for depth in range(_MAX_SPLITS + 1):
-            # lo stays sorted, so each query below is sorted, which a Pchip counts
+            x = None if xs is None else xs[row]
+            # a row's lo stays sorted, so its queries below are sorted, which a Pchip counts
             halves = gauss_segments(fn, np.column_stack([lo, mid]).ravel(),
-                                    np.column_stack([mid, hi]).ravel())
+                                    np.column_stack([mid, hi]).ravel(),
+                                    x=None if x is None else np.repeat(x, 2))
             left, right = halves[0::2], halves[1::2]
-            drift = np.abs(gauss_segments(fn, lo, hi) - (left + right))
+            drift = np.abs(gauss_segments(fn, lo, hi, x=x) - (left + right))
             split = drift > bound * (hi - lo) + 4 * _EPS * np.abs(left + right)
-            if depth == _MAX_SPLITS or 2 * np.count_nonzero(split) > _MAX_PAIRS:
-                split[:] = False
+            capped = 2 * np.bincount(row[split], minlength=n_rows) > _MAX_PAIRS
+            split &= (depth < _MAX_SPLITS) & ~capped[row]
             keep = ~split
-            pieces.append((lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
+            pieces.append((row[keep], lo[keep], mid[keep], left[keep], right[keep], drift[keep]))
             if not np.any(split):
                 break
+            row = np.repeat(row[split], 2)
             lo, hi = (np.column_stack([lo[split], mid[split]]).ravel(),
                       np.column_stack([mid[split], hi[split]]).ravel())
             mid = 0.5 * (lo + hi)
-    lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
-    order = np.argsort(lo)
-    refined = np.concatenate([np.column_stack([lo, mid])[order].ravel(), nodes[-1:]])
-    return refined, np.column_stack([left, right])[order].ravel(), drift[order]
+    row, lo, mid, left, right, drift = (np.concatenate(col) for col in zip(*pieces))
+    order = np.lexsort((lo, row))
+    row, lo, mid, left, right, drift = (col[order] for col in (row, lo, mid, left, right, drift))
+    cut = np.searchsorted(row, np.arange(n_rows + 1))
+    return [(np.concatenate([np.column_stack([lo[a:b], mid[a:b]]).ravel(), nodes[-1:]]),
+             np.column_stack([left[a:b], right[a:b]]).ravel(), drift[a:b])
+            for a, b in zip(cut[:-1], cut[1:])]
 
 
-def probe_integrals(fn, marks, bound):
+def probe_integrals(fn, marks, bound, xs=None):
     """int_0^t fn (which may be signed) for each t of ``marks`` in [0, 1].
 
     One pair_refine pass over 0, a geometric sequence from 1e-16 to 1/64
     (ratio about 2), 64 uniform segments up to 1, and the marks, so each
     integral is one cumulative sum.  [0, 1e-16] lies in the first pair, and
     no node is subnormal, where power terms are slow.  Returns the
-    integrals and, per mark, the drift summed over the pairs below it.
+    integrals and, per mark, the drift summed over the pairs below it; with
+    ``xs``, those of fn(x, .) for each x, in one stacked pass, as arrays of
+    one row per x.
     """
     marks = np.asarray(marks, dtype=float)
     if np.any((marks < 0.0) | (marks > 1.0)):
@@ -116,11 +166,12 @@ def probe_integrals(fn, marks, bound):
     if nodes.size % 2 == 0:    # odd segment count: halve the widest segment
         i = int(np.argmax(np.diff(nodes)))
         nodes = np.insert(nodes, i + 1, 0.5 * (nodes[i] + nodes[i + 1]))
-    nodes, seg, drift = pair_refine(fn, nodes, bound)
-    i = np.searchsorted(nodes, marks)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    cum_drift = np.concatenate([[0.0], np.cumsum(drift)])
-    return cum[i], cum_drift[(i + 1) // 2]
+    vals, drifts = [], []
+    for row_nodes, seg, drift in pair_refine(fn, nodes, bound, xs):
+        i = np.searchsorted(row_nodes, marks)
+        vals.append(np.concatenate([[0.0], np.cumsum(seg)])[i])
+        drifts.append(np.concatenate([[0.0], np.cumsum(drift)])[(i + 1) // 2])
+    return (vals[0], drifts[0]) if xs is None else (np.array(vals), np.array(drifts))
 
 
 def _resolved_integrals(fn, marks, bound):
@@ -131,37 +182,59 @@ def _resolved_integrals(fn, marks, bound):
     return vals
 
 
-class MassTable:
-    """Cumulative mass M(s) = int_0^s fn on [0, 1], tabulated and inverted.
+def _tabulate(fn, xs, tol):
+    """The (nodes, cum) of each row's mass table, from one pair_refine pass.
 
-    The nodes are 0, a geometric sequence from 1e-300 to 1/64 (ratio about
-    2) and 64 uniform segments up to 1, so every scale down to the
-    underflow range has its own segments and so does the core.  Above
-    1e-300 pair_refine integrates them; a total drift above max(100 tol,
-    1e-9) raises ResolutionError.
-    """
-
-    def __init__(self, fn, tol=1e-10):
-        self.fn = fn
-        self.tol = tol
-        bound = max(100 * tol, 1e-9)
-        layout = np.concatenate([np.geomspace(1e-300, 1.0 / 64.0, 991),
-                                 np.linspace(1.0 / 64.0, 1.0, 65)[1:]])
-        nodes, seg, drift = pair_refine(fn, layout, bound)
-        with np.errstate(under="ignore"):
-            first = gauss_segments(fn, [0.0], [1e-300])
-        seg = np.concatenate([first, seg])
+    Rows are checked in order; the first that fails raises what its own
+    pass would."""
+    bound = max(100 * tol, 1e-9)
+    layout = np.concatenate([np.geomspace(1e-300, 1.0 / 64.0, 991),
+                             np.linspace(1.0 / 64.0, 1.0, 65)[1:]])
+    rows = pair_refine(fn, layout, bound, xs)
+    with np.errstate(under="ignore"):
+        first = gauss_segments(fn, np.zeros(len(rows)), np.full(len(rows), 1e-300),
+                               x=None if xs is None else np.asarray(xs, dtype=float))
+    out = []
+    for f0, (nodes, seg, drift) in zip(first, rows):
+        seg = np.concatenate([[f0], seg])
         if not np.all(np.isfinite(seg)) or np.any(seg < 0.0):
             raise DegeneracyError("density is not finite and nonnegative on [0, 1]")
         total_drift = float(np.sum(drift))
         if total_drift > bound:
             raise ResolutionError(f"mass table unresolved (pair drift {total_drift:.3e})")
-        self.nodes = np.concatenate([[0.0], nodes])
-        self.cum = np.cumsum(np.concatenate([[0.0], seg]))
+        out.append((np.concatenate([[0.0], nodes]), np.cumsum(np.concatenate([[0.0], seg]))))
+    return out
+
+
+class MassTable:
+    """Cumulative mass M(s) = int_0^s rho on [0, 1], tabulated and inverted.
+
+    rho is fn(m), or fn(x, m) for a table that ``stack`` built at x.  The
+    nodes are 0, a geometric sequence from 1e-300 to 1/64 (ratio about 2)
+    and 64 uniform segments up to 1, so every scale down to the underflow
+    range has its own segments and so does the core.  Above 1e-300
+    pair_refine integrates them; a total drift above max(100 tol, 1e-9)
+    raises ResolutionError.
+    """
+
+    def __init__(self, fn, tol=1e-10, x=None, layout=None):
+        self.fn, self.x, self.tol = fn, x, tol
+        if layout is None:
+            (layout,) = _tabulate(fn, None if x is None else [x], tol)
+        self.nodes, self.cum = layout
+
+    @classmethod
+    def stack(cls, fn, xs, tol=1e-10):
+        """The tables of fn(x, .) for each x of xs, from one stacked pair_refine pass."""
+        xs = [float(x) for x in xs]
+        return [cls(fn, tol, x, layout) for x, layout in zip(xs, _tabulate(fn, xs, tol))]
 
     @property
     def total(self):
         return float(self.cum[-1])
+
+    def density(self, m):
+        return self.fn(m) if self.x is None else self.fn(self.x, m)
 
     def cdf(self, m):
         """M(m): the table value at the node below m plus one Gauss segment."""
@@ -169,86 +242,130 @@ class MassTable:
         i = np.clip(np.searchsorted(self.nodes, m_arr, side="right") - 1,
                     0, self.nodes.size - 2)
         with np.errstate(under="ignore"):
-            out = self.cum[i] + gauss_segments(self.fn, self.nodes[i], m_arr)
+            out = self.cum[i] + gauss_segments(self.fn, self.nodes[i], m_arr, x=self.x)
         return float(out[0]) if np.ndim(m) == 0 else out
 
     def invert(self, targets):
-        """inf{s : M(s) > T} for each target T: a bracketed Newton iteration on M' = fn.
+        """inf{s : M(s) > T} for each target T: invert_tables on this table alone."""
+        T = np.atleast_1d(np.asarray(targets, dtype=float))
+        g = invert_tables([self], np.zeros(T.size, dtype=int), T)
+        return float(g[0]) if np.ndim(targets) == 0 else g
 
-        Each target is bracketed by the two table nodes around it and
-        started from the local power law through them.  A Newton step that
-        lands on or outside the bracket, or is longer than half the point's
-        previous move (Newton crawling on a rough residual), is replaced by
-        bisection, so the bracket keeps shrinking.  A point stops when its
-        step is below 4 eps relative, its mass residual below 4 eps
-        relative where fn > 0 (inside a flat run a zero residual does not
-        stop it), or its bracket below 4 eps relative; it keeps the iterate
-        whose residual was evaluated.  Targets at or below 0 give 0 and
-        targets at or above the total give 1.  Targets above the total by
-        more than tol raise InfeasibilityError; residuals above tol raise
-        ResolutionError.
-        """
-        T_all = np.atleast_1d(np.asarray(targets, dtype=float))
-        g = np.zeros_like(T_all)
-        total = self.total
-        excess = float(np.max(T_all, initial=0.0)) - total
-        if excess > self.tol:
+
+def invert_tables(tables, which, targets):
+    """inf{s : M(s) > T} for each target T in its table, tables[which[i]].
+
+    One bracketed Newton iteration on M' = rho runs over every target, and
+    each of its steps calls each distinct fn of the tables once, on the
+    Gauss nodes of every residual and the iterates together.  Each target
+    is bracketed by the two table nodes around it and started from the
+    local power law through them.  A Newton step that lands on or outside
+    the bracket, or is longer than half the point's previous move (Newton
+    crawling on a rough residual), is replaced by bisection, so the bracket
+    keeps shrinking.  A point stops when its step is below 4 eps relative,
+    its mass residual below 4 eps relative where rho > 0 (inside a flat run
+    a zero residual does not stop it), or its bracket below 4 eps relative;
+    it keeps the iterate whose residual was evaluated.  Every step is
+    elementwise, so a target's result does not depend on the others.
+    Targets at or below 0 give 0 and targets at or above their table's
+    total give 1.  A table with a target above its total by more than its
+    tol raises InfeasibilityError, and one with a residual above its tol
+    ResolutionError, the first such table in order.
+    """
+    which = np.asarray(which, dtype=int)
+    T_all = np.asarray(targets, dtype=float)
+    g = np.zeros_like(T_all)
+    for table, mine in zip(tables, _members(which, len(tables))):
+        total = table.total
+        excess = float(np.max(T_all[mine], initial=0.0)) - total
+        if excess > table.tol:
             raise InfeasibilityError(
                 f"mass deficiency: total mass {total:.6g} below target {total + excess:.6g}"
             )
-        g[(T_all > 0.0) & (T_all >= total)] = 1.0
-        act = np.flatnonzero((T_all > 0.0) & (T_all < total))
-        T = T_all[act]
-        i = np.searchsorted(self.cum, T, side="right") - 1    # cum[i] <= T < cum[i + 1]
-        s0, s1, m0, m1 = self.nodes[i], self.nodes[i + 1], self.cum[i], self.cum[i + 1]
+    total = np.array([t.total for t in tables])[which]
+    g[(T_all > 0.0) & (T_all >= total)] = 1.0
+    act = np.flatnonzero((T_all > 0.0) & (T_all < total))
+    T, tab = T_all[act], which[act]
+    s0, s1, m0, m1 = (np.empty(act.size) for _ in range(4))
+    members = _members(tab, len(tables))
+    for table, mine in zip(tables, members):
+        i = np.searchsorted(table.cum, T[mine], side="right") - 1    # cum[i] <= T < cum[i + 1]
+        s0[mine], s1[mine] = table.nodes[i], table.nodes[i + 1]
+        m0[mine], m1[mine] = table.cum[i], table.cum[i + 1]
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        power = s0 * (T / m0) ** (np.log(s1 / s0) / np.log(m1 / m0))
+    linear = s0 + (T - m0) / (m1 - m0) * (s1 - s0)
+    gi = np.where((m0 > 0.0) & (power > s0) & (power < s1), power, linear)
+    # the integrands: one per distinct fn, with its x per target, or one float x
+    # where its tables share one, or None for tables of fn(m)
+    kinds = {}
+    for n, t in enumerate(tables):
+        kinds.setdefault(id(t.fn), []).append(n)
+    x_of = np.array([np.nan if t.x is None else t.x for t in tables])[tab]
+    integrands = []
+    for ns in kinds.values():
+        xs = {tables[n].x for n in ns}
+        x = xs.pop() if len(xs) == 1 else x_of
+        integrands.append((None if len(kinds) == 1 else np.isin(tab, ns), tables[ns[0]].fn, x))
+    lo, hi = s0.copy(), s1.copy()
+    moved = np.full(act.size, np.inf)    # length of each point's last move
+    rows = np.arange(act.size)
+    resid_done = np.zeros(act.size)    # each point's residual when it stopped
+    for _ in range(_MAX_NEWTON):
+        if rows.size == 0:
+            break
+        seg, slope = np.empty(rows.size), np.empty(rows.size)
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            power = s0 * (T / m0) ** (np.log(s1 / s0) / np.log(m1 / m0))
-        linear = s0 + (T - m0) / (m1 - m0) * (s1 - s0)
-        gi = np.where((m0 > 0.0) & (power > s0) & (power < s1), power, linear)
-        lo, hi = s0.copy(), s1.copy()
-        moved = np.full(act.size, np.inf)    # length of each point's last move
-        rows = np.arange(act.size)
-        resid_max = 0.0
-        for _ in range(_MAX_NEWTON):
-            if rows.size == 0:
-                break
-            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                resid = m0[rows] + gauss_segments(self.fn, s0[rows], gi) - T[rows]
-                slope = np.asarray(self.fn(gi), dtype=float)
-                step = resid / slope
-            above = resid > 0.0
-            hi[rows[above]] = gi[above]
-            lo[rows[~above]] = gi[~above]
-            lo_r, hi_r = lo[rows], hi[rows]
-            done = ((np.abs(step) <= 4 * _EPS * gi)
-                    | ((np.abs(resid) <= 4 * _EPS * T[rows]) & (slope > 0.0))
-                    | (hi_r - lo_r <= 4 * _EPS * hi_r))
-            g[act[rows[done]]] = gi[done]
-            if np.any(done):
-                resid_max = max(resid_max, float(np.max(np.abs(resid[done]))))
-            keep = ~done
-            rows, gi, step, lo_r, hi_r = rows[keep], gi[keep], step[keep], lo_r[keep], hi_r[keep]
-            new = gi - step
-            out = ~((new > lo_r) & (new < hi_r)) | (np.abs(step) > 0.5 * moved[rows])
-            new[out] = 0.5 * (lo_r[out] + hi_r[out])
-            moved[rows] = np.abs(new - gi)
-            gi = new
-        if rows.size:
-            raise ResolutionError(f"Newton iteration did not converge at {rows.size} points")
-        if resid_max > self.tol:
-            raise ResolutionError(f"mass residual {resid_max:.3e} above tol {self.tol:g}")
-        return float(g[0]) if np.ndim(targets) == 0 else g
+            for member, fn, x in integrands:
+                sel = slice(None) if member is None else member[rows]
+                r = rows[sel]
+                seg[sel], slope[sel] = gauss_segments(fn, s0[r], gi[sel],
+                                                      x=x if np.ndim(x) == 0 else x[r], end=True)
+            resid = m0[rows] + seg - T[rows]
+            step = resid / slope
+        above = resid > 0.0
+        hi[rows[above]] = gi[above]
+        lo[rows[~above]] = gi[~above]
+        lo_r, hi_r = lo[rows], hi[rows]
+        done = ((np.abs(step) <= 4 * _EPS * gi)
+                | ((np.abs(resid) <= 4 * _EPS * T[rows]) & (slope > 0.0))
+                | (hi_r - lo_r <= 4 * _EPS * hi_r))
+        g[act[rows[done]]] = gi[done]
+        resid_done[rows[done]] = np.abs(resid[done])
+        keep = ~done
+        rows, gi, step, lo_r, hi_r = rows[keep], gi[keep], step[keep], lo_r[keep], hi_r[keep]
+        new = gi - step
+        out = ~((new > lo_r) & (new < hi_r)) | (np.abs(step) > 0.5 * moved[rows])
+        new[out] = 0.5 * (lo_r[out] + hi_r[out])
+        moved[rows] = np.abs(new - gi)
+        gi = new
+    if rows.size:
+        n = int(np.min(tab[rows]))
+        raise ResolutionError(f"Newton iteration did not converge at "
+                              f"{np.count_nonzero(tab[rows] == n)} points")
+    for table, mine in zip(tables, members):
+        worst = float(np.fmax.reduce(resid_done[mine], initial=0.0))
+        if worst > table.tol:
+            raise ResolutionError(f"mass residual {worst:.3e} above tol {table.tol:g}")
+    return g
+
+
+def _members(tab, n_tables):
+    """Per table index, the selector of the entries of tab that name it."""
+    return [slice(None)] if n_tables == 1 else [tab == n for n in range(n_tables)]
 
 
 @dataclass
 class DensityFamily:
     """Evaluator bundle for a parametrised density family.
 
-    ``fn(x, *coords)`` accepts scalar or ndarray coordinates.  For 1D
-    domains coords is ``(m,)``; for 2D domains ``(a, t)`` with ``t`` the
-    collar coordinate.  ``exact_derivs`` maps ``(bx, jt)`` to the evaluator
-    of D_x^bx D_t^jt rho.  All evaluators are pure, so concurrent evaluation
-    is safe.
+    ``fn(x, *coords)`` accepts scalar or ndarray coordinates, and an x
+    array that broadcasts with them (a column, or one x per point, as the
+    stacked integrals pass it), each entry equal bit for bit to the call at
+    its own scalar x.  For 1D domains coords is ``(m,)``; for 2D domains
+    ``(a, t)`` with ``t`` the collar coordinate.  ``exact_derivs`` maps
+    ``(bx, jt)`` to the evaluator of D_x^bx D_t^jt rho.  All evaluators are
+    pure, so concurrent evaluation is safe.
     """
 
     domain: Domain
@@ -282,12 +399,16 @@ class DensityFamily:
             return self.fn(x, *coords)
         return self.exact_derivs[bx, jt](x, *coords)
 
-    def mass_table(self, x):
-        """MassTable of rho(x, .) along the 1D domain."""
+    def mass_tables(self, xs):
+        """MassTables of rho(x, .) along the 1D domain for each x of xs, in one pass."""
         if self.domain.dim != 1:
             raise ConfigurationError("mass tables are defined for 1D families only")
-        self._check_x(x)
-        return MassTable(lambda m: self.fn(x, m))
+        for x in xs:
+            self._check_x(x)
+        return MassTable.stack(self.fn, xs)
+
+    def mass_table(self, x):
+        return self.mass_tables([x])[0]
 
     def mass(self, x, bx=0):
         """Integral of D_x^bx rho(x, .) over the domain, the total mass at bx = 0.
@@ -388,11 +509,19 @@ def _normalised_derivatives(raw, integral):
     """
     def build(b, j):
         def entry(x, *coords):
-            x = float(x)
+            if np.ndim(x):    # N^(i) once for each distinct x, broadcast back
+                distinct, inverse = np.unique(x, return_inverse=True)
+
+                def norm(i):
+                    return np.array([integral(i, float(v)) for v in distinct])[
+                        inverse].reshape(np.shape(x))
+            else:
+                x = float(x)
+                norm = lambda i: integral(i, x)
             out = raw[b, j](x, *coords)
             for i in range(1, b + 1):
-                out = out - math.comb(b, i) * integral(i, x) * table[b - i, j](x, *coords)
-            return out / integral(0, x)
+                out = out - math.comb(b, i) * norm(i) * table[b - i, j](x, *coords)
+            return out / norm(0)
         return entry
 
     table = _LazyTable(build)
@@ -539,9 +668,10 @@ def _example2_family(k):
     q = k + 1  # bump degree 2q >= 2k + 2
     I1 = _ex2_oscillatory_mass()
 
-    def sigma(m):
-        u = 4.0 * (m - 0.5) * (1.0 - m)
-        return np.where((m >= 0.5) & (m <= 1.0), np.maximum(u, 0.0) ** q, 0.0)
+    def sigma(m):    # the bump, with its power taken only on [0.5, 1]
+        out, on = np.zeros_like(m), (m >= 0.5) & (m <= 1.0)
+        out[on] = np.maximum(4.0 * (m[on] - 0.5) * (1.0 - m[on]), 0.0) ** q
+        return out
 
     def fn(x, m):
         m = np.asarray(m, dtype=float)

@@ -9,6 +9,11 @@ be boundedly Lipschitz representable, and a family whose observable
 averages E_h(x) = int h d(mu_x) lose smoothness cannot be boundedly C^k
 representable.  Neither verdict asserts the converse, and the blow-up
 thresholds are finite-sample heuristics, labelled as such in reports.
+
+Both run in stacked passes.  The W_inf ratios build the tables of every
+distinct x in one pass, and every pair's search advances in lockstep, one
+stacked inversion a round.  E_h integrates every x its probes read in one
+pass.  A result is bit-identical to its one-x (one-pair) run.
 """
 
 import functools
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import probe_integrals
+from .density import invert_tables, probe_integrals
 from .errors import ConfigurationError, DegeneracyError, MoserTransportError
 
 _TINY = np.finfo(float).tiny
@@ -80,22 +85,15 @@ def _levels(own, other):
     return sel / own.total, m, lower, upper, target
 
 
-def w_infinity_1d(q1, q2):
-    """sup_p |q1^{-1}(p) - q2^{-1}(p)| for two MassTables, and the level p.
-
-    The levels are the union of both tables' node masses.  A level is
-    exact in its own table; in the other table its quantile lies between
-    two nodes, which bounds the difference from above and below.  Levels
-    are inverted in the other table (Newton) in passes of 64, largest upper
-    bound first, until no upper bound beats the best difference found; the
-    best level is then refined by Brent's bounded search (Brent 1973) in
-    log p between its neighbours.  Symmetric in its arguments.
-    """
+def _pair_search(q1, q2, n1, n2):
+    """W_inf of one pair as a generator: it yields (table indices, targets) to
+    invert, is sent the inverses, and returns (W_inf, level p).  n1, n2 index
+    q1, q2 in the table list of the caller's inversions."""
     if not (q1.total > 0.0 and q2.total > 0.0):
         raise DegeneracyError("density has no mass on [0, 1]")
     parts = [_levels(a, b) for a, b in ((q1, q2), (q2, q1))]
     p, m, lower, upper, target = (np.concatenate(col) for col in zip(*parts))
-    other = np.repeat([1, 0], [parts[0][0].size, parts[1][0].size])  # table to invert in
+    other = np.repeat([n2, n1], [parts[0][0].size, parts[1][0].size])  # table to invert in
     gap = lower.copy()
     best = float(np.max(lower))
     order = np.argsort(-upper, kind="stable")
@@ -104,9 +102,7 @@ def w_infinity_1d(q1, q2):
         rows = rows[upper[rows] > best]
         if rows.size == 0:
             break
-        for k, table in enumerate((q1, q2)):
-            sel = rows[other[rows] == k]
-            gap[sel] = np.abs(m[sel] - table.invert(target[sel]))
+        gap[rows] = np.abs(m[rows] - (yield other[rows], target[rows]))
         best = max(best, float(np.max(gap[rows])))
     i = int(np.argmax(gap))
     best, best_p = float(gap[i]), float(p[i])
@@ -114,29 +110,65 @@ def w_infinity_1d(q1, q2):
     k = int(np.searchsorted(grid, best_p))
     lo_p = grid[k - 1] if k > 0 else 0.5 * best_p
     hi_p = grid[k + 1] if k + 1 < grid.size else 1.0
-
-    def neg_gap(log_p):
-        level = math.exp(log_p)
-        return -abs(q1.invert(level * q1.total) - q2.invert(level * q2.total))
-
-    log_p, fun, _ = _bounded_minimize(neg_gap, math.log(lo_p), math.log(hi_p), xatol=1e-10)
+    search = _bounded_minimize(math.log(lo_p), math.log(hi_p), xatol=1e-10)
+    try:
+        log_p = next(search)
+        while True:
+            level = math.exp(log_p)
+            g1, g2 = yield np.array([n1, n2]), np.array([level * q1.total, level * q2.total])
+            log_p = search.send(-abs(float(g1) - float(g2)))
+    except StopIteration as stop:
+        log_p, fun, _ = stop.value
     if -fun > best:
         best, best_p = float(-fun), math.exp(log_p)
     return best, best_p
+
+
+def w_infinity_1d(pairs):
+    """sup_p |q1^{-1}(p) - q2^{-1}(p)| and the level p, for each pair (q1, q2) of MassTables.
+
+    The levels are the union of both tables' node masses.  A level is
+    exact in its own table; in the other table its quantile lies between
+    two nodes, which bounds the difference from above and below.  Levels
+    are inverted in the other table (Newton) in passes of 64, largest upper
+    bound first, until no upper bound beats the best difference found; the
+    best level is then refined by Brent's bounded search (Brent 1973) in
+    log p between its neighbours.  The pairs advance in lockstep: each
+    round inverts every live pair's next request, in both tables, in one
+    density.invert_tables call.  Symmetric in the tables of a pair.
+    """
+    tables = list({id(q): q for pair in pairs for q in pair}.values())
+    index = {id(q): n for n, q in enumerate(tables)}
+    searches = [_pair_search(q1, q2, index[id(q1)], index[id(q2)]) for q1, q2 in pairs]
+    results = [None] * len(searches)
+    requests = {n: next(search) for n, search in enumerate(searches)}
+    while requests:
+        live = list(requests)
+        g = invert_tables(tables, np.concatenate([requests[n][0] for n in live]),
+                          np.concatenate([requests[n][1] for n in live]))
+        cuts = np.cumsum([requests[n][0].size for n in live])[:-1]
+        for n, inverses in zip(live, np.split(g, cuts)):
+            try:
+                requests[n] = searches[n].send(inverses)
+            except StopIteration as stop:
+                results[n] = stop.value
+                del requests[n]
+    return results
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _bounded_minimize(f, a, b, xatol):
+def _bounded_minimize(a, b, xatol):
     """Brent's bounded minimisation (Brent 1973, ch. 5): golden-section steps with
     parabolic interpolation where it is safe, in the operation order of scipy's
-    ``minimize_scalar(method="bounded")``.  Returns x, f(x) and the evaluations.
+    ``minimize_scalar(method="bounded")``.  A generator: it yields each trial x,
+    is sent f(x), and returns x, f(x) and the evaluations.
     """
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
-    fx = ffulc = fnfc = f(xf)
+    fx = ffulc = fnfc = yield xf
     num = 1
     while True:
         xm = 0.5 * (a + b)
@@ -164,7 +196,7 @@ def _bounded_minimize(f, a, b, xatol):
             e = (a if xf >= xm else b) - xf
             rat = _GOLDEN * e
         x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
@@ -207,19 +239,18 @@ def lipschitz_obstruction(fam, pair_schedule, slope_threshold=-0.05, r2_threshol
     threshold; the verdict is evidence against bounded Lipschitz
     representability, never a proof of it.
     """
-    pairs = list(pair_schedule)
+    pairs = [(float(x), float(y)) for x, y in pair_schedule]
     if len(pairs) < 3:
         raise ConfigurationError("pair schedule needs at least 3 pairs for the fit")
-    records = []
-    table = functools.cache(fam.mass_table)
-
     for x, y in pairs:
-        d = abs(float(x) - float(y))
-        if d <= 0:
+        if abs(x - y) <= 0:
             raise ConfigurationError(f"degenerate pair ({x}, {y})")
-        w, _ = w_infinity_1d(table(float(x)), table(float(y)))
-        records.append({"x": float(x), "y": float(y), "w_inf": w, "ratio": w / d,
-                        "distance": d})
+    xs = list(dict.fromkeys(v for pair in pairs for v in pair))    # distinct by float value
+    table = dict(zip(xs, fam.mass_tables(xs)))
+    records = []
+    for (x, y), (w, _) in zip(pairs, w_infinity_1d([(table[x], table[y]) for x, y in pairs])):
+        d = abs(x - y)
+        records.append({"x": x, "y": y, "w_inf": w, "ratio": w / d, "distance": d})
 
     dists = np.array([r["distance"] for r in records])
     ratios = np.array([max(r["ratio"], 1e-300) for r in records])
@@ -263,37 +294,69 @@ class ExpectationReport:
         }
 
 
+def _split_on_failure(run, n):
+    """run(rows) over the row indices 0..n-1 in one pass, which returns one result
+    per row; where a pass raises, its rows run again in halves until each
+    raising row runs alone.  Returns per row its result, or the error of its
+    own pass."""
+    def go(rows):
+        try:
+            return list(run(rows))
+        except MoserTransportError as exc:
+            if rows.size == 1:
+                return [exc]
+            return go(rows[:rows.size // 2]) + go(rows[rows.size // 2:])
+    return go(np.arange(n)) if n else []
+
+
 def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
     """E_h(x) = int h d(mu_x), with smoothness probes.
 
     ``h`` is a callable or a parsed expression over m, evaluated on arrays.
-    Each distinct x takes one density.probe_integrals pass of rho(x, .) h;
-    an x whose pair drift exceeds quad_tol + 1e-12 |E_h(x)|, or whose
-    integrand raised, is inconclusive and has no value.  Finite differences
-    of orders 1..k run at steps (h, h/2); instability of any Richardson
-    pair flips the verdict to NONSMOOTH-SUSPECT.
+    Finite differences of orders 1..k run at steps (h, h/2); instability of
+    any Richardson pair flips the verdict to NONSMOOTH-SUSPECT.  Every x the
+    probes read, the grid and the difference nodes at both steps, takes
+    one row of a single stacked density.probe_integrals pass of
+    rho(x, .) h.  Where that pass raises, its rows run again in halves
+    until each raising x runs alone.  An x whose pair drift exceeds
+    quad_tol + 1e-12 |E_h(x)|, or whose integrand raised, is inconclusive
+    and has no value; it is listed when a probe first reads it.
     """
     if hasattr(h, "evaluate"):
         h_fn = lambda m: h.evaluate(m=m)
     else:
         h_fn = h
     lo, hi = fam.x_range
+    xs = np.asarray(x_grid, dtype=float)
+    steps = {(x, j): probe_step(x, (lo, hi), j, 0.2, hi - lo) for j in range(1, k + 1) for x in xs}
+    reads = list(xs)
+    for (x, j), step in steps.items():
+        if step is not None:
+            reads += difference_nodes(x, j, step) + difference_nodes(x, j, step / 2)
+    nodes = np.array(list(dict.fromkeys(reads)))    # distinct by float value, in read order
+
+    def integrate(rows):
+        vals, drifts = probe_integrals(lambda x, m: fam.fn(x, m) * h_fn(m), [1.0], quad_tol,
+                                       xs=nodes[rows])
+        return zip(vals[:, 0], drifts[:, 0])
+
+    outcome = {}    # x -> (E_h(x), None) or (nan, why it is inconclusive)
+    for x, res in zip(nodes, _split_on_failure(integrate, nodes.size)):
+        if isinstance(res, MoserTransportError):
+            outcome[x] = (np.nan, str(res))
+        elif not res[1] <= quad_tol + 1e-12 * abs(res[0]):
+            outcome[x] = (np.nan, f"pair drift {res[1]:.3e}")
+        else:
+            outcome[x] = (res[0], None)
     inconclusive = []
 
     @functools.cache
     def E(x):
-        try:
-            (val,), (drift,) = probe_integrals(lambda m: fam.fn(x, m) * h_fn(m),
-                                               [1.0], quad_tol)
-        except MoserTransportError as exc:
-            inconclusive.append({"x": float(x), "reason": str(exc)})
-            return np.nan
-        if not drift <= quad_tol + 1e-12 * abs(val):
-            inconclusive.append({"x": float(x), "reason": f"pair drift {drift:.3e}"})
-            return np.nan
+        val, reason = outcome[x]
+        if reason is not None:
+            inconclusive.append({"x": float(x), "reason": reason})
         return val
 
-    xs = np.asarray(x_grid, dtype=float)
     values = [E(x) for x in xs]
     derivs = {}
     stable = {}
@@ -301,7 +364,7 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
         col = []
         ok = True
         for x in xs:
-            step = probe_step(x, (lo, hi), j, 0.2, hi - lo)
+            step = steps[x, j]
             d_h = d_h2 = math.nan
             if step is not None:
                 d_h = central_difference(E, x, j, step)

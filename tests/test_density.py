@@ -11,6 +11,7 @@ from moser_transport import (
     ConfigurationError,
     DegeneracyError,
     DensityFamily,
+    InfeasibilityError,
     MassTable,
     ResolutionError,
     build_representation,
@@ -24,8 +25,8 @@ from moser_transport import (
     reference_from_profile,
 )
 from moser_transport.density import (_base_integrals, _ex2_oscillatory_mass, _power,
-                                     _x_probe_nodes, gauss_segments, probe_integrals,
-                                     symmetric_beta)
+                                     _x_probe_nodes, gauss_segments, invert_tables,
+                                     pair_refine, probe_integrals, symmetric_beta)
 from oracles import CDF, DENSITY
 
 
@@ -311,7 +312,7 @@ def test_power_on_the_mass_table_nodes_and_their_negatives():
 def test_hand_evaluators_match_their_pow_formulas_bit_for_bit(name):
     fam = builtin_family(name, k=2)
     for x in _x_probe_nodes(fam.x_range):
-        for m in (_GAUSS_NODES, _TABLE_TS, np.float64(0.3), np.float64(0.0)):
+        for m in (_GAUSS_NODES, _TABLE_TS, np.float64(0.3), np.float64(0.0), np.float64(0.75)):
             got, want = fam.fn(x, m), DENSITY[name](x, m)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want), (name, x)
@@ -556,6 +557,87 @@ def test_mass_table_newton_cannot_cycle():
     for target, m in zip(targets, batch):
         assert table.invert(target) == pytest.approx(m, rel=1e-14)
         assert table.cdf(m * (1 - 1e-12)) <= target <= table.cdf(m * (1 + 1e-12))
+
+
+_STACKED_FAMILIES = [
+    *[builtin_family(name) for name in ("constant", "example1", "example2", "affine",
+                                        "h_power", "h_stretched", "h_loglog")],
+    family_from_expression("1 + x*(2*m - 1) + sin(3*x*m)^2", x_range=(-0.5, 0.5),
+                           normalize=False),
+    family_from_expression("exp(x*m) + m^2", x_range=(-0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("fam", _STACKED_FAMILIES, ids=lambda fam: fam.name)
+def test_fn_takes_an_x_array_bit_for_bit(fam):
+    # the stacked integrals pass a column of x, or one x per node; each row must
+    # be the per-x call bit for bit (a normalised family reads N(x) per distinct x)
+    lo, hi = fam.x_range
+    xs = np.array([lo, 0.3 * lo + 0.7 * hi, 0.5 * (lo + hi), hi, 0.5 * (lo + hi)])
+    m = np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 40), np.linspace(0.0, 1.0, 33)])
+    with np.errstate(divide="ignore"):    # h_loglog's hand fn reads 2/0 at m = 0
+        per_x = np.array([np.broadcast_to(fam.fn(float(x), m), m.shape) for x in xs])
+        column = np.broadcast_to(fam.fn(xs[:, None], np.broadcast_to(m, per_x.shape)),
+                                 per_x.shape)
+        flat = np.broadcast_to(fam.fn(np.repeat(xs, m.size), np.tile(m, xs.size)),
+                               (per_x.size,))
+    assert np.array_equal(column, per_x, equal_nan=True)
+    assert np.array_equal(flat, per_x.ravel(), equal_nan=True)
+
+
+def _oscillating(x, m):
+    # resolved at x = 0; at x = 1 every pair below about 1e-2 drifts at any depth
+    m = np.asarray(m, dtype=float)
+    return 1.0 + x * np.sin(1.0 / m) ** 2 + 0.5 * m
+
+
+def test_stacked_pair_refine_and_probe_integrals_equal_their_rows():
+    xs = [0.0, 1.0, 0.25]    # a resolving row, a row at the 2048-pair cap, and one between
+    nodes = np.concatenate([[0.0], np.geomspace(1e-16, 1.0 / 64.0, 48),
+                            np.linspace(1.0 / 64.0, 1.0, 65)[1:]])
+    stacked = pair_refine(_oscillating, nodes, 1e-10, xs)
+    drift = [float(np.sum(row[2])) for row in stacked]
+    assert drift[0] <= 1e-10 < drift[1]
+    for x, row in zip(xs, stacked):
+        for alone in (pair_refine(lambda m: _oscillating(x, m), nodes, 1e-10)[0],
+                      pair_refine(_oscillating, nodes, 1e-10, [x])[0]):
+            for got, want in zip(row, alone):
+                assert np.array_equal(got, want)
+    marks = [0.0, 1e-3, 0.37, 1.0]
+    vals, drifts = probe_integrals(_oscillating, marks, 1e-10, xs=xs)
+    assert vals.shape == drifts.shape == (3, 4)
+    for x, v, d in zip(xs, vals, drifts):
+        want_v, want_d = probe_integrals(lambda m: _oscillating(x, m), marks, 1e-10)
+        assert np.array_equal(v, want_v) and np.array_equal(d, want_d)
+
+
+def _gapped(x, m):
+    # no mass on (0.4, 0.6), so the levels at its mass lie in a flat run
+    m = np.asarray(m, dtype=float)
+    return np.where((m > 0.4) & (m < 0.6), 0.0, 1.0 + x * m * m)
+
+
+def test_stacked_invert_equals_per_table_inverts():
+    xs = [0.0, 0.5, 2.0]
+    tables = MassTable.stack(_gapped, xs)
+    rng = np.random.default_rng(7)
+    which, targets = [], []
+    for n, (x, table) in enumerate(zip(xs, tables)):
+        alone = MassTable(lambda m: _gapped(x, m))
+        assert np.array_equal(table.nodes, alone.nodes) and np.array_equal(table.cum, alone.cum)
+        mine = np.concatenate([[0.0, -1e-3, table.total, table.cdf(0.5), table.cdf(0.4)],
+                               rng.random(20) * table.total])
+        which += [n] * mine.size
+        targets.append(mine)
+    got = invert_tables(tables, which, np.concatenate(targets))
+    want = np.concatenate([t.invert(T) for t, T in zip(tables, targets)])
+    assert np.array_equal(got, want)
+    for table, T, g in zip(tables, targets, np.split(got, 3)):
+        assert g[0] == g[1] == 0.0 and g[2] == 1.0
+        assert g[3] == pytest.approx(0.6, abs=1e-12) and g[4] == pytest.approx(0.6, abs=1e-12)
+    # one table of a stack that cannot meet its targets raises as its own inversion would
+    with pytest.raises(InfeasibilityError, match="mass deficiency"):
+        invert_tables(tables, [0, 2], [0.5 * tables[0].total, 2.0 * tables[2].total])
 
 
 def test_mass_table_queries_its_density_in_sorted_order():

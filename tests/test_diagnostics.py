@@ -13,6 +13,7 @@ from moser_transport import (
     MassTable,
     builtin_family,
     expectation_curve,
+    family_from_expression,
     lipschitz_obstruction,
     make_domain,
     parse_density_expression,
@@ -79,24 +80,24 @@ _AFFINE_Q = builtin_family("affine").mass_table(0.25)
 
 def test_w_infinity_identical_zero():
     q = builtin_family("example1").mass_table(0.3)
-    w, _ = w_infinity_1d(q, q)
+    w, _ = w_infinity_1d([(q, q)])[0]
     assert w == 0.0
 
 
 def test_w_infinity_symmetric():
     fam = builtin_family("example1")
     qa, qb = fam.mass_table(0.3), fam.mass_table(0.0)
-    w1, _ = w_infinity_1d(qa, qb)
-    w2, _ = w_infinity_1d(qb, qa)
+    w1, _ = w_infinity_1d([(qa, qb)])[0]
+    w2, _ = w_infinity_1d([(qb, qa)])[0]
     assert w1 == pytest.approx(w2, rel=1e-12)
 
 
 def test_w_infinity_triangle_inequality_sampled():
     fam = builtin_family("example1")
     qs = [fam.mass_table(x) for x in (0.0, 0.2, 0.5)]
-    w01, _ = w_infinity_1d(qs[0], qs[1])
-    w12, _ = w_infinity_1d(qs[1], qs[2])
-    w02, _ = w_infinity_1d(qs[0], qs[2])
+    w01, _ = w_infinity_1d([(qs[0], qs[1])])[0]
+    w12, _ = w_infinity_1d([(qs[1], qs[2])])[0]
+    w02, _ = w_infinity_1d([(qs[0], qs[2])])[0]
     tol = 2e-4  # 2x grid tolerance
     assert w02 <= w01 + w12 + tol
 
@@ -110,13 +111,13 @@ def test_w_infinity_spike_fixture():
 
         qu = MassTable(lambda m: np.ones_like(np.asarray(m)))
         qs = MassTable(spike)
-        w_val, _ = w_infinity_1d(qu, qs)
+        w_val, _ = w_infinity_1d([(qu, qs)])[0]
         assert w_val == pytest.approx(1 - width, abs=2e-3)
 
 
 def test_w_infinity_example1_oracle_reproducible():
     fam = builtin_family("example1")
-    w, _ = w_infinity_1d(fam.mass_table(0.1), fam.mass_table(0.0))
+    w, _ = w_infinity_1d([(fam.mass_table(0.1), fam.mass_table(0.0))])[0]
     assert w == pytest.approx(W_EX1_01, abs=1e-3)
 
 
@@ -340,6 +341,45 @@ def test_expectation_unresolvable_integral_is_inconclusive():
     assert points <= 5 * 41 * 3 * 2048 * 24
 
 
+def test_expectation_each_failing_x_is_inconclusive_on_its_own():
+    # sqrt(x) raises for every x < 0 in the stacked pass; each such x is set
+    # apart, with the reason its own pass gives, and the others keep their values
+    fam = family_from_expression("1 + sqrt(x)*m", x_range=(-1, 1), normalize=False)
+    h = parse_density_expression("m", variables=("m",))
+    rep = expectation_curve(fam, h, np.linspace(-0.5, 0.5, 5), k=1)
+    assert rep.values == [None, None, 0.5, 0.6666666666666666, 0.7357022603955158]
+    assert rep.derivatives == {1: [None, None, None, 0.3342801861046007, 0.2357759980330787]}
+    assert rep.verdict == "SMOOTH-CONSISTENT"
+    assert [e["x"] for e in rep.inconclusive] == [-0.5, -0.25, -0.45, -0.475, -0.175,
+                                                  -0.2125, -0.1, -0.05]
+    assert {e["reason"] for e in rep.inconclusive} == {"invalid value encountered in sqrt"}
+
+
+_BUILTINS = ("constant", "example1", "example2", "affine", "h_power", "h_stretched",
+             "h_loglog")
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_stacked_diagnostics_equal_one_at_a_time(name):
+    fam = builtin_family(name)
+    lo, hi = fam.x_range
+    base = lo + 0.1 * (hi - lo)
+    pairs = [(lo + f * (hi - lo), base) for f in (0.9, 0.5, 0.3, 0.2)]
+    pairs.append((hi, lo + 0.5 * (hi - lo)))    # a pair with no table in common
+    rep = lipschitz_obstruction(fam, pairs).to_dict()
+    for (x, y), rec in zip(pairs, rep["pairs"]):
+        (w, _), = w_infinity_1d([(fam.mass_table(x), fam.mass_table(y))])
+        d = abs(x - y)
+        assert rec == {"x": x, "y": y, "w_inf": w, "ratio": w / d, "distance": d}
+    h = parse_density_expression("m^2", variables=("m",))
+    xs = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 5)
+    grid = expectation_curve(fam, h, xs, k=2).to_dict()
+    for i, x in enumerate(xs):
+        one = expectation_curve(fam, h, [x], k=2).to_dict()
+        assert one["E_h"] == [grid["E_h"][i]]
+        assert one["derivatives"] == {j: [col[i]] for j, col in grid["derivatives"].items()}
+
+
 def test_parameter_probe_difference_step_and_richardson_rule():
     rng = np.random.default_rng(5)
     for j in (1, 2, 3):
@@ -403,6 +443,12 @@ def test_bounded_minimize_matches_scipy(c, lo, width, shape, xatol):
 
     res = minimize_scalar(counted, method="bounded", bounds=(lo, lo + width),
                           options={"xatol": xatol})
-    x, fx, nfev = _bounded_minimize(f, lo, lo + width, xatol=xatol)
+    search = _bounded_minimize(lo, lo + width, xatol=xatol)
+    try:
+        s = next(search)
+        while True:
+            s = search.send(f(s))
+    except StopIteration as stop:
+        x, fx, nfev = stop.value
     assert (x, fx, nfev) == (float(res.x), float(res.fun), res.nfev)
     assert nfev == len(calls)
