@@ -10,15 +10,11 @@ the reference density to the target density.
 Discretisation is second-order: a P1 stiffness flux stencil (mirror-reflection
 Neumann closure on bounded axes, periodic wrap on circles) and trapezoid /
 uniform lumped quadrature.  M^-1 K is diagonalised exactly by DCT-I on
-bounded axes and FFT on periodic ones, so the Poisson solve is one direct
-transform pair.  Both come from numpy's real FFT: DCT-I is the real FFT
-of the even extension, and a periodic axis takes a real FFT and its
-Hermitian fill.  On the interval and the cylinder this is scipy.fft's
-arithmetic bit for bit; on the torus (two periodic axes) scipy fills the
-self-conjugate columns in its own way, so the two differ in the last bit
-(about 5e-16 relative).  RK4 runs over grid nodes, never over query
-points, through one multilinear interpolator; map queries interpolate the
-node images (PCHIP in 1D, the multilinear node displacement in 2D).
+bounded axes and FFT on periodic ones, both from numpy's real FFT
+(``_dct1``, ``_fft_real``), so the Poisson solve is one direct transform
+pair.  RK4 runs over grid nodes, never over query points, through one
+multilinear interpolator; map queries interpolate the node images (PCHIP
+in 1D, the multilinear node displacement in 2D).
 
 ``moser_map_from_values`` is the one build path.  It takes a plan: one or
 more parameter values whose densities are known up front, and optionally
@@ -27,11 +23,11 @@ value, each carrying its potential.  Each value gets its own mass balance,
 Poisson solve and velocity floor.  RK4 then sweeps the node seeds of
 several values at once (``_sweep``, about ``_SWEEP_POINTS`` points a
 sweep), side by side: each block reads its own value's node data through
-an index offset (``VelocityProvider.stack``).  1D seeds every node, since
-PCHIP needs every image; 2D seeds only the nodes the planned points read,
-and such a partial map raises for a query that reads any other node.  RK4
-moves each point on its own, so an image is the same bit for bit whichever
-sweep computed it.  A map never changes once built.
+an index offset (``VelocityProvider.stack``).  The seeds are only the
+nodes the planned points read (``_reads``), and such a partial map raises
+for a query that reads any other node.  RK4 moves each point on its own,
+so an image is the same bit for bit whichever sweep computed it.  A map
+never changes once built.
 """
 
 import copy
@@ -133,7 +129,8 @@ def _fft_real(c, axes):
 
     A real FFT along the last axis, complex FFTs of that half spectrum along
     the others, and the Hermitian fill X[-k] = conj(X[k]) for the rest.  Over
-    one axis this is scipy.fft's arithmetic bit for bit.
+    one axis this is scipy.fft's arithmetic bit for bit; over two (the torus)
+    scipy fills the self-conjugate columns its own way, about 5e-16 relative apart.
     """
     last = axes[-1]
     half = np.fft.rfft(c, axis=last)
@@ -255,6 +252,21 @@ def _corners(grid, points):
         flat = corner if flat is None else flat + corner * stride
         stride *= ax.n
     return flat, fracs
+
+
+def _reads(grid, points):
+    """(flat, fracs): the flat indices of the nodes a map query at (N,) or (N, 2)
+    ``points`` reads and, in 2D, the fractions that blend them (``_corners``).
+
+    In 1D: each point's PCHIP cell i reads only nodes i - 1 ... i + 2, and
+    ``MoserMap.evaluate`` clips to the two end nodes; fracs is None.
+    """
+    if grid.dim == 2:
+        return _corners(grid, points)
+    n = grid.axes[0].n
+    cell = np.clip(np.searchsorted(grid.nodes(0), np.ravel(points), side="right") - 1, 0, n - 2)
+    stencil = np.clip(cell + np.arange(-1, 3)[:, None], 0, n - 1)
+    return np.concatenate([stencil.ravel(), [0, n - 1]]), None
 
 
 def _blend(F, flat, fracs):
@@ -399,6 +411,7 @@ def integrate_flow(provider, points, steps=256, clamps=None):
     return _wrap_periodic(grid, pts), int(counter.sum())
 
 
+@dataclass(eq=False)
 class MoserMap:
     """Time-one flow map for one parameter value.
 
@@ -406,24 +419,21 @@ class MoserMap:
     which keeps the map strictly monotone and inside the interval, and
     the multilinear node displacement in 2D.
 
-    A 1D map holds every node image.  A 2D map may hold only the nodes its
-    plan's points read: ``done`` marks them (None when it holds all), and a
-    query that reads any other node, or ``node_images``, raises
-    IntegrationError.  ``clamp_events`` counts the clamps of the nodes it
-    holds.  A map never changes once built, so threads may share it.
+    A map may hold only the nodes its plan's points read: ``done`` marks them
+    (None when it holds all), the others hold their own positions, and a query
+    that reads one, or ``node_images``, raises IntegrationError.  ``clamp_events``
+    counts the clamps of the nodes it holds.  A map never changes once built, so
+    threads may share it.
     """
 
-    def __init__(self, x, grid, potential, provider, steps, images, interpolant,
-                 clamp_events, done=None):
-        self.x = float(x)
-        self.grid = grid
-        self.potential = potential
-        self.provider = provider
-        self.steps = steps
-        self.clamp_events = int(clamp_events)
-        self.interpolant = interpolant  # PCHIP (1D) or fields-major displacement (2D)
-        self.done = done
-        self._images = images
+    x: float
+    grid: Grid
+    potential: PotentialField
+    provider: VelocityProvider
+    _images: np.ndarray
+    interpolant: object  # PCHIP (1D) or fields-major displacement (2D)
+    clamp_events: int
+    done: np.ndarray = None
 
     def _require(self, nodes=slice(None)):
         """Raise IntegrationError unless the flat ``nodes`` were integrated."""
@@ -440,13 +450,14 @@ class MoserMap:
     def evaluate(self, points):
         """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
         pts = _clamp_bounded(self.grid, np.asarray(points, dtype=float), slack=1e-12)
+        if self.done is not None or self.grid.dim == 2:  # a complete PCHIP finds its own cells
+            reads = _reads(self.grid, pts)
+            self._require(reads[0])
         if self.grid.dim == 1:
             # PCHIP through monotone data stays within it; the clip only removes rounding
             return np.clip(self.interpolant(pts), self._images[0], self._images[-1])
-        corners = _corners(self.grid, pts)
-        self._require(corners[0])
         # bounded coordinates are convex combinations of node images; the clamp is rounding
-        moved = pts + _blend(self.interpolant, *corners).T.reshape(pts.shape)
+        moved = pts + _blend(self.interpolant, *reads).T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
 
@@ -526,39 +537,33 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
     """Flow maps of a plan: one MoserMap per value of ``xs``, in plan order.
 
     ``rhox_values`` holds one grid density per value, each positive and of
-    the mass of ``rho0_values``; the maps are built as the module docstring
-    describes.  In 2D only the nodes that ``points`` read are integrated
-    (every node when None); 1D ignores ``points``.  Errors name their stage
-    and the x they belong to.  A plan stops at its first failing setup, else
-    at its first failing sweep, naming the value whose point left the grid
-    first (in a chunk, not necessarily its first failing value), else, in 2D,
-    at its first failing node displacement.
+    the mass of ``rho0_values``; the maps integrate only the nodes that
+    ``points`` read (every node when None), as the module docstring says.
+    Errors name their stage and x.  A plan stops at its first failing setup,
+    else at its first failing sweep, naming the value whose point left the
+    grid first (in a chunk, not necessarily its first failing value), else,
+    in 2D, at its first failing node displacement.
     """
     rho0_values = np.asarray(rho0_values, dtype=float)
     setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass, c_floor)
               for x, rhox in zip(xs, rhox_values)]
-    if grid.dim == 1:
-        seeds = grid.nodes(0)
-        return [MoserMap(x, grid, potential, provider, steps, images,
-                         Pchip(seeds, images, extrapolate=False), clamps)
-                for x, (potential, provider), (images, clamps) in zip(
-                    xs, setups, _sweep(grid, [pv for _, pv in setups], xs, seeds, steps))]
-    done = np.full(grid.axes[0].n * grid.axes[1].n, points is None)
+    done = np.full(rho0_values.size, points is None)
     if points is not None:
-        done[_corners(grid, np.asarray(points, dtype=float))[0]] = True
+        done[_reads(grid, np.asarray(points, dtype=float))[0]] = True
     todo = np.flatnonzero(done)
-    seeds = np.stack([ax.nodes[i] for ax, i in zip(grid.axes, np.unravel_index(todo, grid.shape))],
-                     axis=-1)
+    nodes = np.stack(grid.meshes(), axis=-1).reshape(done.size, -1).squeeze()  # (n,) in 1D
     built = []
     for x, (potential, provider), (images, clamps) in zip(
-            xs, setups, _sweep(grid, [pv for _, pv in setups], xs, seeds, steps)):
-        try:
-            disp = _node_displacement(grid, seeds, images)
-        except IntegrationError as exc:
-            raise _stage_error(exc, "node displacement", x) from exc
-        all_images, interpolant = np.empty((done.size, 2)), np.empty((2, done.size))
-        all_images[todo] = images
-        interpolant[:, todo] = disp
-        built.append(MoserMap(x, grid, potential, provider, steps, all_images, interpolant,
-                              clamps, done=None if done.all() else done))
+            xs, setups, _sweep(grid, [pv for _, pv in setups], xs, nodes[todo], steps)):
+        held = nodes.copy()  # a node no planned point reads holds its own position
+        held[todo] = images
+        if grid.dim == 1:
+            interpolant = Pchip(nodes, held, extrapolate=False)
+        else:
+            try:
+                interpolant = _node_displacement(grid, nodes, held)
+            except IntegrationError as exc:
+                raise _stage_error(exc, "node displacement", x) from exc
+        built.append(MoserMap(float(x), grid, potential, provider, held, interpolant,
+                              int(clamps), None if done.all() else done))
     return built

@@ -55,9 +55,9 @@ class TransportFamily:
     parameter values up front plan them: ``prefetch`` (``verify``) builds
     and caches their maps together, from stacked RK4 sweeps, before any
     worker thread starts, so the workers only read them.  ``images`` (the
-    C^k probes) also names its query points: in 2D its maps integrate only
-    the nodes those read and are dropped once evaluated.  A value outside
-    a plan is built on first use, as a plan of one.
+    C^k probes) also names its query points: its maps integrate only the
+    nodes those read and are dropped once evaluated.  A value outside a
+    plan is built on first use, as a plan of one.
     Evaluation pushes the query points through the stages in the order
     they come; both stages accept any order.
     """
@@ -108,7 +108,7 @@ class TransportFamily:
         """{exact x: interior map} of the values of ``xs`` not cached yet, as one plan.
 
         Each value gets its collar, ``nu`` and Poisson solve, and their
-        interior flows come from stacked RK4 sweeps (``moser``); a 2D map
+        interior flows come from stacked RK4 sweeps (``moser``); a map
         integrates only the nodes that ``points`` read (all nodes when
         None).  Errors name the x they belong to.
         """
@@ -130,6 +130,8 @@ class TransportFamily:
             for x in xs:
                 cm = self.collar_at(x)
                 rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
+            if points is not None:  # as ``_compose`` splits them: the rest read only the collar
+                points = points[~(points < self.v)]
         return dict(zip(plan, moser_map_from_values(
             self.rho0_fn(*coords), rhox, grid, xs, steps=self.steps,
             tol=self.tol_solver, tol_mass=self.tol_mass, points=points,
@@ -141,24 +143,15 @@ class TransportFamily:
         return self._compose(x, self.moser_at(x), points)
 
     def images(self, xs, points):
-        """[T_x(points) for x in xs], the uncached values planned together.
-
-        1D maps are complete and cached.  A 2D plan integrates only the nodes
-        that ``points`` read, and its maps are dropped once evaluated.
-        """
+        """[T_x(points) for x in xs]: the uncached values in one plan that integrates
+        only the nodes ``points`` read, its maps dropped once evaluated."""
         pts = np.asarray(points, dtype=float)
-        if self.domain.dim == 1:
-            self.prefetch(xs)
-            partial = {}
-        else:
-            partial = self._plan(xs, pts)
+        partial = self._plan(xs, pts)
         return [self._compose(x, partial.get(float(x)) or self.moser_at(x), pts) for x in xs]
 
     def _compose(self, x, mm, points):
         """T_x at ``points``: the interior map ``mm``, then (full mode) x's collar."""
         pts = np.asarray(points, dtype=float)
-        if self.domain.dim == 2:
-            return mm.evaluate(pts)
         m = np.atleast_1d(pts)
         if self.mode == "moser_only":
             out = mm.evaluate(m)

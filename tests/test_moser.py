@@ -24,6 +24,7 @@ from moser_transport import (
     torus_grid,
 )
 from moser_transport import moser
+from moser_transport.geometry import Pchip
 from moser_transport.moser import (
     VelocityProvider,
     apply_stiffness,
@@ -318,9 +319,9 @@ def test_solve_reports_true_residual(grid):
     assert pot.iterations in (1, 2)
 
 
-def _flow_oracle_gap(mm, queries):
+def _flow_oracle_gap(mm, queries, steps):
     # RK4 re-integration of the queries through the same velocity provider
-    reintegrated, _ = integrate_flow(mm.provider, queries, steps=mm.steps)
+    reintegrated, _ = integrate_flow(mm.provider, queries, steps=steps)
     diff = mm.evaluate(queries) - reintegrated
     if mm.grid.dim == 2:
         L = mm.grid.axes[0].length
@@ -335,12 +336,12 @@ def test_evaluate_matches_reintegration_1d():
     nodes = grid.nodes(0)
     for x in (0.5, -0.5):
         [mm] = moser_map_from_values(_uniform(nodes), [fam.fn(x, nodes)], grid, [x], steps=256)
-        assert _flow_oracle_gap(mm, rng.uniform(0.0, 1.0, 2000)) <= 2e-6
+        assert _flow_oracle_gap(mm, rng.uniform(0.0, 1.0, 2000), 256) <= 2e-6
     tf = build_representation(builtin_family("h_power", k=2, alpha=2.0), mode="full",
                               grid_n=1024, steps=256)
     for x in (0.2, 0.8):
         mm = tf.moser_at(x)
-        assert _flow_oracle_gap(mm, rng.uniform(tf.v, 1.0, 2000)) <= 2e-6
+        assert _flow_oracle_gap(mm, rng.uniform(tf.v, 1.0, 2000), tf.steps) <= 2e-6
 
 
 def test_evaluate_matches_reintegration_cylinder():
@@ -353,7 +354,7 @@ def test_evaluate_matches_reintegration_cylinder():
     mm = tf.moser_at(1.0)
     rng = np.random.default_rng(11)
     queries = rng.uniform(0.0, 1.0, (4096, 2))
-    assert _flow_oracle_gap(mm, queries) <= 2e-4
+    assert _flow_oracle_gap(mm, queries, tf.steps) <= 2e-4
 
 
 @settings(max_examples=15, deadline=None)
@@ -554,7 +555,7 @@ def test_stacked_sweep_matches_per_x_sweeps(name, mode, grid_n):
     tf.prefetch(xs)
     for x in xs:
         mm = tf.moser_at(x)
-        alone, clamps = integrate_flow(mm.provider, mm.grid.nodes(0), steps=mm.steps)
+        alone, clamps = integrate_flow(mm.provider, mm.grid.nodes(0), steps=tf.steps)
         assert np.array_equal(mm.node_images, alone)
         assert mm.clamp_events == clamps
 
@@ -682,7 +683,7 @@ def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
     assert not np.array_equal(blocks[0], blocks[1])
 
 
-# -- 2D maps integrate only the grid nodes their queries read ------------------
+# -- maps integrate only the grid nodes their queries read ---------------------
 
 
 def _boundary_heavy(grid, level):
@@ -713,16 +714,33 @@ def _seam_rim_node_points(grid):
     ])
 
 
+def _knot_and_cell_points(grid):
+    """Interval query points: the two end knots, points in the first and last cells,
+    knots and points between knots.  The last six read nodes the first six do not."""
+    m, h = grid.nodes(0), grid.axes[0].spacing
+    n = m.size
+    return np.array([m[0], m[0] + h / 3, m[n // 12], (m[n // 3] + m[n // 3 + 1]) / 2,
+                     m[-1] - h / 4, m[-1], m[n // 2], m[2 * n // 3] + h / 5, m[1], m[-3],
+                     m[n // 12 + 1] + h / 2, (m[0] + m[-1]) / 2])
+
+
+def _query_points(grid):
+    return _knot_and_cell_points(grid) if grid.dim == 1 else _seam_rim_node_points(grid)
+
+
 def _cases():
+    ivl = interval_grid(129, lo=0.25, hi=1.0)  # the interior grid of full mode at v = 1/4
+    m = ivl.nodes(0)
     cyl = cylinder_grid(24, 24)
     tor = torus_grid(24, 20)
     aa, tt = tor.meshes()
     wavy = 1 + 0.4 * np.cos(2 * np.pi * aa) * np.cos(2 * np.pi * tt) + 0.2 * np.sin(2 * np.pi * tt)
-    return {"cylinder": (cyl, _pushes_to_the_rim(cyl), 2), "torus": (tor, wavy, 8)}
+    return {"interval": (ivl, 1 + 0.4 * np.cos(2 * np.pi * (m - 0.25) / 0.75), 16),
+            "cylinder": (cyl, _pushes_to_the_rim(cyl), 2), "torus": (tor, wavy, 8)}
 
 
-@pytest.mark.parametrize("kind", ["cylinder", "torus"])
-def test_partial_2d_map_matches_the_full_build_bit_for_bit(kind):
+@pytest.mark.parametrize("kind", ["interval", "cylinder", "torus"])
+def test_partial_map_matches_the_full_build_bit_for_bit(kind):
     grid, rhox, steps = _cases()[kind]
     n_nodes = rhox.size
 
@@ -734,13 +752,15 @@ def test_partial_2d_map_matches_the_full_build_bit_for_bit(kind):
     assert full.done is None
     if kind == "cylinder":
         assert full.clamp_events > 0
-    pts = _seam_rim_node_points(grid)
+    pts = _query_points(grid)
     partial = build(pts[:6])
     planned = np.flatnonzero(partial.done)
     assert 0 < planned.size < n_nodes // 4
     # the plan's points read only planned nodes, whose images are the full build's
     assert np.array_equal(partial.evaluate(pts[:6]), full.evaluate(pts[:6]))
-    assert np.array_equal(partial.interpolant[:, planned], full.interpolant[:, planned])
+    assert np.array_equal(partial._images[planned], full._images[planned])
+    if grid.dim == 2:
+        assert np.array_equal(partial.interpolant[:, planned], full.interpolant[:, planned])
     assert partial.clamp_events <= full.clamp_events
     # any other node was never integrated, and a query that reads one raises
     with pytest.raises(IntegrationError, match=r"^query at x=0\.5: reads grid nodes"):
@@ -751,20 +771,27 @@ def test_partial_2d_map_matches_the_full_build_bit_for_bit(kind):
 
 
 def test_a_partial_map_raises_for_a_point_that_reads_an_unplanned_node():
-    grid, rhox, steps = _cases()["torus"]
+    m = _cases()["interval"][0].nodes(0)
+    # (kind, the plan's point, points of its cell, a point that reads another node, nodes read):
+    # on the interval a point reads its PCHIP cell's stencil and the two end nodes, and
+    # a knot lies in the cell it starts
+    for kind, planned, same_cell, other, n_read in (
+            ("interval", [(m[40] + m[41]) / 2], [m[40], m[40] + 1e-9, m[41] - 1e-9], [m[41]], 6),
+            ("torus", [[0.5, 0.5]], [[0.5, 0.5], [0.51, 0.52]], [[0.1, 0.9]], 4)):
+        grid, rhox, steps = _cases()[kind]
 
-    def build(points):
-        return moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.25], steps=steps,
-                                     tol_mass=2e-2, points=points)[0]
+        def build(points):
+            return moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.25], steps=steps,
+                                         tol_mass=2e-2, points=points)[0]
 
-    mm = build(np.array([[0.5, 0.5]]))
-    assert int(mm.done.sum()) == 4
-    # a planned point again, and a point of the same cell, read only planned nodes
-    same_cell = np.array([[0.5, 0.5], [0.51, 0.52]])
-    assert np.array_equal(mm.evaluate(same_cell), build(None).evaluate(same_cell))
-    with pytest.raises(IntegrationError, match=r"^query at x=0\.25: reads grid nodes"):
-        mm.evaluate(np.array([[0.5, 0.5], [0.1, 0.9]]))
-    assert int(mm.done.sum()) == 4
+        mm = build(np.array(planned))
+        assert int(mm.done.sum()) == n_read
+        # a planned point again, and points of the same cell, read only planned nodes
+        pts = np.array(planned + same_cell)
+        assert np.array_equal(mm.evaluate(pts), build(None).evaluate(pts))
+        with pytest.raises(IntegrationError, match=r"^query at x=0\.25: reads grid nodes"):
+            mm.evaluate(np.array(planned + other))
+        assert int(mm.done.sum()) == n_read
 
 
 def test_a_2d_node_no_query_reads_is_never_integrated():
@@ -808,7 +835,14 @@ def test_a_stacked_node_displacement_failure_names_its_own_x():
 
 def _wave_and_rim(grid, amp, phase, rim):
     """A density of the grid's mass one: a wave of amplitude ``amp`` and, scaled by
-    ``rim``, mass shifted towards the t = 1 circle (or a second wave on the torus)."""
+    ``rim``, mass shifted towards the t = 1 circle (the end m = 1 of the interval, or
+    a second wave on the torus)."""
+    if grid.dim == 1:
+        m = grid.nodes(0)
+        bulge = np.exp(20 * (m - 1)) * 20
+        bulge -= grid.integrate(bulge)  # zero mean: the interval has length one
+        # half the 2D rim: a whole one moves the nodes near m = 1 too far for two steps
+        return 1 + amp * np.cos(2 * np.pi * (m - phase)) + rim / 2 * bulge
     aa, tt = grid.meshes()
     wave = amp * np.cos(2 * np.pi * (aa - phase)) * np.cos(np.pi * tt)
     if grid.axes[1].periodic:
@@ -819,33 +853,64 @@ def _wave_and_rim(grid, amp, phase, rim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["cylinder", "torus"]),
+@given(kind=st.sampled_from(["interval", "cylinder", "torus"]),
        plan=st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(0.0, 1.0), st.floats(0.0, 0.5)),
                      min_size=1, max_size=12),
        named=st.lists(st.integers(0, 11), max_size=6),
        off=st.lists(st.tuples(st.floats(-1.5, 2.5), st.floats(0.0, 1.0)), max_size=6),
        sweep_points=st.sampled_from([moser._SWEEP_POINTS, 60, 1]))
 def test_chunked_plan_matches_per_value_sweeps(kind, plan, named, off, sweep_points):
-    # any plan, any chunk size and any planned points (seam, rim, nodes, between
-    # nodes): each map's images, displacement and clamp count are those of
-    # integrate_flow over that value alone, bit for bit
-    grid = cylinder_grid(12, 10) if kind == "cylinder" else torus_grid(12, 10)
-    steps = 2 if kind == "cylinder" else 6
-    pts = np.concatenate([_seam_rim_node_points(grid)[named], np.reshape(off, (-1, 2))])
+    # any plan, any chunk size and any planned points (ends, seam, rim, knots and
+    # nodes, between them): each map's images, displacement and clamp count are
+    # those of integrate_flow over that value alone, bit for bit
+    grid = {"interval": interval_grid(40), "cylinder": cylinder_grid(12, 10),
+            "torus": torus_grid(12, 10)}[kind]
+    steps = 6 if kind == "torus" else 2
+    off = np.reshape(off, (-1, 2))
+    pts = np.concatenate([_query_points(grid)[named], off[:, 1] if grid.dim == 1 else off])
     with mock.patch.object(moser, "_SWEEP_POINTS", sweep_points):
         built = moser_map_from_values(
             np.ones(grid.shape), [_wave_and_rim(grid, *p) for p in plan], grid,
             [0.1 * i for i in range(len(plan))], steps=steps, tol_mass=1e-8, points=pts)
-    seeds = np.stack([c.ravel() for c in grid.meshes()], axis=-1)
-    planned = np.unique(moser._corners(grid, pts)[0])
+    if grid.dim == 1:
+        seeds = grid.nodes(0)
+    else:
+        seeds = np.stack([c.ravel() for c in grid.meshes()], axis=-1)
+    planned = np.unique(moser._reads(grid, pts)[0])
     for mm in built:
         clamps = np.zeros(len(seeds), dtype=np.intp)
         images, total = integrate_flow(mm.provider, seeds, steps=steps, clamps=clamps)
-        disp = moser._node_displacement(grid, seeds, images)
         assert mm.done is None or np.array_equal(np.flatnonzero(mm.done), planned)
         assert mm.clamp_events == clamps[planned].sum()
-        assert np.array_equal(mm.interpolant[:, planned], disp[:, planned])
+        if grid.dim == 2:
+            disp = moser._node_displacement(grid, seeds, images)
+            assert np.array_equal(mm.interpolant[:, planned], disp[:, planned])
         assert np.array_equal(mm._images[planned], images[planned])
         if mm.done is None:
             assert np.array_equal(mm.node_images, images)
             assert mm.clamp_events == total
+
+
+_finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_a_1d_query_reads_only_the_nodes_reads_names(n, data):
+    # the nodes _reads leaves out may hold anything finite: the clipped PCHIP
+    # that MoserMap.evaluate computes at the queries is the complete one, bit for bit
+    grid = interval_grid(n, lo=0.25, hi=1.0)
+    nodes = grid.nodes(0)
+    images = 0.25 + 0.75 * np.cumsum(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n,
+                                                         max_size=n)))
+    queries = np.array(data.draw(st.lists(st.one_of(st.sampled_from(nodes.tolist()),
+                                                    st.floats(0.25, 1.0)),
+                                          min_size=1, max_size=8)))
+    read = np.zeros(n, dtype=bool)
+    read[moser._reads(grid, queries)[0]] = True
+    filled = np.where(read, images, data.draw(st.lists(_finite, min_size=n, max_size=n)))
+
+    def evaluate(held):
+        return np.clip(Pchip(nodes, held, extrapolate=False)(queries), held[0], held[-1])
+
+    assert np.array_equal(evaluate(filled), evaluate(images))

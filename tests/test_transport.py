@@ -454,14 +454,30 @@ def test_estimate_uniform_ck_plans_all_its_difference_nodes_at_once(monkeypatch)
     nodes = {float(node) for j in (1, 2) for x, h in transport._ck_probes(tf.x_range, x_grid, j)
              for step in (h, h / 2) for node in transport.difference_nodes(x, j, step)}
     assert len(plans) == 1 and set(plans[0][0]) == nodes and len(plans[0][0]) == len(nodes)
-    # 1D maps are complete, so they stay cached: a second estimate builds nothing
+    # its maps integrate only the nodes the points read and are dropped once
+    # evaluated: a second estimate plans again and gives an equal report
+    assert all(mm.done is not None for mm in plans[0][1]) and tf._mosers == {}
     assert estimate_uniform_Ck(tf, np.geomspace(1e-3, 1, 5), x_grid, k=2) == rep
-    assert len(plans) == 1
+    assert len(plans) == 2 and plans[1][0] == plans[0][0]
 
 
-def test_cylinder_scan_caches_only_complete_maps(monkeypatch):
-    tf = _cylinder_flow_tf(grid_n=16, steps=4)
-    tf.verify([-0.5, 0.5], n_samples=2 ** 8, bins=8)
+@pytest.mark.parametrize("kind", ["interval", "cylinder"])
+def test_scan_caches_only_complete_maps(kind, monkeypatch):
+    if kind == "cylinder":
+        def make():
+            return _cylinder_flow_tf(grid_n=16, steps=4)
+        check = {"n_samples": 2 ** 8, "bins": 8}
+        pts = interior = np.random.default_rng(2).uniform(0.0, 1.0, (64, 2))
+    else:
+        def make():
+            return build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
+                                        steps=16)
+        check = {"n_fine": 2 ** 10}
+        # 0 reads only the collar; v and 1 are the interior grid's end knots
+        interior = np.concatenate([[0.25, 1.0], np.random.default_rng(2).uniform(0.25, 1.0, 62)])
+        pts = np.concatenate([[0.0], interior])
+    tf = make()
+    tf.verify([-0.5, 0.5], **check)
     plans = _plan_spy(monkeypatch)
     ck_floor_scan(tf, [1e-1, 1e-2], k=1, x_nodes=4)
     assert sorted(tf._mosers) == [-0.5, 0.5]
@@ -469,9 +485,8 @@ def test_cylinder_scan_caches_only_complete_maps(monkeypatch):
     # a later query at a scanned x, at points the scan never read, builds a
     # complete map, whose images a fresh complete build repeats bit for bit
     [(xs, built)] = plans
-    pts = np.random.default_rng(2).uniform(0.0, 1.0, (64, 2))
     with pytest.raises(IntegrationError, match="plan never integrated"):
-        built[0].evaluate(pts)
+        built[0].evaluate(interior)
     got = tf.map_values(xs[0], pts)
     assert tf._mosers[xs[0]].done is None
-    assert np.array_equal(got, _cylinder_flow_tf(grid_n=16, steps=4).map_values(xs[0], pts))
+    assert np.array_equal(got, make().map_values(xs[0], pts))
