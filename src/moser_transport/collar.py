@@ -6,11 +6,13 @@ on [0, g] against the reference mass on [0, t]:
     M(g) = int_0^g rho(x, s) ds = int_0^t f(s) ds = I_f(t)
 
 (the collar coordinate t is m itself, so no chart or Jacobian enters).  g
-is the monotone rearrangement M^{-1}(I_f(t)); it is computed in array
-passes over a batch of t: M is the family's density.MassTable at x, I_f is
-evaluated for the whole batch, and the table's bracketed Newton iteration
-with the exact derivative M' = rho inverts it.  Errors name the stage
-("collar ray mass" or "collar solve") and x.
+is the monotone rearrangement M^{-1}(I_f(t)), computed for a plan of
+values in stacked passes of 8 (which bound their memory) that build the
+density.MassTables or invert all targets in one bracketed Newton iteration
+with the exact derivative M' = rho; I_f is evaluated once for a shared t.
+Each value's g equals its one-value pass bit for bit.  Errors name the
+stage ("collar ray mass" or "collar solve") and x: where a stacked pass
+raises, its values run again until the raising x runs alone.
 
 Domination rho > f gives g(t) <= t.  The cutoff interpolation
 gbar = eta * g + (1 - eta) * t turns g into a map of the whole interval
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import MassTable
-from .errors import DegeneracyError, InfeasibilityError, ResolutionError
+from .density import MassTable, invert_tables
+from .diagnostics import _split_on_failure
+from .errors import DegeneracyError, InfeasibilityError, MoserTransportError, ResolutionError
 
 
 @dataclass(frozen=True)
@@ -68,38 +71,57 @@ class Cutoff:
 
 
 _MASS_ERRORS = (DegeneracyError, InfeasibilityError, ResolutionError)
+_BLOCK = 8   # values per stacked pass, which bounds the pass's memory
 
 
-def _ray_mass(fam, x):
-    try:
-        return fam.mass_table(x)
-    except _MASS_ERRORS as exc:
-        raise type(exc)(f"collar ray mass at x={float(x)!r}: {exc}") from exc
+def _per_x(run, xs, stage):
+    """run(rows) over the rows of ``xs`` in stacked passes of _BLOCK rows, one result
+    per row; where a pass raises, the error of the first raising x's own pass,
+    naming ``stage`` and x."""
+    out = [res for lo in range(0, len(xs), _BLOCK)
+           for res in _split_on_failure(lambda r: run(lo + r), min(_BLOCK, len(xs) - lo))]
+    for x, res in zip(xs, out):
+        if isinstance(res, _MASS_ERRORS):
+            raise type(res)(f"{stage} at x={x!r}: {res}") from res
+        if isinstance(res, MoserTransportError):
+            raise res
+    return out
 
 
-def _rearrange(mass, ref, t, x, targets=None):
-    """g(t) = M^{-1}(I_f(t)) for an array t in [0, 1], in any order.
+def _rearrange(tables, ref, t, xs, targets=None):
+    """g(t) = M^{-1}(I_f(t)) for each table, one row per table and its x of ``xs``.
 
-    ``targets``, if given, holds I_f(t) already.  g is nondecreasing in t.
-    Near-equal targets can come out inverted by rounding; the running
-    maximum over the sorted t removes that, and an inversion above 1e-12
-    relative raises ResolutionError.
+    ``t`` in [0, 1], in any order, is one array the tables share or one row
+    per table; ``targets``, if given, holds I_f of a shared t already.  A
+    shared t takes one ref.integral call and rows of t one per block of
+    _BLOCK rows, and each block takes one invert_tables call.  g is
+    nondecreasing in t along each row: near-equal targets can come out
+    inverted by rounding; the running maximum over the row's sorted t
+    removes that, and an inversion above 1e-12 relative raises
+    ResolutionError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    try:
-        if np.any((t < 0.0) | (t > 1.0)):
+    n = t.shape[-1]
+    if targets is None and t.ndim == 1 and np.all((t >= 0.0) & (t <= 1.0)):
+        targets = ref.integral(t)
+
+    def solve(rows):
+        ts = t if t.ndim == 1 else t[rows]
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):    # a NaN fails too
             raise InfeasibilityError("collar coordinate t outside [0, 1]")
-        g = mass.invert(ref.integral(t) if targets is None else targets)
-        order = np.argsort(t, kind="stable")
-        g_sorted = g[order]
-        lifted = np.maximum.accumulate(g_sorted)
+        T = np.broadcast_to(ref.integral(ts) if targets is None else targets, (rows.size, n))
+        g = invert_tables([tables[i] for i in rows], np.repeat(np.arange(rows.size), n),
+                          T.ravel()).reshape(rows.size, n)
+        order = np.broadcast_to(np.argsort(ts, kind="stable"), g.shape)
+        g_sorted = np.take_along_axis(g, order, axis=1)
+        lifted = np.maximum.accumulate(g_sorted, axis=1)
         if np.any(lifted - g_sorted > 1e-12 * lifted):
             raise ResolutionError(
                 "collar g not monotone in t; the reference integral is not monotone")
-    except _MASS_ERRORS as exc:
-        raise type(exc)(f"collar solve at x={float(x)!r}: {exc}") from exc
-    g[order] = lifted
-    return g
+        np.put_along_axis(g, order, lifted, axis=1)
+        return g
+
+    return np.reshape(_per_x(solve, xs, "collar solve"), (len(tables), n))
 
 
 @dataclass
@@ -119,9 +141,10 @@ class CollarMap:
     mass: MassTable
 
     # -- g -----------------------------------------------------------------
-    def g_batch(self, ts):
-        """g at any t in [0, 1], as a 1D array (a scalar t gives one element)."""
-        return _rearrange(self.mass, self.ref, ts, self.x)
+    def g_batch(self, ts, targets=None):
+        """g at any t in [0, 1], as a 1D array (a scalar t gives one element): the
+        one-row case of _rearrange, which ``targets`` = I_f(ts) spares its integral."""
+        return _rearrange([self.mass], self.ref, ts, [self.x], targets)[0]
 
     # -- gbar and derived quantities ----------------------------------------
     def gbar(self, t, g_values=None):
@@ -169,9 +192,13 @@ class CollarMap:
 def build_collar_map(fam, ref, x, t_grid=None, k=None, targets=None):
     """Tabulate the ray mass and g on a log-refined t grid; wrap them as a CollarMap.
 
-    ``targets`` may carry the reference integral on ``t_grid``, which does
-    not depend on x.  Verifies strict monotonicity of gbar on the grid and
-    raises ResolutionError asking for a finer grid if violated.
+    ``x`` is one value, which gives its CollarMap, or an array of values,
+    which gives the list of theirs.  Their tables come from stacked passes
+    and their g on the shared grid from one _rearrange call, both in blocks
+    of 8 values.  ``targets`` may carry the reference integral on
+    ``t_grid``, which does not depend on x.  Verifies strict monotonicity
+    of each gbar on the grid and raises ResolutionError asking for a finer
+    grid if violated.
     """
     k = k or fam.k
     if t_grid is None:
@@ -180,11 +207,10 @@ def build_collar_map(fam, ref, x, t_grid=None, k=None, targets=None):
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0) or ts[0] <= 0:
         raise ResolutionError("t grid must be strictly increasing and positive")
-    mass = _ray_mass(fam, x)
-    cm = CollarMap(ref=ref, x=float(x), cutoff=Cutoff(k=k), ts=ts,
-                   gs=_rearrange(mass, ref, ts, x, targets), mass=mass)
-    gb = cm.gbar(ts, cm.gs)
-    if np.any(np.diff(gb) <= 0):
+    xs = [float(v) for v in np.ravel(x)]
+    tables = _per_x(lambda r: fam.mass_tables(np.take(xs, r)), xs, "collar ray mass")
+    cms = [CollarMap(ref=ref, x=bx, cutoff=Cutoff(k=k), ts=ts, gs=gs, mass=mass)
+           for bx, mass, gs in zip(xs, tables, _rearrange(tables, ref, ts, xs, targets))]
+    if any(np.any(np.diff(cm.gbar(ts, cm.gs)) <= 0) for cm in cms):
         raise ResolutionError("gbar not strictly monotone on the t grid; refine the t grid")
-    return cm
-
+    return cms if np.ndim(x) else cms[0]

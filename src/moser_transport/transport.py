@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collar import build_collar_map
+from .collar import _rearrange, build_collar_map
 from .density import MassTable, make_reference, symmetric_beta
 from .diagnostics import central_difference, difference_nodes, probe_step, richardson_stable
 from .errors import ConfigurationError, DegeneracyError, IntegrationError, ResolutionError
@@ -53,13 +53,14 @@ class TransportFamily:
     Per-parameter collar and interior maps are cached under the exact
     value of x, and every cached map is complete.  Callers that know their
     parameter values up front plan them: ``prefetch`` (``verify``) builds
-    and caches their maps together, from stacked RK4 sweeps, before any
-    worker thread starts, so the workers only read them.  ``images`` (the
-    C^k probes) also names its query points: its maps integrate only the
-    nodes those read and are dropped once evaluated.  A value outside a
-    plan is built on first use, as a plan of one.
-    Evaluation pushes the query points through the stages in the order
-    they come; both stages accept any order.
+    and caches their maps together, from stacked collar passes and RK4
+    sweeps, before any worker thread starts, so the workers only read them.
+    ``images`` (the C^k probes) also names its query points: its maps
+    integrate only the nodes those read and are dropped once evaluated, and
+    its values' collars are queried in stacked passes.  A value outside a
+    plan is built on first use, and ``map_values`` queries it, as a plan of
+    one.  Evaluation pushes the query points through the stages in the
+    order they come; both stages accept any order.
     """
 
     domain: object
@@ -88,11 +89,14 @@ class TransportFamily:
     def collar_at(self, x):
         key = float(x)
         if key not in self._collars:
-            self._collars[key] = build_collar_map(
-                self.fam, self.ref, x, t_grid=self.collar_t, k=self.k,
-                targets=self.collar_targets,
-            )
+            self._build_collars([key])
         return self._collars[key]
+
+    def _build_collars(self, xs):
+        """Build and cache, in one call, the collars of the values of ``xs`` not cached yet."""
+        new = [x for x in dict.fromkeys(map(float, xs)) if x not in self._collars]
+        self._collars.update(zip(new, build_collar_map(
+            self.fam, self.ref, new, t_grid=self.collar_t, k=self.k, targets=self.collar_targets)))
 
     def moser_at(self, x):
         key = float(x)
@@ -107,7 +111,9 @@ class TransportFamily:
     def _plan(self, xs, points=None):
         """{exact x: interior map} of the values of ``xs`` not cached yet, as one plan.
 
-        Each value gets its collar, ``nu`` and Poisson solve, and their
+        Its uncached collars are built in one call, I_f is evaluated once at
+        the grid nodes, and stacked Newton passes invert each value's targets
+        there for its ``nu``.  Each value gets its Poisson solve, and their
         interior flows come from stacked RK4 sweeps (``moser``); a map
         integrates only the nodes that ``points`` read (all nodes when
         None).  Errors name the x they belong to.
@@ -126,10 +132,10 @@ class TransportFamily:
         else:
             grid = interval_grid(self.grid_n, lo=self.v, hi=1.0)
             coords = grid.meshes()
-            rhox = []
-            for x in xs:
-                cm = self.collar_at(x)
-                rhox.append(cm.nu(coords[0], g_values=cm.g_batch(coords[0])))
+            self._build_collars(xs)
+            cms = [self.collar_at(x) for x in xs]
+            gs = _rearrange([cm.mass for cm in cms], self.ref, coords[0], list(plan))
+            rhox = [cm.nu(coords[0], g_values=g) for cm, g in zip(cms, gs)]
             if points is not None:  # as ``_compose`` splits them: the rest read only the collar
                 points = points[~(points < self.v)]
         return dict(zip(plan, moser_map_from_values(
@@ -140,31 +146,39 @@ class TransportFamily:
     # -- evaluation ------------------------------------------------------------
     def map_values(self, x, points):
         """T_x at the given points (1D array of m, or (N, 2) for 2D modes), in any order."""
-        return self._compose(x, self.moser_at(x), points)
+        return self._compose([x], [self.moser_at(x)], points)[0]
 
     def images(self, xs, points):
         """[T_x(points) for x in xs]: the uncached values in one plan that integrates
         only the nodes ``points`` read, its maps dropped once evaluated."""
         pts = np.asarray(points, dtype=float)
         partial = self._plan(xs, pts)
-        return [self._compose(x, partial.get(float(x)) or self.moser_at(x), pts) for x in xs]
+        return self._compose(xs, [partial.get(float(x)) or self.moser_at(x) for x in xs], pts)
 
-    def _compose(self, x, mm, points):
-        """T_x at ``points``: the interior map ``mm``, then (full mode) x's collar."""
+    def _compose(self, xs, mms, points):
+        """[T_x(points) for x in xs]: each interior map of ``mms``, then (full mode)
+        x's collar.  The points below v share one I_f, and the interior images
+        of all values are rearranged in stacked passes."""
         pts = np.asarray(points, dtype=float)
         m = np.atleast_1d(pts)
         if self.mode == "moser_only":
-            out = mm.evaluate(m)
+            outs = [mm.evaluate(m) for mm in mms]
         else:
-            cm = self.collar_at(x)
-            out = np.empty_like(m)
+            cms = [self.collar_at(x) for x in xs]
             low = m < self.v
+            t = np.tile(m, (len(xs), 1))    # the interior columns take each value's images
+            g = np.empty_like(t)
             if np.any(low):
-                out[low] = cm.gbar(m[low], g_values=cm.g_batch(m[low]))
+                targets = self.ref.integral(m[low])    # I_f does not depend on x
+                for row, cm in zip(g, cms):
+                    row[low] = cm.g_batch(m[low], targets)
             if not np.all(low):
-                imgs = self._interior_images(x, mm, m[~low])
-                out[~low] = cm.gbar(imgs, g_values=cm.g_batch(imgs))
-        return float(out[0]) if pts.ndim == 0 else out
+                for row, x, mm in zip(t, xs, mms):
+                    row[~low] = self._interior_images(x, mm, m[~low])
+                g[:, ~low] = _rearrange([cm.mass for cm in cms], self.ref, t[:, ~low],
+                                        [cm.x for cm in cms])
+            outs = [cm.gbar(row_t, g_values=row_g) for cm, row_t, row_g in zip(cms, t, g)]
+        return [float(out[0]) for out in outs] if pts.ndim == 0 else outs
 
     # -- reference handling ------------------------------------------------------
     def reference_quantile(self, u):
@@ -189,7 +203,7 @@ class TransportFamily:
         """Interior map images, which must stay in [v, 1] for the collar stage."""
         imgs = mm.evaluate(points)
         over = float(np.max(np.maximum(self.v - imgs, imgs - 1.0)))
-        if over > 1e-12:
+        if not over <= 1e-12:    # a NaN image fails too
             raise IntegrationError(
                 f"interior map image leaves [{self.v:g}, 1] by {over:.3e} at x={float(x)!r}"
             )

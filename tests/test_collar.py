@@ -8,6 +8,7 @@ from moser_transport import (
     ConfigurationError,
     DegeneracyError,
     InfeasibilityError,
+    MoserTransportError,
     build_collar_map,
     builtin_family,
     family_from_expression,
@@ -15,6 +16,7 @@ from moser_transport import (
     make_reference,
     reference_from_profile,
 )
+from moser_transport import collar
 from moser_transport.collar import Cutoff
 from oracles import CDF
 
@@ -243,3 +245,133 @@ def test_collar_rays_cylinder():
                                  x_range=(0.0, 1.0), normalize=False)
     with pytest.raises(ConfigurationError, match="1D families only"):
         build_collar_map(fam, _ref_s(), 0.0)
+
+
+def _x_set(lo, hi, fractions, picks):
+    """Values of [lo, hi] at ``fractions``, with a duplicate and a 1-ulp neighbour of
+    each value that ``picks`` names."""
+    xs = [lo + f * (hi - lo) for f in fractions]
+    for i in picks:
+        x = xs[i % len(xs)]
+        xs += [x, float(np.nextafter(x, hi if x < hi else lo))]
+    return xs
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["example1", "h_power", "affine"]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+       picks=st.lists(st.integers(0, 9), max_size=3))
+def test_stacked_collars_equal_one_x_collars_bit_for_bit(name, fractions, picks):
+    # a plan's blocks of tables, its one Newton loop over the shared t grid and its
+    # per-row lift give each value what its own build gives
+    fam = builtin_family(name)
+    ref = make_reference(fam, margin=0.5)
+    ts = np.geomspace(1e-6, 1.0, 64)
+    targets = ref.integral(ts)
+    xs = _x_set(*fam.x_range, fractions, picks)
+    stacked = build_collar_map(fam, ref, xs, t_grid=ts, targets=targets)
+    assert [cm.x for cm in stacked] == xs
+    for x, cm in zip(xs, stacked):
+        one = build_collar_map(fam, ref, x, t_grid=ts, targets=targets)
+        assert np.array_equal(cm.mass.nodes, one.mass.nodes)
+        assert np.array_equal(cm.mass.cum, one.mass.cum)
+        assert np.array_equal(cm.gs, one.gs)
+
+
+def test_stacked_rows_are_lifted_one_row_at_a_time():
+    # I_f rounds down by 8 ulps at every other t of rows 1 ulp apart, so each row's raw g dips
+    # below its left neighbour; the lift must raise each row to its own running
+    # maximum, as that row's one-row pass does
+    fam = builtin_family("h_power", alpha=2.0)
+    base = make_reference(fam, margin=0.5)
+
+    def dipping(t):
+        out = np.array(base.integral(t), dtype=float)
+        out[..., 1::2] *= 1.0 - 8 * np.finfo(float).eps
+        return out
+
+    ref = reference_from_profile(base.profile, dipping)
+    xs = [0.1, 0.9, 0.5]
+    tables = fam.mass_tables(xs)
+    steps = np.arange(9)
+    rows = np.stack([0.2 + steps * np.spacing(0.2), 0.3 - steps * np.spacing(0.3),
+                     0.7 + steps * np.spacing(0.7)])
+    raw = np.array([table.invert(dipping(row)) for table, row in zip(tables, rows)])
+    g = collar._rearrange(tables, ref, rows, xs)
+    for i, row in enumerate(rows):
+        order = np.argsort(row, kind="stable")
+        assert np.any(np.diff(raw[i][order]) < 0.0)    # the dip shows before the lift
+        assert np.all(np.diff(g[i][order]) >= 0.0)
+        assert np.array_equal(g[i], collar._rearrange([tables[i]], ref, row, [xs[i]])[0])
+
+
+def _one_x_error(build):
+    with pytest.raises(MoserTransportError) as info:
+        build()
+    return info.value
+
+
+@pytest.mark.parametrize("expression, xs, bad, stage", [
+    # (1 + x) m has ray mass (1 + x) / 2, short of I_f(0.9) = 0.81 below x = 0.62
+    ("(1 + x) * m", [0.9, 0.8, 0.5, 0.7], 0.5, "collar solve"),
+    # the same, with the raising x in the second block of 8
+    ("(1 + x) * m", [0.9, 0.8, 0.95, 0.85, 0.7, 0.75, 0.65, 0.99, 0.92, 0.5, 0.88], 0.5,
+     "collar solve"),
+    # 2 m + 1/2 - x is negative near m = 0 above x = 1/2
+    ("2 * m + 0.5 - x", [0.1, 0.2, 0.3, 0.75, 0.4], 0.75, "collar ray mass"),
+])
+def test_a_stacked_collar_failure_names_its_own_x(expression, xs, bad, stage):
+    fam = family_from_expression(expression, x_range=(0.0, 1.0), normalize=False)
+    ref = reference_from_profile(
+        lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
+        lambda t: 0.9 * np.asarray(t, dtype=float),
+    )
+    own = _one_x_error(lambda: build_collar_map(fam, ref, bad, t_grid=[0.1, 0.9]))
+    assert str(own).startswith(f"{stage} at x={bad!r}: ")
+    stacked = _one_x_error(lambda: build_collar_map(fam, ref, xs, t_grid=[0.1, 0.9]))
+    assert type(stacked) is type(own) and str(stacked) == str(own)
+    # the values that do not raise build as a plan
+    assert len(build_collar_map(fam, ref, [x for x in xs if x != bad], t_grid=[0.1, 0.9])) \
+        == len(xs) - 1
+
+
+def test_a_stacked_rearrangement_failure_names_its_own_row():
+    fam = builtin_family("h_power", alpha=2.0)
+    ref = make_reference(fam, margin=0.5)
+    xs = [0.1, 0.2, 0.3]
+    tables = fam.mass_tables(xs)
+    rows = np.array([[0.2, 0.5], [0.3, 0.6], [0.4, np.nan]])
+    own = _one_x_error(lambda: collar._rearrange(tables[2:], ref, rows[2:], xs[2:]))
+    stacked = _one_x_error(lambda: collar._rearrange(tables, ref, rows, xs))
+    assert type(stacked) is type(own) is InfeasibilityError
+    assert str(stacked) == str(own) == "collar solve at x=0.3: collar coordinate t outside [0, 1]"
+
+
+def test_a_plan_that_raises_nothing_makes_one_pass_a_block(monkeypatch):
+    # 20 values: three stacked ray-mass passes and three Newton loops, one for each
+    # block of 8; rows of t take one I_f call a block, and a shared t one in all
+    fam = builtin_family("h_power", alpha=2.0)
+    ref = make_reference(fam, margin=0.5)
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(fam, "mass_tables", spy("tables", fam.mass_tables))
+    monkeypatch.setattr(collar, "invert_tables", spy("newton", collar.invert_tables))
+    xs = list(np.linspace(0.0, 1.0, 20))
+    cms = build_collar_map(fam, ref, xs)
+    assert calls == ["tables"] * 3 + ["newton"] * 3
+    calls.clear()
+    monkeypatch.setattr(ref, "integral_fn", spy("I_f", ref.integral_fn))
+    rows = np.array([np.linspace(0.0, 1.0, 50) ** p for p in range(1, 21)])
+    g = collar._rearrange([cm.mass for cm in cms], ref, rows, xs)
+    assert calls == ["I_f", "newton"] * 3
+    assert all(np.array_equal(row, cm.g_batch(t)) for row, cm, t in zip(g, cms, rows))
+    calls.clear()
+    g = collar._rearrange([cm.mass for cm in cms], ref, rows[4], xs)
+    assert calls == ["I_f"] + ["newton"] * 3
+    assert all(np.array_equal(row, cm.g_batch(rows[4])) for row, cm in zip(g, cms))

@@ -7,7 +7,9 @@ from moser_transport import transport
 from moser_transport import (
     ConfigurationError,
     DegeneracyError,
+    InfeasibilityError,
     IntegrationError,
+    MoserTransportError,
     QuantileTransport,
     ResolutionError,
     build_representation,
@@ -490,3 +492,61 @@ def test_scan_caches_only_complete_maps(kind, monkeypatch):
     got = tf.map_values(xs[0], pts)
     assert tf._mosers[xs[0]].done is None
     assert np.array_equal(got, make().map_values(xs[0], pts))
+
+
+@pytest.fixture(scope="module")
+def h_power_tf():
+    return build_representation(builtin_family("h_power", alpha=2.0), mode="full", grid_n=128)
+
+
+def test_a_nan_collar_coordinate_raises_with_its_x(h_power_tf):
+    with pytest.raises(InfeasibilityError,
+                       match=r"^collar solve at x=0\.3: collar coordinate t outside \[0, 1\]"):
+        h_power_tf.collar_at(0.3).g_batch([np.nan])
+
+
+@pytest.mark.parametrize("points", [[np.nan], [0.5, np.nan]])
+def test_a_nan_point_raises_with_its_x(h_power_tf, points):
+    # NaN is not below v, so it reaches the interior map, whose image must stay in [v, 1]
+    with pytest.raises(IntegrationError, match=r"leaves \[0\.25, 1\] by nan at x=0\.3$"):
+        h_power_tf.map_values(0.3, np.array(points))
+
+
+def test_a_nan_interior_image_raises_with_its_x(h_power_tf):
+    mm = h_power_tf.moser_at(0.3)
+    with pytest.raises(IntegrationError, match=r"leaves \[0\.25, 1\] by nan at x=0\.3$"):
+        h_power_tf._interior_images(0.3, mm, np.array([np.nan, 0.5]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["example1", "h_power", "affine"]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=2),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_images_equal_one_x_map_values_bit_for_bit(name, fractions, picks, extra):
+    # a plan's collars, its shared I_f below v and its stacked interior inversion
+    # give each value what map_values gives it on a family that cached nothing
+    def make():
+        return build_representation(builtin_family(name), mode="full", grid_n=128, steps=32)
+
+    lo, hi = builtin_family(name).x_range
+    xs = [lo + f * (hi - lo) for f in fractions]
+    for i in picks:    # a duplicate and a 1-ulp neighbour
+        x = xs[i % len(xs)]
+        xs += [x, float(np.nextafter(x, hi if x < hi else lo))]
+    v = 0.25
+    pts = np.array([0.0, 1e-9, np.nextafter(v, 0.0), v, np.nextafter(v, 1.0), 0.5, 1.0] + extra)
+    def outcome(run):
+        try:
+            return run()
+        except MoserTransportError as exc:    # a subnormal point fails the Newton iteration
+            return type(exc), str(exc)
+
+    fresh = make()
+    want = [outcome(lambda: fresh.map_values(x, pts)) for x in xs]
+    got = outcome(lambda: make().images(xs, pts))
+    if isinstance(got, tuple):    # the plan raises what one of its values raises alone
+        assert got in [w for w in want if isinstance(w, tuple)]
+    else:
+        for row, one in zip(got, want):
+            assert np.array_equal(row, one)
