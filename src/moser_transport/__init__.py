@@ -21,7 +21,6 @@ from .density import (
     library_envelopes,
     make_envelope,
     make_reference,
-    reference_from_profile,
 )
 from .diagnostics import (
     ExpectationReport,

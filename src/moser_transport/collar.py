@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import MassTable, invert_tables
-from .diagnostics import _split_on_failure
+from .density import MassTable, _split_on_failure, invert_tables
 from .errors import DegeneracyError, InfeasibilityError, MoserTransportError, ResolutionError
 
 

@@ -10,14 +10,16 @@ Gauss rule, pair_refine, serves every integral on [0, 1]: MassTable, the one
 cumulative mass and its inverse (collar, CDFs, quantiles), and
 probe_integrals, the signed integrals of the masses, normalisers, E_h and
 the decay checker.  Each integrates one row, or with ``xs`` one row per x
-of fn(x, .) in the same calls, which the W_inf and E_h diagnostics use;
+of fn(x, .) in the same calls (W_inf, E_h, the collar, the checker);
 invert_tables runs the inversions of several tables as one Newton loop.
 A row's results equal its one-row pass bit for bit.
 
 The decay machinery consists of envelope pairs (E, B) with a closure
 constant A, a small library of candidate envelopes, and a sampling-based
-checker for the three decay inequalities.  A PASS is evidence at probe
-resolution, not a proof, and the report says so.
+checker for the three decay inequalities, which reads rho and each
+derivative table entry in one call over its (x, a, t) probe grid, as
+make_reference reads rho.  A PASS is evidence at probe resolution, not a
+proof, and the report says so.
 """
 
 import functools
@@ -174,6 +176,21 @@ def probe_integrals(fn, marks, bound, xs=None):
     return (vals[0], drifts[0]) if xs is None else (np.array(vals), np.array(drifts))
 
 
+def _split_on_failure(run, n):
+    """run(rows) over the row indices 0..n-1 in one pass, which returns one result
+    per row; where a pass raises, its rows run again in halves until each
+    raising row runs alone.  Returns per row its result, or the error of its
+    own pass."""
+    def go(rows):
+        try:
+            return list(run(rows))
+        except MoserTransportError as exc:
+            if rows.size == 1:
+                return [exc]
+            return go(rows[:rows.size // 2]) + go(rows[rows.size // 2:])
+    return go(np.arange(n)) if n else []
+
+
 def _resolved_integrals(fn, marks, bound):
     """probe_integrals that raises ResolutionError where a drift exceeds bound."""
     vals, drift = probe_integrals(fn, marks, bound)
@@ -264,7 +281,8 @@ def invert_tables(tables, which, targets):
     crawling on a rough residual), is replaced by bisection, so the bracket
     keeps shrinking.  A point stops when its step is below 4 eps relative,
     its mass residual below 4 eps relative where rho > 0 (inside a flat run
-    a zero residual does not stop it), or its bracket below 4 eps relative;
+    a zero residual does not stop it), or its bracket below 4 eps relative
+    or too short to bisect (subnormal, where the relative tests underflow);
     it keeps the iterate whose residual was evaluated.  Every step is
     elementwise, so a target's result does not depend on the others.
     Targets at or below 0 give 0 and targets at or above their table's
@@ -327,9 +345,10 @@ def invert_tables(tables, which, targets):
         hi[rows[above]] = gi[above]
         lo[rows[~above]] = gi[~above]
         lo_r, hi_r = lo[rows], hi[rows]
+        mid = 0.5 * (lo_r + hi_r)
         done = ((np.abs(step) <= 4 * _EPS * gi)
                 | ((np.abs(resid) <= 4 * _EPS * T[rows]) & (slope > 0.0))
-                | (hi_r - lo_r <= 4 * _EPS * hi_r))
+                | (hi_r - lo_r <= 4 * _EPS * hi_r) | ~(mid > lo_r) | ~(mid < hi_r))
         g[act[rows[done]]] = gi[done]
         resid_done[rows[done]] = np.abs(resid[done])
         keep = ~done
@@ -364,8 +383,8 @@ class DensityFamily:
     stacked integrals pass it), each entry equal bit for bit to the call at
     its own scalar x.  For 1D domains coords is ``(m,)``; for 2D domains
     ``(a, t)`` with ``t`` the collar coordinate.  ``exact_derivs`` maps
-    ``(bx, jt)`` to the evaluator of D_x^bx D_t^jt rho.  All evaluators are
-    pure, so concurrent evaluation is safe.
+    ``(bx, jt)`` to the evaluator of D_x^bx D_t^jt rho, which takes x the
+    same way.  All evaluators are pure, so concurrent evaluation is safe.
     """
 
     domain: Domain
@@ -784,23 +803,15 @@ class ReferenceDensity:
         return float(self.integral(1.0))
 
 
-def reference_from_profile(profile_fn, integral_fn=None):
-    """Reference density from closed-form callables (mainly for tests/fixtures)."""
-    if integral_fn is None:
-        def integral_fn(t):
-            out = _resolved_integrals(profile_fn, np.atleast_1d(t), 1e-10)
-            return out if np.ndim(t) else float(out[0])
-    return ReferenceDensity(profile_fn=profile_fn, integral_fn=integral_fn)
-
-
 def make_reference(fam, margin=0.5, t_floor=1e-8):
     """Reference f = (1-margin) * min_x rho, collar-constant and monotone in t.
 
-    The pointwise minimum over 41 sampled x (and over the boundary coordinate
+    The pointwise minimum over 41 sampled x (and over 16 boundary coordinates
     for 2D domains) is tabulated on 500 log-refined t-nodes, pushed down to a
     nondecreasing-in-t envelope (suffix minimum from the interior), and
     interpolated monotonically.  Below the first node the profile continues
-    by its fitted power law.
+    by its fitted power law.  Domination rho > f is checked on 83 x by 97 t
+    (by 8 boundary coordinates in 2D), naming the first x that fails.
     """
     if not 0 < margin < 1:
         raise ConfigurationError(f"margin must lie in (0, 1), got {margin}")
@@ -808,16 +819,7 @@ def make_reference(fam, margin=0.5, t_floor=1e-8):
     ts = np.geomspace(t_floor, 1.0, 500)
     ts[-1] = 1.0
     lo, hi = fam.x_range
-    xs = np.linspace(lo, hi, 41)
-
-    if dom.dim == 1:
-        raw = np.min(np.stack([np.asarray(fam.fn(x, ts), dtype=float) for x in xs]), axis=0)
-    else:
-        a_nodes = np.linspace(0.0, dom.circumference, 17)[:-1]
-        aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
-        stacked = np.stack([np.asarray(fam.fn(x, aa, tt), dtype=float) for x in xs])
-        raw = stacked.min(axis=0).min(axis=0)  # min over x then over a
-
+    raw = _on_grid(fam, np.linspace(lo, hi, 41), 16, ts)[1].min(axis=0).min(axis=0)  # x, then a
     raw = (1.0 - margin) * raw
     if dom.has_boundary:
         mono = np.minimum.accumulate(raw[::-1])[::-1]
@@ -877,19 +879,26 @@ def make_reference(fam, margin=0.5, t_floor=1e-8):
     # domination on a verification grid denser in x than the build grid
     check_x = np.linspace(lo, hi, 83)
     check_t = np.geomspace(t_floor, 1.0, 97)
-    fvals = ref.profile(check_t)
-    for x in check_x:
-        if dom.dim == 1:
-            rv = np.asarray(fam.fn(x, check_t), dtype=float)
-        else:
-            a_nodes = np.linspace(0.0, dom.circumference, 9)[:-1]
-            aa, tt = np.meshgrid(a_nodes, check_t, indexing="ij")
-            rv = np.asarray(fam.fn(x, aa, tt), dtype=float).min(axis=0)
-        if np.any(rv - fvals <= 0):
-            raise DegeneracyError(
-                f"reference domination rho > f violated at x={x:g} on the verification grid"
-            )
+    below = np.any(_on_grid(fam, check_x, 8, check_t)[1].min(axis=1) - ref.profile(check_t) <= 0,
+                   axis=1)
+    if np.any(below):
+        raise DegeneracyError(f"reference domination rho > f violated at "
+                              f"x={check_x[np.argmax(below)]:g} on the verification grid")
     return ref
+
+
+def _coords(dom, a, t):
+    """The coordinates fn takes at boundary coordinate a and collar coordinate t."""
+    return (t,) if dom.dim == 1 else (a, t)
+
+
+def _on_grid(fam, xs, n_a, ts):
+    """The (x, a, t) mesh of xs, n_a equispaced boundary coordinates (a = 0
+    alone in 1D) and ts, and rho on it from one fn call."""
+    dom = fam.domain
+    a_nodes = [0.0] if dom.dim == 1 else np.linspace(0.0, dom.circumference, n_a + 1)[:-1]
+    X, A, T = np.meshgrid(xs, a_nodes, ts, indexing="ij")
+    return (X, A, T), np.broadcast_to(np.asarray(fam.fn(X, *_coords(dom, A, T)), float), X.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,96 +1043,89 @@ def _x_probe_nodes(x_range, n=7):
     return np.array(sorted(set(round(v, 15) for v in nodes)))
 
 
-def check_decay_assumptions(
-    fam,
-    ref,
-    env,
-    k=None,
-    x_nodes=7,
-    t_nodes=12,
-    t_floor=1e-6,
-):
+def check_decay_assumptions(fam, ref, env, k=None, x_nodes=7, t_nodes=12, t_floor=1e-6):
     """Evaluate the three decay inequalities on a probe grid.
 
+    The probe points are the (x, a, t) grid of the probe x, four boundary
+    coordinates a in 2D (a = 0 alone in 1D) and t_nodes geometric t.
     Ratios LHS/RHS are recorded per derivative order; PASS means every
-    sampled ratio is <= 1 (within 1e-6), FAIL carries the witnessing
-    probe point.  The integrated inequality reads int_0^t |D_x^beta rho|
-    at every probe t from one probe_integrals pass per (x, a, beta); a
-    point whose summed pair drift exceeds 1e-9 + 1e-8 of the value,
-    or whose integrand raised, is reported INCONCLUSIVE, never silently
-    passed.  A PASS is evidence at probe resolution only.  Every derivative
-    comes from the family's exact table, evaluated once per (x, a, beta, j)
-    on the probe t where rho > 0.
+    sampled ratio is <= 1 (within 1e-6), FAIL carries the witnessing probe
+    point, the first largest in (x, a, t) order.  rho is one fn call on the
+    grid, and every derivative comes from the family's exact table, one
+    call per (beta, j) on the points where rho > 0.  The integrated
+    inequality reads int_0^t |D_x^beta rho| at every probe t from one
+    stacked probe_integrals pass per (a, beta) over every probe x; a point
+    whose summed pair drift exceeds 1e-9 + 1e-8 of the value, or whose
+    integrand raised at its x (a raising x runs alone, so the reason is its
+    own), is reported INCONCLUSIVE, never silently passed.  A PASS is
+    evidence at probe resolution only.  A, E and B must be positive.
     """
     k = k or fam.k
     quad_tol = 1e-9
     dom = fam.domain
     xs = _x_probe_nodes(fam.x_range, n=x_nodes)
     ts = np.geomspace(t_floor, 1.0, t_nodes)
-    a_nodes = [0.0] if dom.dim == 1 else list(np.linspace(0, dom.circumference, 5)[:-1])
     Es, Bs = env.E_fn(ts), env.B_fn(ts)  # the envelopes depend on t alone
+    if not (env.A > 0 and np.all(Es > 0) and np.all(Bs > 0)):
+        raise ConfigurationError(f"envelope {env.name!r} needs A, E and B positive at the probe t")
+    # E^n and B^n, a row per n = 0..k, by the float pow of the scalar ratios (not numpy's)
+    Ep, Bp = (np.array([[v ** n for v in row.tolist()] for n in range(k + 1)]) for row in (Es, Bs))
+    (X, A, T), rho = _on_grid(fam, xs, 4, ts)
+    a_nodes, live = A[0, :, 0], rho > 0
+    ratios = {}    # key -> its ratio at each probe point, nan where none is recorded
+    for b in range(k + 1):
+        for j in range(k + 1 - b):
+            ratios["derivative", b, j] = r = np.full(X.shape, np.nan)
+            dv = fam.derivative(X[live], _coords(dom, A[live], T[live]), b, j)
+            r[live] = (np.abs(np.broadcast_to(np.asarray(dv, float), rho[live].shape))
+                       / rho[live] / np.broadcast_to(Ep[b] * Bp[j], X.shape)[live])
+
+    vals = np.full((k + 1,) + X.shape, np.nan)    # int_0^t |D_x^beta rho|, per beta
+    drifts = np.full(vals.shape, np.inf)
+    failures = {}    # (beta, x index, a index) -> why its pass raised
+    for ia, a in enumerate(a_nodes):
+        for b in range(k + 1):
+            def integrate(rows, a=a, b=b):
+                integrand = lambda x, s: np.abs(fam.derivative(x, _coords(dom, a, s), b, 0))
+                return zip(*probe_integrals(integrand, ts, quad_tol, xs=xs[rows]))
+            for ix, res in enumerate(_split_on_failure(integrate, xs.size)):
+                if isinstance(res, MoserTransportError):
+                    failures[b, ix, ia] = str(res)
+                else:
+                    vals[b, ix, ia], drifts[b, ix, ia] = res
+    unresolved = live & ~(drifts <= quad_tol + 1e-8 * vals)
+    for b in range(k + 1):
+        ratios["integrated", b, 0] = r = np.full(X.shape, np.nan)
+        ok = live & ~unresolved[b]
+        r[ok] = vals[b][ok] / rho[ok] / np.broadcast_to(Ep[b] / Bs, X.shape)[ok]
+    ratios["closure", k, 0] = Ep[k] / (env.A * Bs)    # one per t, recorded after the grid
+
+    inconclusive = []    # in (x, a, t) order, a vanishing density before each beta
+    for ix, ia, i, s in np.argwhere(np.stack([~live, *unresolved], axis=-1)):
+        entry = {"x": float(xs[ix]), "a": float(a_nodes[ia]), "t": float(ts[i])}
+        if s == 0:
+            entry["reason"] = "vanishing density"
+        else:
+            entry["beta"] = b = int(s) - 1
+            entry["reason"] = (failures.get((b, ix, ia))
+                               or f"pair drift {drifts[b, ix, ia, i]:.3e}")
+        inconclusive.append(entry)
 
     margins = {}
-    inconclusive = []
-    worst = (0.0, None)
-
-    def record(eq, b, j, ratio, witness):
-        nonlocal worst
-        key = (eq, b, j)
-        prev = margins.get(key)
-        if prev is None or ratio > prev["margin"]:
-            margins[key] = {"margin": float(ratio), "witness": witness}
-        if ratio > worst[0]:
-            worst = (float(ratio), witness)
-
-    def coords(a, t):
-        return (t,) if dom.dim == 1 else (a, t)
-
-    for x in xs:
-        for a in a_nodes:
-            integrated = []    # per beta: int_0^t |D_x^beta rho| at every t, drifts, failure
-            for b in range(0, k + 1):
-                try:
-                    vals, drifts = probe_integrals(
-                        lambda s: np.abs(fam.derivative(x, coords(a, s), b, 0)), ts, quad_tol)
-                    integrated.append((vals, drifts, None))
-                except MoserTransportError as exc:
-                    integrated.append((ts * np.nan, ts * np.inf, str(exc)))
-            rho = np.broadcast_to(np.asarray(fam.fn(x, *coords(a, ts)), dtype=float), ts.shape)
-            live = rho > 0
-            pts = coords(a, ts[live])
-            # each table entry once, on the probe t where rho > 0
-            derivs = {(b, j): np.broadcast_to(np.asarray(fam.derivative(x, pts, b, j), float),
-                                              ts[live].shape)
-                      for b in range(k + 1) for j in range(k + 1 - b)} if np.any(live) else {}
-            n = -1    # index of t among the live probe t
-            for i, t in enumerate(ts):
-                if not live[i]:
-                    inconclusive.append({"x": float(x), "a": float(a), "t": float(t),
-                                         "reason": "vanishing density"})
-                    continue
-                n += 1
-                E, B = float(Es[i]), float(Bs[i])
-                rho_val = float(rho[i])
-                for (b, j), dv in derivs.items():
-                    ratio = abs(float(dv[n])) / rho_val / (E ** b * B ** j)
-                    record("derivative", b, j,
-                           ratio, {"x": float(x), "a": float(a), "t": float(t),
-                                   "beta": b, "j": j})
-                for b, (vals, drifts, failure) in enumerate(integrated):
-                    if failure or not drifts[i] <= quad_tol + 1e-8 * vals[i]:
-                        inconclusive.append({"x": float(x), "a": float(a), "t": float(t), "beta": b,
-                                             "reason": failure or f"pair drift {drifts[i]:.3e}"})
-                        continue
-                    ratio = vals[i] / rho_val / (E ** b / B)
-                    record("integrated", b, 0,
-                           ratio, {"x": float(x), "a": float(a), "t": float(t),
-                                   "beta": b, "j": 0})
-
-    for a in a_nodes:
-        for t, E, B in zip(ts, Es.tolist(), Bs.tolist()):
-            ratio = E ** k / (env.A * B)
-            record("closure", k, 0, ratio, {"a": float(a), "t": float(t), "beta": k, "j": 0})
+    firsts = [(0.0, 0, 0, {})]    # per key: its margin, then its witness's place in record order
+    for n, ((eq, b, j), r) in enumerate(ratios.items()):
+        if np.all(np.isnan(r)):
+            continue
+        i = int(np.nanargmax(r))
+        if eq == "closure":
+            witness, place = {"a": float(a_nodes[0]), "t": float(ts[i])}, X.size + i
+        else:
+            witness, place = {"x": float(X.flat[i]), "a": float(A.flat[i]),
+                              "t": float(T.flat[i])}, i
+        witness.update(beta=b, j=j)
+        margins[eq, b, j] = {"margin": float(r.flat[i]), "witness": witness}
+        firsts.append((float(r.flat[i]), -place, -n, witness))
+    worst = max(firsts, key=lambda first: first[:3])
 
     env_ts = np.geomspace(t_floor, 1.0, 64)
     codomain_ok = bool(np.min(env.E_fn(env_ts)) >= 1.0 - 1e-12
@@ -1131,25 +1133,14 @@ def check_decay_assumptions(
 
     domination_margin = None
     if ref is not None:
-        worst_dom = np.inf
-        f_vals = np.asarray(ref.profile(env_ts))
-        for x in xs:
-            for a in a_nodes:
-                rho_vals = np.asarray(fam.fn(x, *coords(a, env_ts)))
-                worst_dom = min(worst_dom, float(np.min(rho_vals - f_vals)))
-        domination_margin = worst_dom
+        domination_margin = float(np.min(_on_grid(fam, xs, 4, env_ts)[1]
+                                         - np.asarray(ref.profile(env_ts))))
 
-    if worst[0] > 1.0 + 1e-6:
-        verdict = "FAIL"
-    elif inconclusive:
-        verdict = "INCONCLUSIVE"
-    else:
-        verdict = "PASS"
-
+    verdict = "FAIL" if worst[0] > 1.0 + 1e-6 else "INCONCLUSIVE" if inconclusive else "PASS"
     return AssumptionReport(
         verdict=verdict,
         worst_margin=worst[0],
-        worst_witness=worst[1] or {},
+        worst_witness=worst[3],
         margins=margins,
         codomain_ok=codomain_ok,
         inconclusive=inconclusive,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import invert_tables, probe_integrals
+from .density import _split_on_failure, invert_tables, probe_integrals
 from .errors import ConfigurationError, DegeneracyError, MoserTransportError
 
 _TINY = np.finfo(float).tiny
@@ -292,21 +292,6 @@ class ExpectationReport:
             "inconclusive_count": len(self.inconclusive),
             "verdict": self.verdict,
         }
-
-
-def _split_on_failure(run, n):
-    """run(rows) over the row indices 0..n-1 in one pass, which returns one result
-    per row; where a pass raises, its rows run again in halves until each
-    raising row runs alone.  Returns per row its result, or the error of its
-    own pass."""
-    def go(rows):
-        try:
-            return list(run(rows))
-        except MoserTransportError as exc:
-            if rows.size == 1:
-                return [exc]
-            return go(rows[:rows.size // 2]) + go(rows[rows.size // 2:])
-    return go(np.arange(n)) if n else []
 
 
 def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):

@@ -13,6 +13,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from moser_transport import (
     QuantileTransport,
+    ReferenceDensity,
     build_collar_map,
     build_representation,
     builtin_family,
@@ -27,7 +28,6 @@ from moser_transport import (
     make_reference,
     parse_density_expression,
     pushforward_histogram_2d,
-    reference_from_profile,
 )
 from moser_transport.cli import main as cli_main
 from oracles import tent_axis_weights
@@ -84,9 +84,9 @@ def test_criterion_02_moser_matches_quantile_oracle():
 
 def test_criterion_03_collar_closed_form():
     fam = family_from_expression("2*m", x_range=(0.0, 1.0), normalize=False)
-    ref = reference_from_profile(
-        lambda s: np.asarray(s, dtype=float),
-        lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
+    ref = ReferenceDensity(
+        profile_fn=lambda s: np.asarray(s, dtype=float),
+        integral_fn=lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
     )
     ts = np.geomspace(1e-6, 1.0, 100)
     cm = build_collar_map(fam, ref, 0.0)

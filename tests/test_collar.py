@@ -9,12 +9,12 @@ from moser_transport import (
     DegeneracyError,
     InfeasibilityError,
     MoserTransportError,
+    ReferenceDensity,
     build_collar_map,
     builtin_family,
     family_from_expression,
     make_domain,
     make_reference,
-    reference_from_profile,
 )
 from moser_transport import collar
 from moser_transport.collar import Cutoff
@@ -28,9 +28,9 @@ def _fam_2s():
 
 
 def _ref_s():
-    return reference_from_profile(
-        lambda s: np.asarray(s, dtype=float),
-        lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
+    return ReferenceDensity(
+        profile_fn=lambda s: np.asarray(s, dtype=float),
+        integral_fn=lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
     )
 
 
@@ -73,9 +73,9 @@ def test_collar_g_closed_form():
 
 def test_collar_g_identity_when_equal():
     fam = family_from_expression("2*m", x_range=(0.0, 1.0), normalize=False)
-    ref = reference_from_profile(
-        lambda s: 2.0 * np.asarray(s, dtype=float),
-        lambda t: np.asarray(t, dtype=float) ** 2,
+    ref = ReferenceDensity(
+        profile_fn=lambda s: 2.0 * np.asarray(s, dtype=float),
+        integral_fn=lambda t: np.asarray(t, dtype=float) ** 2,
     )
     cm = build_collar_map(fam, ref, 0.0)
     for t in (0.1, 0.4, 0.9):
@@ -97,9 +97,9 @@ def test_collar_g_power_pairs(p, t):
 def test_collar_infeasibility():
     # family ray mass 1/2 cannot supply a target of 0.9 * t near t = 1
     fam = family_from_expression("m", x_range=(0.0, 1.0), normalize=False)
-    ref = reference_from_profile(
-        lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
-        lambda t: 0.9 * np.asarray(t, dtype=float),
+    ref = ReferenceDensity(
+        profile_fn=lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
+        integral_fn=lambda t: 0.9 * np.asarray(t, dtype=float),
     )
     cm = build_collar_map(fam, ref, 0.0, t_grid=[0.1])
     with pytest.raises(InfeasibilityError):
@@ -107,9 +107,9 @@ def test_collar_infeasibility():
 
 
 def test_collar_errors_name_stage_and_x():
-    ref = reference_from_profile(
-        lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
-        lambda t: 0.9 * np.asarray(t, dtype=float),
+    ref = ReferenceDensity(
+        profile_fn=lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
+        integral_fn=lambda t: 0.9 * np.asarray(t, dtype=float),
     )
     short = family_from_expression("m", x_range=(0.0, 1.0), normalize=False)
     with pytest.raises(InfeasibilityError,
@@ -222,9 +222,9 @@ def test_g_batch_properties_h_power(alpha, x, ts):
     # closed-form reference f = s^alpha / (2 N(1)) <= rho_x / 2 for every x in [0, 1]
     fam = builtin_family("h_power", alpha=alpha)
     n1 = 1.0 / (alpha + 1) + 0.5 / (alpha + 2)
-    ref = reference_from_profile(
-        lambda s: np.asarray(s, dtype=float) ** alpha / (2 * n1),
-        lambda t: np.asarray(t, dtype=float) ** (alpha + 1) / (2 * n1 * (alpha + 1)),
+    ref = ReferenceDensity(
+        profile_fn=lambda s: np.asarray(s, dtype=float) ** alpha / (2 * n1),
+        integral_fn=lambda t: np.asarray(t, dtype=float) ** (alpha + 1) / (2 * n1 * (alpha + 1)),
     )
     ts = np.sort(np.asarray(ts))
     g = build_collar_map(fam, ref, x).g_batch(ts)
@@ -290,7 +290,7 @@ def test_stacked_rows_are_lifted_one_row_at_a_time():
         out[..., 1::2] *= 1.0 - 8 * np.finfo(float).eps
         return out
 
-    ref = reference_from_profile(base.profile, dipping)
+    ref = ReferenceDensity(profile_fn=base.profile, integral_fn=dipping)
     xs = [0.1, 0.9, 0.5]
     tables = fam.mass_tables(xs)
     steps = np.arange(9)
@@ -322,9 +322,9 @@ def _one_x_error(build):
 ])
 def test_a_stacked_collar_failure_names_its_own_x(expression, xs, bad, stage):
     fam = family_from_expression(expression, x_range=(0.0, 1.0), normalize=False)
-    ref = reference_from_profile(
-        lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
-        lambda t: 0.9 * np.asarray(t, dtype=float),
+    ref = ReferenceDensity(
+        profile_fn=lambda s: 0.9 * np.ones_like(np.asarray(s, dtype=float)),
+        integral_fn=lambda t: 0.9 * np.asarray(t, dtype=float),
     )
     own = _one_x_error(lambda: build_collar_map(fam, ref, bad, t_grid=[0.1, 0.9]))
     assert str(own).startswith(f"{stage} at x={bad!r}: ")

@@ -518,6 +518,19 @@ def test_a_nan_interior_image_raises_with_its_x(h_power_tf):
         h_power_tf._interior_images(0.3, mm, np.array([np.nan, 0.5]))
 
 
+def test_a_subnormal_point_maps_below_its_normal_neighbours():
+    # at a subnormal target every relative stop test of the Newton inversion
+    # underflows; the inversion once ran to its cap there and raised
+    fam = builtin_family("affine")
+    tf = build_representation(fam, mode="full", grid_n=128)
+    images = tf.map_values(0.3, np.array([5e-324, 1e-315, 1e-310, 1e-308, 1e-300]))
+    assert images[0] >= 0.0 and np.all(np.diff(images) > 0.0) and images[-1] < 1e-299
+    table = fam.mass_table(0.3)
+    for target in (5e-324, 1e-315, 1e-310):
+        g = table.invert(target)
+        assert table.cdf(np.nextafter(g, 0.0)) <= target <= table.cdf(np.nextafter(g, 1.0))
+
+
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(["example1", "h_power", "affine"]),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
