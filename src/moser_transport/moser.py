@@ -14,7 +14,8 @@ bounded axes and FFT on periodic ones, both from numpy's real FFT
 (``_dct1``, ``_fft_real``), so the Poisson solve is one direct transform
 pair.  RK4 runs over grid nodes, never over query points, through one
 multilinear interpolator; map queries interpolate the node images (PCHIP
-in 1D, the multilinear node displacement in 2D).
+in 1D, the multilinear node displacement in 2D).  The interpolator reads
+difference rows (``_difference_rows``), built per sweep or 2D query, never stored.
 
 ``moser_map_from_values`` is the one build path.  It takes a plan: one or
 more parameter values whose densities are known up front, and optionally
@@ -220,65 +221,83 @@ def gradient(grid, values):
     return tuple(comps)
 
 
-_CORNERS = np.array([[0], [1]], dtype=np.intp)
+def _axis_constants(grid):
+    """(lo, spacing, n, periodic) of each axis, as ``_lookup`` reads them."""
+    return tuple((ax.lo, ax.spacing, ax.n, ax.periodic) for ax in grid.axes)
 
 
-def _corners(grid, points):
-    """(flat, fracs): the flat node indices, (2,) * dim + (N,), and the per-axis
-    fractions that multilinear interpolation at (N,) or (N, 2) points reads.
+def _next(grid, axis):
+    """Each node's flat neighbour up ``axis``: wrapped on a circle, held at a bounded end."""
+    ax = grid.axes[axis]
+    up = np.arange(1, ax.n + 1)
+    up[-1] = 0 if ax.periodic else ax.n - 1
+    return np.arange(math.prod(grid.shape)).reshape(grid.shape).take(up, axis=axis).ravel()
 
-    Cell and fraction follow from the uniform spacing; periodic axes wrap,
-    bounded axes hold their end values outside the grid, so every flat index
-    lies in [0, n_nodes) and an offset moves it into another grid's block.
-    """
-    pts = points.reshape(-1, grid.dim)
-    flat, fracs, stride = None, [], 1
-    for i in reversed(range(grid.dim)):
-        ax = grid.axes[i]
-        rel = (pts[:, i] - ax.lo) / ax.spacing
-        if ax.periodic:
+
+def _lookup(axes, points, next1=None):
+    """(index, fracs): the flat index of each (N,) or (N, 2) point's lower cell node, or
+    in 2D with ``next1 = _next(grid, 1)`` the (2, N) pair of it and the node up axis 1,
+    and the fraction on each axis.  Periodic axes wrap and bounded ones hold their ends,
+    so every index lies in [0, n_nodes) and an offset moves it into another block."""
+    pts = points.reshape(-1, len(axes))
+    index, fracs = None, []
+    for i, (lo, spacing, n, periodic) in enumerate(axes):
+        rel = (pts[:, i] - lo) / spacing
+        if periodic:
             cell = np.floor(rel)
             lower = cell.astype(np.intp)
-            lower %= ax.n  # one wrap a point: the upper corner is lower + 1 or 0
-            corner = lower + _CORNERS
-            np.copyto(corner[1], 0, where=corner[1] == ax.n)
+            lower %= n
         else:
-            np.minimum(np.maximum(rel, 0.0, out=rel), ax.n - 1, out=rel)
-            cell = np.minimum(rel.astype(np.intp), ax.n - 2)
-            corner = cell + _CORNERS
+            np.minimum(np.maximum(rel, 0.0, out=rel), n - 1, out=rel)
+            cell = lower = np.minimum(rel.astype(np.intp), n - 2)
         fracs.append(rel - cell)
-        # the corner pair of axis i on its own axis of a (2,) * dim + (N,) index
-        corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
-        flat = corner if flat is None else flat + corner * stride
-        stride *= ax.n
-    return flat, fracs
+        index = lower if index is None else index * n + lower
+    return (index if next1 is None else np.stack([index, next1.take(index)])), fracs
+
+
+def _difference_rows(grid, blocks):
+    """Fields-major node data blocks (nf, n_nodes) of one grid side by side, over their
+    differences F[up] - F to the node up axis 0 (``_next``): (2 nf, n_blocks n_nodes)."""
+    nf = len(blocks[0])
+    rows = np.empty((2 * nf, len(blocks) * blocks[0].shape[1]))
+    f, d = (half.reshape(nf, len(blocks), -1) for half in np.split(rows, 2))
+    np.concatenate(blocks, axis=1, out=rows[:nf])
+    f.take(_next(grid, 0), axis=2, out=d, mode="clip")
+    d -= f
+    return rows
+
+
+def _interpolate(rows, index, fracs):
+    """``_difference_rows`` interpolated at the cells of ``_lookup``: (nf, N).  The lerp
+    along axis 0 is D f0 + F, the arithmetic of (F1 - F0) f0 + F0."""
+    vals = rows.take(index, axis=1)
+    nf = len(rows) // 2
+    lerp = vals[nf:]
+    # in place: fresh temporaries of this size cost more than the arithmetic
+    lerp *= fracs[0]
+    lerp += vals[:nf]
+    if len(fracs) == 2:
+        low = lerp[:, 0]
+        lerp = lerp[:, 1] - low
+        lerp *= fracs[1]
+        lerp += low
+    return lerp
 
 
 def _reads(grid, points):
-    """(flat, fracs): the flat indices of the nodes a map query at (N,) or (N, 2)
-    ``points`` reads and, in 2D, the fractions that blend them (``_corners``).
+    """The flat indices of the nodes a map query at (N,) or (N, 2) ``points`` reads.
 
-    In 1D: each point's PCHIP cell i reads only nodes i - 1 ... i + 2, and
-    ``MoserMap.evaluate`` clips to the two end nodes; fracs is None.
+    In 2D: the four corners of each point's cell (``_lookup``).  In 1D: each
+    point's PCHIP cell i reads only nodes i - 1 ... i + 2, and
+    ``MoserMap.evaluate`` clips to the two end nodes.
     """
     if grid.dim == 2:
-        return _corners(grid, points)
+        pair, _ = _lookup(_axis_constants(grid), points, _next(grid, 1))
+        return np.concatenate([pair, _next(grid, 0).take(pair)])
     n = grid.axes[0].n
     cell = np.clip(np.searchsorted(grid.nodes(0), np.ravel(points), side="right") - 1, 0, n - 2)
     stencil = np.clip(cell + np.arange(-1, 3)[:, None], 0, n - 1)
-    return np.concatenate([stencil.ravel(), [0, n - 1]]), None
-
-
-def _blend(F, flat, fracs):
-    """Fields-major node data F (nf, n_nodes) blended over the corners of ``_corners``: (nf, N)."""
-    vals = F.take(flat, axis=1)
-    for frac in reversed(fracs):
-        # in place: fresh temporaries of this size cost more than the arithmetic
-        lerp = vals[:, 1] - vals[:, 0]
-        lerp *= frac
-        lerp += vals[:, 0]
-        vals = lerp
-    return vals
+    return np.concatenate([stencil.ravel(), [0, n - 1]])
 
 
 class VelocityProvider:
@@ -287,12 +306,16 @@ class VelocityProvider:
     Gradient and densities are interpolated multilinearly from their grid
     samples; the time dependence enters only through the denominator, so a
     single potential solve serves all deformation times.  ``node_data``
-    holds grad u, rho0 and rho_x - rho0 fields-major; ``offset``, set only
-    on a stacked provider, is added to each point's flat node index.
+    holds grad u, rho0 and rho_x - rho0 fields-major.  ``stack`` builds the
+    difference rows of a sweep, which no provider stores (called unstacked, a
+    provider builds its own for the call).
     """
+
+    rows = None
 
     def __init__(self, grid, potential, rho0_values, rhox_values, c_min):
         self.grid = grid
+        self.axes = _axis_constants(grid)
         rho0 = np.asarray(rho0_values, dtype=float)
         drho = np.asarray(rhox_values, dtype=float) - rho0
         self.c_min = float(c_min)
@@ -307,31 +330,29 @@ class VelocityProvider:
                 )
         fields = np.stack([*gradient(grid, potential.values), rho0, drho])
         self.node_data = fields.reshape(grid.dim + 2, -1)
-        self.offset = None
 
     @classmethod
     def stack(cls, providers, n_seeds):
-        """The providers of one grid as one, over blocks of ``n_seeds`` points side by side.
-
-        Block b reads provider b's node data through an offset of b node counts
-        (``_corners`` wraps every periodic axis, so no index leaves its block),
-        with that provider's arithmetic per point.  One provider stacks as itself.
-        """
-        if len(providers) == 1:
-            return providers[0]
+        """The velocity of one sweep over blocks of ``n_seeds`` points side by side: block
+        b reads provider b's difference rows through an offset of b node counts, with
+        that provider's arithmetic per point."""
         stacked = copy.copy(providers[0])
-        n = stacked.node_data.shape[1]
-        stacked.node_data = np.concatenate([p.node_data for p in providers], axis=1)
-        stacked.offset = np.repeat(np.arange(len(providers)) * n, n_seeds)
+        grid, n, k = stacked.grid, stacked.node_data.shape[1], len(providers)
+        stacked.rows = _difference_rows(grid, [p.node_data for p in providers])
+        stacked.next1 = _next(grid, 1) if grid.dim == 2 else None
+        stacked.offset = np.repeat(np.arange(k) * n, n_seeds) if k > 1 else None
         return stacked
 
     def __call__(self, t, points):
+        if self.rows is None:
+            return self.stack([self], None)(t, points)
         dim = self.grid.dim
-        flat, fracs = _corners(self.grid, points)
+        index, fracs = _lookup(self.axes, points, self.next1)
         if self.offset is not None:
-            flat += self.offset
-        vals = _blend(self.node_data, flat, fracs)
-        v = vals[:dim] / (vals[dim] + t * vals[dim + 1])
+            index += self.offset
+        vals = _interpolate(self.rows, index, fracs)
+        v = vals[:dim]
+        v /= vals[dim] + t * vals[dim + 1]
         return (v[0] if dim == 1 else v.T).reshape(np.shape(points))
 
     def snapshot(self, t):
@@ -356,7 +377,7 @@ def _clamp_bounded(grid, pts, slack=None, counter=None):
             continue
         over = np.maximum(lo - c, c - hi)
         allowed = ax.spacing if slack is None else slack
-        if np.any(over > allowed):
+        if not np.all(over <= allowed):  # a NaN coordinate fails too
             worst = int(np.argmax(over))
             raise IntegrationError(
                 f"point {float(c[worst]):.6g} lies {float(over[worst]):.3e} "
@@ -448,16 +469,24 @@ class MoserMap:
         return self._images
 
     def evaluate(self, points):
-        """Map points inside the grid; more than 1e-12 outside raises IntegrationError."""
-        pts = _clamp_bounded(self.grid, np.asarray(points, dtype=float), slack=1e-12)
-        if self.done is not None or self.grid.dim == 2:  # a complete PCHIP finds its own cells
-            reads = _reads(self.grid, pts)
-            self._require(reads[0])
+        """Map points inside the grid; a point that is not finite, or that lies more
+        than 1e-12 outside, raises IntegrationError."""
+        pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            rows = pts.reshape(-1, self.grid.dim)
+            bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise IntegrationError(f"query at x={self.x!r}: point {rows[bad].tolist()} is not "
+                                   f"finite", point=bad)
+        pts = _clamp_bounded(self.grid, pts, slack=1e-12)
+        if self.done is not None:  # a complete map reads every node
+            self._require(_reads(self.grid, pts))
         if self.grid.dim == 1:
             # PCHIP through monotone data stays within it; the clip only removes rounding
             return np.clip(self.interpolant(pts), self._images[0], self._images[-1])
         # bounded coordinates are convex combinations of node images; the clamp is rounding
-        moved = pts + _blend(self.interpolant, *reads).T.reshape(pts.shape)
+        disp = _interpolate(_difference_rows(self.grid, [self.interpolant]),
+                            *_lookup(self.provider.axes, pts, _next(self.grid, 1)))
+        moved = pts + disp.T.reshape(pts.shape)
         return _wrap_periodic(self.grid, _clamp_bounded(self.grid, moved, slack=1e-12))
 
 
@@ -549,7 +578,7 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
               for x, rhox in zip(xs, rhox_values)]
     done = np.full(rho0_values.size, points is None)
     if points is not None:
-        done[_reads(grid, np.asarray(points, dtype=float))[0]] = True
+        done[_reads(grid, np.asarray(points, dtype=float))] = True
     todo = np.flatnonzero(done)
     nodes = np.stack(grid.meshes(), axis=-1).reshape(done.size, -1).squeeze()  # (n,) in 1D
     built = []

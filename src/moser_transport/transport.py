@@ -487,11 +487,22 @@ def _probe_images(map_family, x_grids, k, points):
     return lambda x: table[float(x)]
 
 
-def _ck_report(images, x_range, x_grid, k):
-    """The CkReport of the order-1..k probes of x_grid, read through images(x)."""
+def _ck_report(images, map_family, x_grid, k):
+    """The CkReport of the order-1..k probes of x_grid, read through images(x).  Periodic
+    image components are unwrapped to within half a period of the first difference
+    node's, so an image that crosses the seam is no jump of one period."""
+    domain = getattr(map_family, "domain", None)  # QuantileTransport has none
+    axes = () if domain is None else default_grid(domain, 2).axes
+    circles = [(i, ax.length) for i, ax in enumerate(axes) if ax.periodic]
+
     def magnitude(x, j, h):
+        def unwrapped(node, first=images(difference_nodes(x, j, h)[0])):
+            img = images(node).copy() if circles else images(node)
+            for i, period in circles:
+                img[:, i] -= period * np.round((img[:, i] - first[:, i]) / period)
+            return img
         # maps into 2D domains: the euclidean norm of the differenced components
-        d = central_difference(images, x, j, h)
+        d = central_difference(unwrapped, x, j, h)
         return np.linalg.norm(d, axis=-1) if d.ndim == 2 else d
 
     sups = {}
@@ -501,7 +512,7 @@ def _ck_report(images, x_range, x_grid, k):
         best = 0.0
         n_stable = 0
         n_tot = 0
-        for x, h in _ck_probes(x_range, x_grid, j):
+        for x, h in _ck_probes(map_family.x_range, x_grid, j):
             d_h = magnitude(x, j, h)
             mags = np.abs(magnitude(x, j, h / 2))
             best = max(best, float(mags.max()))  # a NaN in mags leaves best as it was
@@ -522,7 +533,7 @@ def estimate_uniform_Ck(map_family, m_grid, x_grid, k=1):
     unstable.  Divergence is a finding for the caller, not an error.
     """
     images = _probe_images(map_family, [x_grid], k, np.asarray(m_grid, dtype=float))
-    return _ck_report(images, map_family.x_range, x_grid, k)
+    return _ck_report(images, map_family, x_grid, k)
 
 
 @dataclass
@@ -593,8 +604,7 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
     sups = {j: [] for j in range(1, k + 1)}
     reports = []
     for x_grid, lo, hi in zip(x_grids, ends[:-1], ends[1:]):
-        rep = _ck_report(lambda x, rows=slice(lo, hi): images(x)[rows],
-                         map_family.x_range, x_grid, k)
+        rep = _ck_report(lambda x, rows=slice(lo, hi): images(x)[rows], map_family, x_grid, k)
         reports.append(rep)
         for j in range(1, k + 1):
             sups[j].append(rep.sups[j])

@@ -6,6 +6,10 @@ that have one in closed form; ``CDF["h_power"]`` takes the builtin's alpha.
 evaluators, with every power taken by pow.  ``tent_axis_weights`` integrates
 the tent weight functions of the 2D pushforward deposit along one axis, and
 ``cic_deposit_add_at`` is that deposit as four np.add.at calls, one a corner.
+``CornerVelocity`` is the RK4 velocity of stacked providers as a gather of
+every cell corner computes it (``corners``, ``blend``), and ``corner_query``
+the 2D map query in the same arithmetic: the oracles of the difference-row
+interpolation of ``moser``.
 """
 
 import numpy as np
@@ -102,3 +106,72 @@ def cic_deposit_add_at(imgs, bins, L, weights=None):
     np.add.at(counts, (ia1, it), w * fa * (1 - ft))
     np.add.at(counts, (ia1, it + 1), w * fa * ft)
     return counts
+
+
+_CORNERS = np.array([[0], [1]], dtype=np.intp)
+
+
+def corners(grid, points):
+    """(flat, fracs): the flat node indices, (2,) * dim + (N,), and the per-axis
+    fractions that multilinear interpolation at (N,) or (N, 2) points reads.
+
+    Cell and fraction follow from the uniform spacing; periodic axes wrap,
+    bounded axes hold their end values outside the grid.
+    """
+    pts = points.reshape(-1, grid.dim)
+    flat, fracs, stride = None, [], 1
+    for i in reversed(range(grid.dim)):
+        ax = grid.axes[i]
+        rel = (pts[:, i] - ax.lo) / ax.spacing
+        if ax.periodic:
+            cell = np.floor(rel)
+            lower = cell.astype(np.intp)
+            lower %= ax.n  # one wrap a point: the upper corner is lower + 1 or 0
+            corner = lower + _CORNERS
+            np.copyto(corner[1], 0, where=corner[1] == ax.n)
+        else:
+            np.minimum(np.maximum(rel, 0.0, out=rel), ax.n - 1, out=rel)
+            cell = np.minimum(rel.astype(np.intp), ax.n - 2)
+            corner = cell + _CORNERS
+        fracs.append(rel - cell)
+        # the corner pair of axis i on its own axis of a (2,) * dim + (N,) index
+        corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
+        flat = corner if flat is None else flat + corner * stride
+        stride *= ax.n
+    return flat, fracs
+
+
+def blend(F, flat, fracs):
+    """Fields-major node data F (nf, n_nodes) blended over the corners of ``corners``: (nf, N)."""
+    vals = F.take(flat, axis=1)
+    for frac in reversed(fracs):
+        lerp = vals[:, 1] - vals[:, 0]
+        lerp *= frac
+        lerp += vals[:, 0]
+        vals = lerp
+    return vals
+
+
+class CornerVelocity:
+    """V_t of ``providers`` (``moser.VelocityProvider``) over blocks of ``n_seeds``
+    points side by side, from their node data blended over every cell corner."""
+
+    def __init__(self, providers, n_seeds):
+        self.grid = providers[0].grid
+        self.node_data = np.concatenate([p.node_data for p in providers], axis=1)
+        n = providers[0].node_data.shape[1]
+        self.offset = np.repeat(np.arange(len(providers)) * n, n_seeds)
+
+    def __call__(self, t, points):
+        dim = self.grid.dim
+        flat, fracs = corners(self.grid, points)
+        flat += self.offset
+        vals = blend(self.node_data, flat, fracs)
+        v = vals[:dim] / (vals[dim] + t * vals[dim + 1])
+        return (v[0] if dim == 1 else v.T).reshape(np.shape(points))
+
+
+def corner_query(grid, displacement, points):
+    """The multilinear displacement query of a 2D map at points on the grid, unwrapped:
+    points plus ``displacement`` (2, n_nodes) blended over every cell corner."""
+    return points + blend(displacement, *corners(grid, points)).T.reshape(points.shape)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +26,9 @@ from moser_transport import (
 )
 from moser_transport import moser
 from moser_transport.geometry import Pchip
+from oracles import CornerVelocity, corner_query
 from moser_transport.moser import (
+    PotentialField,
     VelocityProvider,
     apply_stiffness,
     gradient,
@@ -630,7 +633,7 @@ def test_spectral_solve_on_torus_matches_scipy_to_rounding():
 
 
 def _corners_flat_by_remainder(grid, points):
-    """The flat corner indices of ``moser._corners`` with both periodic corners taken % n."""
+    """The flat cell corner indices of 2D points, (4, N), with both periodic corners taken % n."""
     pts = points.reshape(-1, grid.dim)
     flat, stride = None, 1
     for i in reversed(range(grid.dim)):
@@ -644,7 +647,7 @@ def _corners_flat_by_remainder(grid, points):
         corner = corner.reshape((1,) * i + (2,) + (1,) * (grid.dim - 1 - i) + (-1,))
         flat = corner if flat is None else flat + corner * stride
         stride *= ax.n
-    return flat
+    return flat.reshape(4, -1)
 
 
 @settings(deadline=None)
@@ -655,14 +658,80 @@ def test_corners_wrap_each_periodic_cell_once(make_grid, n, pts):
     # cells below 0 and at or above n included: the upper corner is the lower + 1, or 0
     grid = make_grid(n, n + 1)
     points = np.array(pts + [(1.0 - 1.0 / n, 0.5), (-1.0 / n, 0.5), (1.0, 1.0)])
-    flat, _ = moser._corners(grid, points)
+    flat = moser._reads(grid, points)
     assert flat.dtype == np.intp
     assert np.array_equal(flat, _corners_flat_by_remainder(grid, points))
 
 
+def _random_provider(grid, seed):
+    """A provider of random node data: a potential of amplitude a tenth of a cell,
+    and densities in [1, 1.3)."""
+    rng = np.random.default_rng(seed)
+    spacing = min(ax.spacing for ax in grid.axes)
+    pot = PotentialField(grid, 0.1 * spacing * rng.standard_normal(grid.shape), 0.0, 0)
+    return VelocityProvider(grid, pot, 1 + 0.3 * rng.random(grid.shape),
+                            1 + 0.3 * rng.random(grid.shape), 0.5)
+
+
+def _coordinate(ax):
+    """Nodes, the seam or both ends, and points within two periods of a circle or
+    within one cell outside a bounded axis."""
+    hi = ax.lo + ax.length
+    if ax.periodic:
+        ends = [ax.lo, hi, float(np.nextafter(hi, ax.lo)), -1e-17, -ax.length, 2 * hi]
+        inside = st.floats(ax.lo - 2 * ax.length, hi + 2 * ax.length)
+    else:
+        ends = [ax.lo, hi, ax.lo - ax.spacing, hi + ax.spacing]
+        inside = st.floats(ax.lo - ax.spacing, hi + ax.spacing)
+    return st.one_of(st.sampled_from(ax.nodes.tolist()), st.sampled_from(ends), inside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["interval", "cylinder", "torus"]), n=st.integers(2, 9),
+       n_values=st.integers(1, 5), m=st.integers(1, 6), t=st.floats(0.0, 1.0),
+       steps=st.integers(1, 4), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_difference_rows_equal_the_corner_gather_bit_for_bit(kind, n, n_values, m, t, steps,
+                                                             seed, data):
+    # the sweep's velocity, integrate_flow over it and the 2D map query against the
+    # corner gather of tests/oracles.py, on stacked blocks of m points each
+    grid = {"interval": interval_grid(n, lo=0.25, hi=1.0), "cylinder": cylinder_grid(n, n + 1),
+            "torus": torus_grid(n + 1, n)}[kind]
+    providers = [_random_provider(grid, seed + i) for i in range(n_values)]
+    coords = st.tuples(*map(_coordinate, grid.axes))
+    pts = np.array(data.draw(st.lists(coords, min_size=m * n_values, max_size=m * n_values)))
+    pts = pts.reshape(-1) if grid.dim == 1 else pts
+    velocity, oracle = VelocityProvider.stack(providers, m), CornerVelocity(providers, m)
+    assert np.array_equal(velocity(t, pts), oracle(t, pts))
+    if n_values == 1:
+        assert np.array_equal(providers[0](t, pts), oracle(t, pts))
+
+    def outcome(fn, *args):
+        # its return values, or its IntegrationError's message and point
+        try:
+            return fn(*args)
+        except IntegrationError as exc:
+            return str(exc), exc.point
+
+    def flow(provider):
+        clamps = np.zeros(len(pts), dtype=np.intp)
+        return (*outcome(integrate_flow, provider, pts, steps, clamps), clamps)
+
+    def same(got, expect):
+        assert len(got) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    same(flow(velocity), flow(oracle))
+    if grid.dim == 2:
+        disp = providers[0].node_data[:2]
+        on_grid = moser._clamp_bounded(grid, pts, slack=np.inf)
+        mm = moser.MoserMap(0.0, grid, None, providers[0], None, disp, 0)
+        same([outcome(mm.evaluate, on_grid)], [outcome(lambda: moser._wrap_periodic(
+            grid, moser._clamp_bounded(grid, corner_query(grid, disp, on_grid), slack=1e-12)))])
+
+
 @pytest.mark.parametrize("make_grid", [cylinder_grid, torus_grid], ids=["cylinder", "torus"])
 def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
-    # _corners wraps the periodic leading axis itself, so the seam nodes of a
+    # _lookup wraps the periodic leading axis itself, so the seam nodes of a
     # block (a = 0 and a = 1 - h) read only their own block's node data
     grid = make_grid(8, 7)
     aa, tt = grid.meshes()
@@ -681,6 +750,35 @@ def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
         alone, _ = integrate_flow(provider, seeds, steps=8)
         assert np.array_equal(block, alone)
     assert not np.array_equal(blocks[0], blocks[1])
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.5], [np.inf, 0.5], [0.5, np.nan],
+                                   [0.5, -np.inf], [np.nan]],
+                         ids=["nan-circle", "inf-circle", "nan-bounded", "inf-bounded", "nan-1d"])
+def test_a_map_query_at_a_point_that_is_not_finite_raises(point):
+    # the circle's cell lookup wraps NaN and inf to some cell, and the bounded axis's
+    # clamp let NaN through: neither may answer
+    if len(point) == 1:
+        grid = interval_grid(16)
+        rhox = 1 + 0.2 * np.cos(2 * np.pi * grid.nodes(0))
+    else:
+        grid = cylinder_grid(16, 16)
+        aa, tt = grid.meshes()
+        rhox = 1 + 0.2 * np.cos(2 * np.pi * aa) * np.cos(np.pi * tt)
+    [mm] = moser_map_from_values(np.ones(grid.shape), [rhox], grid, [0.3], steps=8)
+    pts = np.array([[0.25] * grid.dim, point])
+    with pytest.raises(IntegrationError, match=rf"^query at x=0\.3: point "
+                                               rf"{re.escape(str(point))} is not finite$") as err:
+        mm.evaluate(pts.ravel() if grid.dim == 1 else pts)
+    assert err.value.point == 1
+
+
+def test_clamp_raises_for_a_nan_bounded_coordinate():
+    grid = cylinder_grid(8, 8)
+    with pytest.raises(IntegrationError, match=r"^point nan lies nan outside \[0, 1\] on axis 1"):
+        moser._clamp_bounded(grid, np.array([[0.5, 0.5], [0.5, np.nan]]))
+    # NaN on the circle is not the clamp's to judge
+    assert moser._clamp_bounded(grid, np.array([[np.nan, 0.5]])).shape == (1, 2)
 
 
 # -- maps integrate only the grid nodes their queries read ---------------------
@@ -876,7 +974,7 @@ def test_chunked_plan_matches_per_value_sweeps(kind, plan, named, off, sweep_poi
         seeds = grid.nodes(0)
     else:
         seeds = np.stack([c.ravel() for c in grid.meshes()], axis=-1)
-    planned = np.unique(moser._reads(grid, pts)[0])
+    planned = np.unique(moser._reads(grid, pts))
     for mm in built:
         clamps = np.zeros(len(seeds), dtype=np.intp)
         images, total = integrate_flow(mm.provider, seeds, steps=steps, clamps=clamps)
@@ -907,7 +1005,7 @@ def test_a_1d_query_reads_only_the_nodes_reads_names(n, data):
                                                     st.floats(0.25, 1.0)),
                                           min_size=1, max_size=8)))
     read = np.zeros(n, dtype=bool)
-    read[moser._reads(grid, queries)[0]] = True
+    read[moser._reads(grid, queries)] = True
     filled = np.where(read, images, data.draw(st.lists(_finite, min_size=n, max_size=n)))
 
     def evaluate(held):

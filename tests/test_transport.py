@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +400,49 @@ def test_floor_scan_reports_equal_each_floors_own_estimate(make, floors, k, floo
         assert rep == estimate_uniform_Ck(alone, m_grid, x_grid, k=k)
 
 
+def _smooth_2d_family(kind, circumference=1.0):
+    return family_from_expression("1 + 0.2*x*sin(2*pi*a)*sin(2*pi*t)",
+                                  domain=make_domain(kind, circumference=circumference),
+                                  x_range=(-1.0, 1.0), normalize=False)
+
+
+def test_ck_scan_unwraps_periodic_images_across_the_seam():
+    # T_x(p) = p + x (0.3, 0.1), wrapped on the torus: d/dx T_x = (0.3, 0.1) everywhere,
+    # also where the image of one difference node wrapped and the other's did not
+    pts = np.array([[0.99, 0.5], [0.5, 0.97], [0.0, 0.0], [0.4, 0.6]])
+    shift = np.array([0.3, 0.1])
+
+    def images(x):
+        return (pts + x * shift) % 1.0
+
+    x_grid = np.linspace(-0.9, 0.9, 7)
+    torus, plain = _smooth_2d_family("torus"), SimpleNamespace(x_range=(-1.0, 1.0))
+    rep = transport._ck_report(images, torus, x_grid, 1)
+    assert rep.sups[1] == pytest.approx(np.hypot(0.3, 0.1), rel=1e-9)
+    assert rep.richardson_stable[1]
+    assert transport._ck_report(images, plain, x_grid, 1).sups[1] > 10
+    # where no image wraps, unwrapping subtracts zero: the report is the same bit for bit
+    inside = pts[3:]
+    assert (transport._ck_report(lambda x: inside + x * shift, torus, x_grid, 1)
+            == transport._ck_report(lambda x: inside + x * shift, plain, x_grid, 1))
+    # the cylinder's circle is its first coordinate, of period the circumference
+    wrapped = lambda x: (pts + x * shift) % [2.0, 10.0]
+    assert transport._ck_report(wrapped, _smooth_2d_family("cylinder", 2.0), x_grid, 1).sups[1] \
+        == pytest.approx(np.hypot(0.3, 0.1), rel=1e-9)
+
+
+def test_torus_floor_scan_of_a_smooth_family_is_stable():
+    # a node's image crosses the seam t = 0 between the two nodes of a difference at
+    # x = -0.7, p = (0, 0.0261); read as a jump of one period it made the sup 26.6
+    fam = family_from_expression(
+        "1 + 0.3*x*cos(2*pi*a)*sin(2*pi*t) + 0.2*x*sin(2*pi*(a + t))",
+        domain=make_domain("torus"), x_range=(-1.0, 1.0), k=1, normalize=False)
+    tf = build_representation(fam, mode="moser_only", grid_n=32, steps=16, floor=0.4)
+    scan = ck_floor_scan(tf, [1e-1, 1e-2])
+    assert scan.verdict == "STABLE"
+    assert scan.sups[1] == pytest.approx([0.04785, 0.04785], rel=1e-3)
+
+
 def test_floor_scan_queries_each_difference_node_once(monkeypatch):
     qt = QuantileTransport(builtin_family("example1"), ref_x=0.0)
     real = qt.map_values
@@ -507,15 +553,16 @@ def test_a_nan_collar_coordinate_raises_with_its_x(h_power_tf):
 
 @pytest.mark.parametrize("points", [[np.nan], [0.5, np.nan]])
 def test_a_nan_point_raises_with_its_x(h_power_tf, points):
-    # NaN is not below v, so it reaches the interior map, whose image must stay in [v, 1]
-    with pytest.raises(IntegrationError, match=r"leaves \[0\.25, 1\] by nan at x=0\.3$"):
+    # NaN is not below v, so it reaches the interior map, which rejects it
+    with pytest.raises(IntegrationError, match=r"^query at x=0\.3: point \[nan\] is not finite$"):
         h_power_tf.map_values(0.3, np.array(points))
 
 
 def test_a_nan_interior_image_raises_with_its_x(h_power_tf):
-    mm = h_power_tf.moser_at(0.3)
+    # the interior map rejects a NaN point itself, so a map that returns a NaN image stands in
+    mm = mock.Mock(evaluate=lambda points: np.array([np.nan, 0.5]))
     with pytest.raises(IntegrationError, match=r"leaves \[0\.25, 1\] by nan at x=0\.3$"):
-        h_power_tf._interior_images(0.3, mm, np.array([np.nan, 0.5]))
+        h_power_tf._interior_images(0.3, mm, np.array([0.4, 0.5]))
 
 
 def test_a_subnormal_point_maps_below_its_normal_neighbours():
