@@ -3,7 +3,7 @@
 Exit codes (stable contract for CI use):
 
     0  all checks passed
-    1  configuration error (parse or validation), with line/column
+    1  configuration error (parse or validation), with line/column, or a usage error
     2  a finding: FAIL / UNBOUNDED-SUSPECT / BLOWUP-DETECTED / NONSMOOTH-SUSPECT
     3  construction error (a pipeline stage raised)
 
@@ -11,7 +11,8 @@ A command returns 0 or 2 from its verdicts and raises everything else.
 ``main`` alone turns what is raised into 1 or 3: ConfigurationError and
 OSError (an unreadable config, an unwritable output) are 1, and every other
 MoserTransportError is 3, wherever it is raised, from building the family
-to writing the last CSV.
+to writing the last CSV.  A usage error (a missing or malformed flag) is 1 as
+well, with argparse's message on stderr, so 2 always means a finding.
 
 Reports are canonical JSON (stable key order, no timestamps, no absolute
 paths), so identical config + seed reproduce byte-identical files.
@@ -48,7 +49,7 @@ def _report(cfg, command, **body):
             "seed": cfg.pipeline.seed, "config": cfg.to_dict(), **body}
 
 
-def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
+def cmd_represent(cfg, out_dir=None, verbose=False):
     fam = build_family(cfg)
     p = cfg.pipeline
     report_path, csv_dir = _paths(cfg, out_dir)
@@ -69,7 +70,7 @@ def cmd_represent(cfg, out_dir=None, threads=1, verbose=False):
     xs = np.linspace(lo, hi, p.x_samples)
     check = ({"n_samples": p.samples, "bins": p.bins} if fam.domain.dim == 2
              else {"n_fine": p.n_fine})
-    log = tf.verify(xs, threads=threads, **check)
+    log = tf.verify(xs, **check)
     scan = ck_floor_scan(
         tf, p.floors, k=p.ck_order, floor_mode=p.x_floor_mode,
         growth_threshold=p.growth_threshold,
@@ -203,11 +204,12 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--out", default=None, help="output directory (default: cwd)")
     parser.add_argument("--seed", type=int, default=None, help="override pipeline seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads of represent's per-x checks; the other "
-                             "commands run on one")
+    parser.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:    # argparse has printed the help (0) or a usage error
+        return 1 if exc.code else 0
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -215,8 +217,7 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.seed is not None:
             cfg.pipeline.seed = args.seed
-        extra = {"threads": args.threads} if args.command == "represent" else {}
-        return _COMMANDS[args.command](cfg, out_dir=args.out, verbose=args.verbose, **extra)
+        return _COMMANDS[args.command](cfg, out_dir=args.out, verbose=args.verbose)
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -294,7 +294,11 @@ class ExpectationReport:
         }
 
 
-def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
+# Pair-drift tolerance of E_h(x): a drift above it leaves x inconclusive
+_EXPECTATION_TOL = 1e-10
+
+
+def expectation_curve(fam, h, x_grid, k=2):
     """E_h(x) = int h d(mu_x), with smoothness probes.
 
     ``h`` is a callable or a parsed expression over m, evaluated on arrays.
@@ -304,8 +308,8 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
     one row of a single stacked density.probe_integrals pass of
     rho(x, .) h.  Where that pass raises, its rows run again in halves
     until each raising x runs alone.  An x whose pair drift exceeds
-    quad_tol + 1e-12 |E_h(x)|, or whose integrand raised, is inconclusive
-    and has no value; it is listed when a probe first reads it.
+    _EXPECTATION_TOL + 1e-12 |E_h(x)|, or whose integrand raised, is
+    inconclusive and has no value; it is listed when a probe first reads it.
     """
     if hasattr(h, "evaluate"):
         h_fn = lambda m: h.evaluate(m=m)
@@ -321,15 +325,15 @@ def expectation_curve(fam, h, x_grid, k=2, quad_tol=1e-10):
     nodes = np.array(list(dict.fromkeys(reads)))    # distinct by float value, in read order
 
     def integrate(rows):
-        vals, drifts = probe_integrals(lambda x, m: fam.fn(x, m) * h_fn(m), [1.0], quad_tol,
-                                       xs=nodes[rows])
+        vals, drifts = probe_integrals(lambda x, m: fam.fn(x, m) * h_fn(m), [1.0],
+                                       _EXPECTATION_TOL, xs=nodes[rows])
         return zip(vals[:, 0], drifts[:, 0])
 
     outcome = {}    # x -> (E_h(x), None) or (nan, why it is inconclusive)
     for x, res in zip(nodes, _split_on_failure(integrate, nodes.size)):
         if isinstance(res, MoserTransportError):
             outcome[x] = (np.nan, str(res))
-        elif not res[1] <= quad_tol + 1e-12 * abs(res[0]):
+        elif not res[1] <= _EXPECTATION_TOL + 1e-12 * abs(res[0]):
             outcome[x] = (np.nan, f"pair drift {res[1]:.3e}")
         else:
             outcome[x] = (res[0], None)

@@ -133,13 +133,13 @@ def interval_grid(n, lo=0.0, hi=1.0):
     return Grid(axes=(Axis(n=int(n), lo=float(lo), length=float(hi - lo), periodic=False),))
 
 
-def cylinder_grid(na, nt, circumference=1.0, t_lo=0.0, t_hi=1.0):
+def cylinder_grid(na, nt, circumference=1.0):
     if na < 2 or nt < 2:
         raise ConfigurationError("cylinder grid needs at least 2 nodes per axis")
     return Grid(
         axes=(
             Axis(n=int(na), lo=0.0, length=float(circumference), periodic=True),
-            Axis(n=int(nt), lo=float(t_lo), length=float(t_hi - t_lo), periodic=False),
+            Axis(n=int(nt), lo=0.0, length=1.0, periodic=False),
         )
     )
 

@@ -443,8 +443,8 @@ class MoserMap:
     A map may hold only the nodes its plan's points read: ``done`` marks them
     (None when it holds all), the others hold their own positions, and a query
     that reads one, or ``node_images``, raises IntegrationError.  ``clamp_events``
-    counts the clamps of the nodes it holds.  A map never changes once built, so
-    threads may share it.
+    counts the clamps of the nodes it holds.  A map never changes once built,
+    which the caches rely on.
     """
 
     x: float
@@ -515,14 +515,14 @@ def _stage_error(exc, stage, x):
     return type(exc)(f"{stage} at x={float(x)!r}: {exc}")
 
 
-def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass, c_floor):
+def _flow_setup(rho0_values, rhox_values, grid, x, tol, tol_mass):
     """Mass balance, Poisson solve and velocity floor for one x: (potential, provider)."""
     rhox_values = np.asarray(rhox_values, dtype=float)
-    measured = min(float(rho0_values.min()), float(rhox_values.min()))
-    if measured <= 0:
+    measured = float(np.minimum(rho0_values.min(), rhox_values.min()))  # NaN if either has one
+    if not measured > 0:
         raise DegeneracyError(f"densities must be positive on the grid at x={float(x)!r} "
                               f"(min {measured:.3e})")
-    c_min = 0.9 * measured if c_floor is None else c_floor
+    c_min = 0.9 * measured
     stage = "mass balance"
     try:
         rhs = assemble_rhs(rhox_values, rho0_values, grid, tol_mass=tol_mass)
@@ -562,7 +562,7 @@ def _sweep(grid, providers, xs, seeds, steps):
 
 
 def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
-                          tol=1e-10, tol_mass=1e-4, c_floor=None, points=None):
+                          tol=1e-10, tol_mass=1e-4, points=None):
     """Flow maps of a plan: one MoserMap per value of ``xs``, in plan order.
 
     ``rhox_values`` holds one grid density per value, each positive and of
@@ -574,7 +574,7 @@ def moser_map_from_values(rho0_values, rhox_values, grid, xs, steps=256,
     in 2D, at its first failing node displacement.
     """
     rho0_values = np.asarray(rho0_values, dtype=float)
-    setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass, c_floor)
+    setups = [_flow_setup(rho0_values, rhox, grid, x, tol, tol_mass)
               for x, rhox in zip(xs, rhox_values)]
     done = np.full(rho0_values.size, points is None)
     if points is not None:

@@ -19,7 +19,6 @@ uniform reference.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ class TransportFamily:
     value of x, and every cached map is complete.  Callers that know their
     parameter values up front plan them: ``prefetch`` (``verify``) builds
     and caches their maps together, from stacked collar passes and RK4
-    sweeps, before any worker thread starts, so the workers only read them.
+    sweeps.
     ``images`` (the C^k probes) also names its query points: its maps
     integrate only the nodes those read and are dropped once evaluated, and
     its values' collars are queried in stacked passes.  A value outside a
@@ -229,31 +228,23 @@ class TransportFamily:
         return {"x": float(x), "l1_error": l1, "passed": bool(l1 <= self.tol_push),
                 "n_samples": int(n_samples), "bins": int(bins)}
 
-    def verify(self, xs, threads=1, **check):
-        """Per-x pushforward checks on ``threads`` workers, in the order of ``xs``.
+    def verify(self, xs, **check):
+        """Per-x pushforward checks, in the order of ``xs``, after one ``prefetch`` of their maps.
 
         ``check`` goes to the check (n_fine in 1D; n_samples, bins in 2D); full
-        mode adds the collar diagnostics and the t_star / nu_min summary.  The
-        maps of ``xs`` are prefetched before the workers start.
+        mode adds the collar diagnostics and the t_star / nu_min summary.
         """
         self.prefetch(xs)
-
-        def record(x):
-            if self.domain.dim == 2:
-                return self.pushforward_check_2d(x, **check)
-            rec = self.pushforward_check(x, **check)
-            if self.mode == "full":
+        check_x = self.pushforward_check_2d if self.domain.dim == 2 else self.pushforward_check
+        per_x = []
+        for x in xs:
+            rec = check_x(x, **check)
+            if self.mode == "full":    # the interval only
                 rec["interface_gap"] = self.interface_gap(x)
                 cm = self.collar_at(x)
                 rec["t_star_sample"] = cm.t_star_sample()
                 rec["nu_min_past_sixth"] = cm.nu_min_past()
-            return rec
-
-        if threads <= 1:
-            per_x = [record(x) for x in xs]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_x = list(pool.map(record, xs))
+            per_x.append(rec)
         log = {"per_x": per_x, "all_passed": all(r["passed"] for r in per_x)}
         if self.mode == "full":
             log["t_star"] = min(r["t_star_sample"] for r in per_x)
@@ -491,9 +482,8 @@ def _ck_report(images, map_family, x_grid, k):
     """The CkReport of the order-1..k probes of x_grid, read through images(x).  Periodic
     image components are unwrapped to within half a period of the first difference
     node's, so an image that crosses the seam is no jump of one period."""
-    domain = getattr(map_family, "domain", None)  # QuantileTransport has none
-    axes = () if domain is None else default_grid(domain, 2).axes
-    circles = [(i, ax.length) for i, ax in enumerate(axes) if ax.periodic]
+    circles = [(i, ax.length) for i, ax in enumerate(default_grid(map_family.domain, 2).axes)
+               if ax.periodic]
 
     def magnitude(x, j, h):
         def unwrapped(node, first=images(difference_nodes(x, j, h)[0])):
@@ -589,11 +579,11 @@ def ck_floor_scan(map_family, floors, k=1, floor_mode="fixed", m_per_floor=25,
         raise ConfigurationError("floor scan needs at least two floors")
     x_grids = [make_x_grid(map_family.x_range, floor_mode, floor, n=x_nodes)
                for floor in floors]
-    domain = getattr(map_family, "domain", None)
+    domain = map_family.domain
     m_grids = []
     for floor in floors:
         ts = np.geomspace(floor, 1.0, m_per_floor)
-        if domain is not None and domain.dim == 2:
+        if domain.dim == 2:
             a_nodes = np.linspace(0.0, domain.circumference, 5)[:-1]
             aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
             m_grids.append(np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1))
@@ -638,6 +628,7 @@ class QuantileTransport:
 
     def __init__(self, fam, ref_x=None, ref_cdf=None):
         self.fam = fam
+        self.domain = fam.domain
         if ref_cdf is None:
             if ref_x is None:
                 raise ConfigurationError("provide ref_x or ref_cdf")

@@ -463,25 +463,33 @@ def test_cli_dump_fields(tmp_path):
 
 
 def test_cli_threads_flag_and_env(tmp_path):
-    cfg_path = _write(tmp_path, CONSTANT_CFG)
-    for n in (1, 2):
-        assert main(["represent", "--config", cfg_path, "--out", str(tmp_path / f"t{n}"),
-                     "--threads", str(n)]) == 0
-    # the report content is thread-count independent
-    b1 = (tmp_path / "t1" / "report.json").read_bytes()
-    b2 = (tmp_path / "t2" / "report.json").read_bytes()
-    assert b1 == b2
-    # full mode: the collar diagnostics of each x run inside the workers too
+    # --threads still parses, and has no effect: a full-mode run with it writes
+    # the files a run without it writes, byte for byte
     full_path = _write(tmp_path, AFFINE_CFG.replace("grid = 256", "grid = 128")
                        .replace("steps = 64", "steps = 32"), "affine.cfg")
-    codes = [main(["represent", "--config", full_path, "--out", str(tmp_path / f"f{n}"),
-                   "--threads", str(n)]) for n in (1, 2)]
+    codes = [main(["represent", "--config", full_path, "--out", str(tmp_path / name), *flag])
+             for name, flag in (("plain", []), ("flag", ["--threads", "2"]))]
     assert codes[0] == codes[1]
-    files = sorted(p.relative_to(tmp_path / "f1") for p in (tmp_path / "f1").rglob("*")
+    files = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*")
                    if p.is_file())
     assert len(files) == 7      # report.json, 3 map and 3 collar tables
     for rel in files:
-        assert (tmp_path / "f1" / rel).read_bytes() == (tmp_path / "f2" / rel).read_bytes()
+        assert (tmp_path / "plain" / rel).read_bytes() == (tmp_path / "flag" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["represent"], 1),
+    (["represent", "--config", "any.cfg", "--threads", "two"], 1),
+    (["--help"], 0),
+], ids=["missing-config", "non-integer-threads", "help"])
+def test_cli_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    # exit 2 is a finding only: a usage error is a configuration error
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "error:" in err and "usage:" in err and "Traceback" not in err
+    else:
+        assert "usage:" in out and err == ""
 
 
 def test_cli_represent_example1_unbounded_suspect(tmp_path):
@@ -541,6 +549,16 @@ sys.meta_path.insert(0, NoScipy())
 from moser_transport.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
+
+
+def test_cli_import_leaves_out_scipy_and_concurrent_futures():
+    # start-up work: importing the CLI loads neither scipy nor a thread pool
+    src = str(Path(moser_transport.__file__).parents[1])
+    probe = ("import json, sys; import moser_transport.cli; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == []
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -527,11 +527,27 @@ def test_rk4_sweep_error_names_stage_and_x():
 
 
 def test_velocity_floor_error_names_stage_and_x():
+    # rho_x = 1e-17 at one node, its mass moved to another: rho_x - rho0 rounds to -1
+    # there, so eta(t=1) = rho0 + (rho_x - rho0) is 0, below the floor 0.9 * 1e-17
     grid = interval_grid(64)
-    nodes = grid.nodes(0)
-    with pytest.raises(DegeneracyError, match=r"velocity floor at x=-0\.25: interpolated"):
-        moser_map_from_values(np.ones(64), [1.0 + 0.2 * (2 * nodes - 1)], grid, [-0.25],
-                              c_floor=0.95)
+    w = grid.axes[0].weights
+    rhox = np.ones(64)
+    rhox[20] = 1e-17
+    rhox[40] += (1.0 - 1e-17) * w[20] / w[40]
+    with pytest.raises(DegeneracyError, match=r"^velocity floor at x=0\.3: interpolated density "
+                                              r"0\.000e\+00 below floor 9\.000e-18 .*\(t=1\)"):
+        moser_map_from_values(np.ones(64), [rhox], grid, [0.3])
+
+
+@pytest.mark.parametrize("which", ["rho_x", "rho0"])
+def test_a_nan_grid_density_is_degenerate_not_a_solver_failure(which):
+    # NaN fails no `<= 0` test; the setup asks `min > 0` of both arrays
+    grid = interval_grid(64)
+    values = {"rho_x": np.ones(64), "rho0": np.ones(64)}
+    values[which][17] = np.nan
+    with pytest.raises(DegeneracyError,
+                       match=r"^densities must be positive on the grid at x=0\.3 \(min nan\)"):
+        moser_map_from_values(values["rho0"], [values["rho_x"]], grid, [0.3])
 
 
 def test_poisson_and_mass_errors_name_stage_and_x():
@@ -738,7 +754,7 @@ def test_stacked_blocks_match_their_own_sweeps_across_the_seam(make_grid):
     n, nt = aa.size, grid.axes[1].n
     setups = [moser._flow_setup(np.ones(grid.shape),
                                 1 + 0.3 * np.sin(2 * np.pi * (s * aa + 0.1)) * np.cos(np.pi * s * tt),
-                                grid, s, 1e-10, 1e-4, None) for s in (1, 2, 3)]
+                                grid, s, 1e-10, 1e-4) for s in (1, 2, 3)]
     providers = [pv for _, pv in setups]
     seam = np.concatenate([np.arange(nt), np.arange(n - nt, n), [nt + 3, 2 * nt + 5]])
     seeds = np.stack([aa.ravel(), tt.ravel()], axis=-1)[seam]

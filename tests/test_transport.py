@@ -330,8 +330,8 @@ def test_prefetch_builds_only_uncached_values(monkeypatch):
     tf = build_representation(builtin_family("affine", k=2), mode="full", grid_n=64,
                               steps=16)
     plans = _plan_spy(monkeypatch)
-    # verify plans its values before the workers start: one build, none in the workers
-    tf.verify([0.1, -0.2, 0.1], threads=2, n_fine=2 ** 10)
+    # verify plans its values once, up front: one build for its distinct values
+    tf.verify([0.1, -0.2, 0.1], n_fine=2 ** 10)
     assert [xs for xs, _ in plans] == [[0.1, -0.2]]
     tf.prefetch([-0.2, 0.1])
     tf.moser_at(0.1)
@@ -369,9 +369,8 @@ def _scan_grids(tf, floors, floor_mode, m_per_floor, x_nodes):
     out = []
     for floor in floors:
         ts = np.geomspace(floor, 1.0, m_per_floor)
-        domain = getattr(tf, "domain", None)  # QuantileTransport has none
-        if domain is not None and domain.dim == 2:
-            a_nodes = np.linspace(0.0, domain.circumference, 5)[:-1]
+        if tf.domain.dim == 2:
+            a_nodes = np.linspace(0.0, tf.domain.circumference, 5)[:-1]
             aa, tt = np.meshgrid(a_nodes, ts, indexing="ij")
             ts = np.stack([aa.reshape(-1), tt.reshape(-1)], axis=-1)
         out.append((make_x_grid(tf.x_range, floor_mode, floor, n=x_nodes), ts))
@@ -416,7 +415,8 @@ def test_ck_scan_unwraps_periodic_images_across_the_seam():
         return (pts + x * shift) % 1.0
 
     x_grid = np.linspace(-0.9, 0.9, 7)
-    torus, plain = _smooth_2d_family("torus"), SimpleNamespace(x_range=(-1.0, 1.0))
+    torus = _smooth_2d_family("torus")
+    plain = SimpleNamespace(x_range=(-1.0, 1.0), domain=make_domain("interval"))  # no circle
     rep = transport._ck_report(images, torus, x_grid, 1)
     assert rep.sups[1] == pytest.approx(np.hypot(0.3, 0.1), rel=1e-9)
     assert rep.richardson_stable[1]
